@@ -10,15 +10,15 @@ plateaus supports the claim, a flat one rejects it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 from scipy.stats import kendalltau
 
-from .core import DataError, SkillStats, TimeSeries, skill_stats
+from .core import DataError, SkillStats, TimeSeries
 from .embedding import EmbeddingParams, embed
-from .forecast import (cross_estimates, estimates_from_distances,
-                       select_embedding_dimension, _pairwise_distances)
+from .forecast import cross_estimates, select_embedding_dimension
 
 __all__ = [
     "CcmConfig",
@@ -185,23 +185,30 @@ def shared_embedding_dimension(*series: TimeSeries, e_range=range(1, 11),
     return max(floor, best)
 
 
-def _prepare(cause: TimeSeries, effect: TimeSeries, config: CcmConfig):
-    """Embed the effect and find library/target times usable under the lag."""
-    if len(cause) != len(effect):
+def _check_pair(a: TimeSeries, b: TimeSeries) -> None:
+    if len(a) != len(b):
         raise DataError(
-            f"series lengths differ: {cause.name!r} has {len(cause)}, "
-            f"{effect.name!r} has {len(effect)}")
-    if cause.origin_index != effect.origin_index:
+            f"series lengths differ: {a.name!r} has {len(a)}, "
+            f"{b.name!r} has {len(b)}")
+    if a.origin_index != b.origin_index:
         raise DataError("series must share a time origin")
+
+
+def _cross_map(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
+               library_times: Sequence[int] | np.ndarray | None = None):
+    """Embed the effect and build its cross map onto the cause under the lag."""
+    _check_pair(cause, effect)
     manifold = embed(effect, EmbeddingParams(e_dim=config.e_dim, tau=config.tau))
-    t = manifold.times
-    usable = t[(t + config.lag >= cause.origin_index)
-               & (t + config.lag <= cause.end_index)]
-    if usable.size < config.min_lib_size:
+    shifted = manifold.times + config.lag
+    n_usable = int(np.count_nonzero((shifted >= cause.origin_index)
+                                    & (shifted <= cause.end_index)))
+    if n_usable < config.min_lib_size:
         raise DataError(
-            f"only {usable.size} usable points after shifting by lag "
+            f"only {n_usable} usable points after shifting by lag "
             f"{config.lag}; need at least {config.min_lib_size}")
-    return manifold, usable
+    lib = np.asarray(library_times, dtype=int) if library_times is not None else None
+    return cross_estimates(manifold.points, manifold.times, cause, config.lag,
+                           config.e_dim + 1, lib_times=lib)
 
 
 def cross_map_skill(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
@@ -214,11 +221,7 @@ def cross_map_skill(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
     cause(t + lag) as the weighted average of cause at the neighbors'
     times + lag. High convergent skill supports the claim cause => effect.
     """
-    manifold, _ = _prepare(cause, effect, config)
-    lib = np.asarray(library_times, dtype=int) if library_times is not None else None
-    obs, est, _ = cross_estimates(manifold.points, manifold.times, cause,
-                                  config.lag, config.e_dim + 1, lib_times=lib)
-    return skill_stats(obs, est)
+    return _cross_map(cause, effect, config, library_times).skill()
 
 
 def convergence_test(rows: Sequence[CurveRow],
@@ -256,32 +259,18 @@ def ccm_curve(cause: TimeSeries, effect: TimeSeries, config: CcmConfig) -> CcmCu
     single full-library evaluation. Identical inputs and seed reproduce
     the curve bit for bit.
     """
-    manifold, usable = _prepare(cause, effect, config)
-    n_usable = int(usable.size)
+    cross_map = _cross_map(cause, effect, config)
+    n_usable = int(cross_map.lib_times.size)
     sizes = config.lib_sizes or default_library_sizes(config.min_lib_size, n_usable)
     if sizes[-1] > n_usable:
         raise DataError(
             f"largest library size {sizes[-1]} exceeds the {n_usable} "
             f"admissible points")
 
-    k = config.e_dim + 1
-    time_to_row = {int(t): i for i, t in enumerate(manifold.times)}
-    rows_idx = np.fromiter((time_to_row[int(t)] for t in usable), dtype=int)
-    # targets == usable library times: in-sample estimation under the lag
-    dist_full = _pairwise_distances(manifold.points[rows_idx],
-                                    manifold.points[rows_idx])
-    obs = cause.values[usable + config.lag - cause.origin_index]
-
-    def draw_rho(lib_positions: np.ndarray) -> SkillStats:
-        sub = dist_full[:, lib_positions]
-        est = estimates_from_distances(sub, usable[lib_positions], usable,
-                                       cause, config.lag, k)
-        return skill_stats(obs, est)
-
     rows = []
     for size in sizes:
         if size == n_usable:
-            stats = draw_rho(np.arange(n_usable))
+            stats = cross_map.skill()
             rows.append(CurveRow(lib_size=size, mean_rho=stats.rho, sd_rho=0.0,
                                  samples_used=1,
                                  degenerate_draws=int(stats.degenerate)))
@@ -295,7 +284,7 @@ def ccm_curve(cause: TimeSeries, effect: TimeSeries, config: CcmConfig) -> CcmCu
                 positions = np.arange(start, start + size)
             else:
                 positions = np.sort(rng.choice(n_usable, size=size, replace=False))
-            stats = draw_rho(positions)
+            stats = cross_map.skill(positions)
             rhos[j] = stats.rho
             n_degenerate += int(stats.degenerate)
         rows.append(CurveRow(lib_size=size, mean_rho=float(rhos.mean()),
@@ -321,18 +310,13 @@ def pai_cross_map(x: TimeSeries, y: TimeSeries, config: CcmConfig,
     count and estimation match :func:`cross_map_skill`, so a zero-spread
     y coordinate reproduces the plain embedding of x exactly.
     """
-    if len(x) != len(y):
-        raise DataError(
-            f"series lengths differ: {x.name!r} has {len(x)}, {y.name!r} has {len(y)}")
-    if x.origin_index != y.origin_index:
-        raise DataError("series must share a time origin")
+    _check_pair(x, y)
     manifold = embed(x, EmbeddingParams(e_dim=config.e_dim, tau=config.tau))
     y_at_times = y.values[manifold.times - y.origin_index]
     joint = np.hstack([manifold.points, y_at_times[:, None]])
     lib = np.asarray(library_times, dtype=int) if library_times is not None else None
-    obs, est, _ = cross_estimates(joint, manifold.times, x, config.lag,
-                                  config.e_dim + 1, lib_times=lib)
-    return skill_stats(obs, est)
+    return cross_estimates(joint, manifold.times, x, config.lag,
+                           config.e_dim + 1, lib_times=lib).skill()
 
 
 def eccm_profile(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
@@ -391,14 +375,8 @@ def causal_summary(series: Sequence[TimeSeries], config: CcmConfig,
             edges.append(edge)
             by_pair[(a.name, b.name)] = edge
     if eccm_lags is not None:
-        seen = set()
-        for (a, b), fwd in by_pair.items():
-            if (b, a) in seen:
-                continue
-            seen.add((a, b))
-            rev = by_pair.get((b, a))
-            if rev is None:
-                continue
+        for a, b in combinations(names, 2):
+            fwd, rev = by_pair[(a, b)], by_pair[(b, a)]
             if (fwd.convergent and rev.convergent
                     and fwd.best_lag is not None and fwd.best_lag >= 0
                     and rev.best_lag is not None and rev.best_lag >= 0):

@@ -182,12 +182,12 @@ def _resolve_e(args, cause: TimeSeries, effect: TimeSeries) -> int:
     return shared_embedding_dimension(cause, effect, tau=args.tau)
 
 
-def _ccm_config(args, e_dim: int) -> CcmConfig:
-    sizes = _parse_sizes(args.lib_sizes) if args.lib_sizes else None
-    return CcmConfig(e_dim=e_dim, tau=args.tau, lag=getattr(args, "lag", 0),
-                     lib_sizes=sizes, samples_per_size=args.samples,
-                     seed=args.seed,
-                     contiguous_draws=getattr(args, "contiguous", False))
+def _check_at_least(args, **floors: int) -> None:
+    """Usage error for the first named numeric flag below its floor."""
+    for name, floor in floors.items():
+        value = getattr(args, name)
+        if value < floor:
+            raise UsageError(f"--{name} must be >= {floor}, got {value}")
 
 
 def _config_echo(config: CcmConfig, extra: dict | None = None) -> dict:
@@ -244,11 +244,15 @@ def cmd_simplex(args) -> int:
 
 
 def cmd_ccm(args) -> int:
+    _check_at_least(args, samples=1, tau=1, seed=0)
     columns = _load_columns(args.input)
     cause = _pick(columns, args.cause, args.input)
     effect = _pick(columns, args.effect, args.input)
-    e_dim = _resolve_e(args, cause, effect)
-    config = _ccm_config(args, e_dim)
+    sizes = _parse_sizes(args.lib_sizes) if args.lib_sizes else None
+    config = CcmConfig(e_dim=_resolve_e(args, cause, effect), tau=args.tau,
+                       lag=args.lag, lib_sizes=sizes,
+                       samples_per_size=args.samples, seed=args.seed,
+                       contiguous_draws=args.contiguous)
 
     pairs = [(cause, effect)]
     if args.both_directions:
@@ -279,12 +283,12 @@ def cmd_ccm(args) -> int:
 
 
 def cmd_eccm(args) -> int:
+    _check_at_least(args, tau=1)
     columns = _load_columns(args.input)
     cause = _pick(columns, args.cause, args.input)
     effect = _pick(columns, args.effect, args.input)
     lags = _parse_int_range(args.lags, "--lags")
-    e_dim = _resolve_e(args, cause, effect)
-    config = _ccm_config(args, e_dim)
+    config = CcmConfig(e_dim=_resolve_e(args, cause, effect), tau=args.tau)
     profile = eccm_profile(cause, effect, config, lags)
     report = RunReport(
         tool_version=__version__, command=_echo(args),
@@ -459,9 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "negative starts")
     p.add_argument("--e", default="auto")
     p.add_argument("--tau", type=int, default=1)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lib-sizes", default=None, dest="lib_sizes")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eccm)
 

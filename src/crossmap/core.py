@@ -181,9 +181,10 @@ def read_series_csv(path: str) -> list[TimeSeries]:
 
     The first row holds the series names; every cell below must be a
     decimal real. Missing cells, non-numeric cells, and NaN/Inf are
-    rejected outright.
+    rejected outright. A leading UTF-8 byte-order mark and blank lines
+    after the last data row are ignored.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -195,7 +196,14 @@ def read_series_csv(path: str) -> list[TimeSeries]:
         if len(set(names)) != len(names):
             raise DataError(f"{path}: duplicate column names in header")
         columns: list[list[float]] = [[] for _ in names]
+        blank_line = None  # first blank line not yet followed by data
         for line_no, row in enumerate(reader, start=2):
+            if not row:
+                blank_line = blank_line or line_no
+                continue
+            if blank_line is not None:
+                raise DataError(
+                    f"{path}:{blank_line}: expected {len(names)} cells, got 0")
             if len(row) != len(names):
                 raise DataError(
                     f"{path}:{line_no}: expected {len(names)} cells, got {len(row)}")

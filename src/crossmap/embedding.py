@@ -103,16 +103,12 @@ def embed(series: TimeSeries, params: EmbeddingParams) -> ShadowManifold:
 def knn(manifold: ShadowManifold,
         query: np.ndarray,
         k: int,
-        excluded_times: Collection[int] = (),
-        query_time: int | None = None,
-        exclusion_radius: int = 0) -> NeighborSet:
+        excluded_times: Collection[int] = ()) -> NeighborSet:
     """k nearest manifold points to a query state, by Euclidean distance.
 
     Reference brute-force implementation: a full linear scan with ties
     broken by ascending time index. Times in ``excluded_times`` are never
-    returned. When ``query_time`` is given, every point with
-    ``|t - query_time| <= exclusion_radius`` is excluded as well (radius 0
-    excludes just the query's own time).
+    returned.
     """
     q = np.asarray(query, dtype=float).reshape(-1)
     if q.size != manifold.e_dim:
@@ -128,8 +124,6 @@ def knn(manifold: ShadowManifold,
     if len(excluded_times) > 0:
         excluded = np.asarray(sorted(excluded_times), dtype=int)
         admissible &= ~np.isin(manifold.times, excluded)
-    if query_time is not None:
-        admissible &= np.abs(manifold.times - query_time) > exclusion_radius
 
     n_ok = int(admissible.sum())
     if n_ok < k:

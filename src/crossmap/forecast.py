@@ -102,28 +102,48 @@ def _pairwise_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def estimates_from_distances(dist: np.ndarray,
                              lib_times: np.ndarray,
-                             target_times: np.ndarray,
                              values: TimeSeries,
                              shift: int,
-                             k: int,
-                             exclude_self: bool = True) -> np.ndarray:
-    """Cross estimates of ``values`` at ``target_times + shift``.
+                             k: int) -> np.ndarray:
+    """Cross estimates of ``values`` from target-to-library distances.
 
-    ``dist`` holds target-to-library distances (rows = targets, columns =
-    library points in ascending-time order, matching ``lib_times``); it is
-    mutated in place when self-exclusion applies. Every ``lib_times[j] +
-    shift`` must be a valid time of ``values``.
+    ``dist`` holds one row per target and one column per library point,
+    in ascending-time order matching ``lib_times``; +inf marks an entry
+    the target may not use as a neighbor (its own time, for one). Each
+    row's estimate is the simplex average of ``values`` at its k nearest
+    ``lib_times + shift``, every one of which must be a time of
+    ``values``. ``dist`` is not modified.
     """
-    if exclude_self:
-        pos = np.searchsorted(lib_times, target_times)
-        rows = np.flatnonzero(
-            (pos < lib_times.size) & (lib_times[np.minimum(pos, lib_times.size - 1)]
-                                      == target_times))
-        dist[rows, pos[rows]] = np.inf
     idx, nd = nearest_rows(dist, k)
     w = weight_rows(nd)
     neighbor_values = values.values[lib_times[idx] + shift - values.origin_index]
     return np.einsum("mk,mk->m", w, neighbor_values)
+
+
+@dataclass(frozen=True)
+class _CrossMap:
+    """Target-to-library distances of one manifold, ready to score.
+
+    Built by :func:`cross_estimates`; ``dist`` already holds +inf where a
+    target meets its own time in the library.
+    """
+
+    dist: np.ndarray
+    lib_times: np.ndarray
+    observed: np.ndarray
+    values: TimeSeries
+    shift: int
+    k: int
+
+    def skill(self, columns: np.ndarray | None = None) -> SkillStats:
+        """Skill with the whole library, or with the library columns given
+        (ascending positions into ``lib_times``)."""
+        if columns is None:
+            dist, lib = self.dist, self.lib_times
+        else:
+            dist, lib = self.dist[:, columns], self.lib_times[columns]
+        est = estimates_from_distances(dist, lib, self.values, self.shift, self.k)
+        return skill_stats(self.observed, est)
 
 
 def cross_estimates(points: np.ndarray,
@@ -132,14 +152,14 @@ def cross_estimates(points: np.ndarray,
                     shift: int,
                     k: int,
                     lib_times: np.ndarray | None = None,
-                    target_times: np.ndarray | None = None,
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simplex estimates over many targets against a library of state points.
+                    target_times: np.ndarray | None = None) -> _CrossMap:
+    """Cross map from state points onto ``values`` at each time + ``shift``.
 
-    For every target time t (with a known observation at t + shift), the
-    k nearest library states — the target's own time excluded — vote for
-    the value at their own time + shift. Returns (observed, estimated,
-    target_times_used).
+    ``times`` are the consecutive times of ``points``. Every target time t
+    with a known observation at t + shift is estimated by its k nearest
+    library states, its own time excluded, voting for the value at their
+    own time + shift. Library times must be a subset of ``times``; those
+    without a value at time + shift are dropped.
     """
     lib = np.sort(np.asarray(lib_times, dtype=int)) if lib_times is not None else times
     if not np.all(np.isin(lib, times)):
@@ -155,14 +175,14 @@ def cross_estimates(points: np.ndarray,
     if tgt.size < 2:
         raise DataError(f"no valid targets after shifting by {shift}")
 
-    time_to_row = {int(t): i for i, t in enumerate(times)}
-    lib_rows = np.fromiter((time_to_row[int(t)] for t in usable), dtype=int)
-    tgt_rows = np.fromiter((time_to_row[int(t)] for t in tgt), dtype=int)
-
-    dist = _pairwise_distances(points[tgt_rows], points[lib_rows])
-    est = estimates_from_distances(dist, usable, tgt, values, shift, k)
-    obs = values.values[tgt + shift - values.origin_index]
-    return obs, est, tgt
+    dist = _pairwise_distances(points[tgt - times[0]], points[usable - times[0]])
+    pos = np.searchsorted(usable, tgt)
+    own = np.flatnonzero((pos < usable.size)
+                         & (usable[np.minimum(pos, usable.size - 1)] == tgt))
+    dist[own, pos[own]] = np.inf
+    return _CrossMap(dist=dist, lib_times=usable,
+                     observed=values.values[tgt + shift - values.origin_index],
+                     values=values, shift=shift, k=k)
 
 
 def simplex_forecast(library: ShadowManifold,
@@ -200,9 +220,8 @@ def loo_skill(series: TimeSeries, params: EmbeddingParams) -> SkillStats:
     predicted) pairs are aggregated into one :class:`SkillStats`.
     """
     manifold = embed(series, params)
-    obs, est, _ = cross_estimates(manifold.points, manifold.times, series,
-                                  params.tp, params.e_dim + 1)
-    return skill_stats(obs, est)
+    return cross_estimates(manifold.points, manifold.times, series,
+                           params.tp, params.e_dim + 1).skill()
 
 
 def train_test_skill(series: TimeSeries, params: EmbeddingParams,
@@ -215,11 +234,10 @@ def train_test_skill(series: TimeSeries, params: EmbeddingParams,
     n_train = ceil(train_fraction * manifold.n_points)
     if n_train >= manifold.n_points:
         raise DataError("split leaves no prediction targets")
-    obs, est, _ = cross_estimates(manifold.points, manifold.times, series,
-                                  params.tp, params.e_dim + 1,
-                                  lib_times=manifold.times[:n_train],
-                                  target_times=manifold.times[n_train:])
-    return skill_stats(obs, est)
+    return cross_estimates(manifold.points, manifold.times, series,
+                           params.tp, params.e_dim + 1,
+                           lib_times=manifold.times[:n_train],
+                           target_times=manifold.times[n_train:]).skill()
 
 
 def select_embedding_dimension(series: TimeSeries,

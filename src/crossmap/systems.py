@@ -25,15 +25,6 @@ __all__ = [
     "gen_lorenz",
 ]
 
-GENERATOR_KINDS = (
-    "coupled_logistic",
-    "unidirectional_logistic",
-    "lagged_logistic",
-    "moran_fork",
-    "lorenz",
-)
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Reproducible description of one synthetic-system run."""
@@ -217,11 +208,13 @@ def gen_lorenz(steps: int, dt: float = 0.01, sigma: float = 10.0,
         raise DataError("initial state must have three components")
     out[0] = s
     for t in range(1, total):
-        k1 = _lorenz_deriv(s, sigma, rho, beta)
-        k2 = _lorenz_deriv(s + 0.5 * dt * k1, sigma, rho, beta)
-        k3 = _lorenz_deriv(s + 0.5 * dt * k2, sigma, rho, beta)
-        k4 = _lorenz_deriv(s + dt * k3, sigma, rho, beta)
-        s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # an escaping state overflows mid-step; the check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1 = _lorenz_deriv(s, sigma, rho, beta)
+            k2 = _lorenz_deriv(s + 0.5 * dt * k1, sigma, rho, beta)
+            k3 = _lorenz_deriv(s + 0.5 * dt * k2, sigma, rho, beta)
+            k4 = _lorenz_deriv(s + dt * k3, sigma, rho, beta)
+            s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(s)):
             raise NumericalError(f"Lorenz state became non-finite at step {t}")
         out[t] = s
@@ -237,6 +230,7 @@ _DISPATCH: dict[str, Callable] = {
     "moran_fork": gen_moran_fork,
     "lorenz": gen_lorenz,
 }
+GENERATOR_KINDS = tuple(_DISPATCH)
 
 
 def generate(spec: GeneratorSpec) -> tuple[TimeSeries, ...]:

@@ -151,6 +151,20 @@ class TestCcmCommand:
         assert main(["ccm", "-i", str(coupled_csv), "--cause", "X",
                      "--effect", "Y", "--e", "wide"]) == 2
 
+    @pytest.mark.parametrize("cmd,flags", [
+        ("ccm", ["--samples", "0"]),
+        ("ccm", ["--tau", "0"]),
+        ("ccm", ["--seed", "-1"]),
+        ("eccm", ["--tau", "0", "--lags=-2:2"]),
+    ])
+    def test_out_of_range_flag_is_usage_error(self, coupled_csv, capsys,
+                                              cmd, flags):
+        # --e auto: the flag must be rejected before the E scan runs
+        rc = main([cmd, "-i", str(coupled_csv), "--cause", "X",
+                   "--effect", "Y", *flags])
+        assert rc == 2
+        assert f"error: {flags[0]} must be >=" in capsys.readouterr().err
+
     def test_bad_lib_sizes(self, coupled_csv):
         assert main(["ccm", "-i", str(coupled_csv), "--cause", "X",
                      "--effect", "Y", "--e", "2", "--lib-sizes", "3;4"]) == 2

@@ -188,6 +188,24 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="no data rows"):
             read_series_csv(p)
 
+    def test_reads_utf8_bom(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes("X,Y\n1.0,2.0\n3.0,4.0\n".encode("utf-8-sig"))
+        assert [s.name for s in read_series_csv(p)] == ["X", "Y"]
+
+    def test_ignores_trailing_blank_lines(self, tmp_path):
+        p = tmp_path / "trail.csv"
+        p.write_text("X,Y\n1.0,2.0\n3.0,4.0\n\n\n")
+        x, y = read_series_csv(p)
+        assert x.values.tolist() == [1.0, 3.0]
+        assert y.values.tolist() == [2.0, 4.0]
+
+    def test_rejects_blank_line_between_rows(self, tmp_path):
+        p = tmp_path / "gap.csv"
+        p.write_text("X,Y\n1.0,2.0\n\n3.0,4.0\n")
+        with pytest.raises(DataError, match=r"gap\.csv:3: expected 2 cells, got 0"):
+            read_series_csv(p)
+
     def test_rejects_duplicate_headers(self, tmp_path):
         p = tmp_path / "dup.csv"
         p.write_text("a,a\n1.0,2.0\n")

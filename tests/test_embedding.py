@@ -85,16 +85,6 @@ class TestKnn:
         assert m.times[ns.indices[0]] != 1
         assert ns.distances[0] == pytest.approx(1.0)
 
-    def test_query_time_excludes_self(self):
-        m = embed(TimeSeries("s", [0.0, 1.0, 2.0]), EmbeddingParams(1))
-        ns = knn(m, [1.0], 2, query_time=1)
-        assert 1 not in m.times[ns.indices]
-
-    def test_exclusion_radius(self):
-        m = embed(TimeSeries("s", np.arange(10.0)), EmbeddingParams(1))
-        ns = knn(m, [5.0], 3, query_time=5, exclusion_radius=2)
-        assert all(abs(int(t) - 5) > 2 for t in m.times[ns.indices])
-
     def test_ties_broken_by_time(self):
         # values 0, 2, 0 are all at distance 1 from the query
         m = embed(TimeSeries("s", [0.0, 2.0, 5.0, 0.0]), EmbeddingParams(1))

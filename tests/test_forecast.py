@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
-from crossmap import (DataError, EmbeddingParams, TimeSeries, embed,
+from crossmap import (DataError, EmbeddingParams, TimeSeries, embed, knn,
                       loo_skill, select_embedding_dimension, simplex_forecast,
                       simplex_weights, train_test_skill)
+from crossmap.embedding import nearest_rows
+from crossmap.forecast import cross_estimates
 
 
 def logistic_series(n, x0=0.31, r=3.8, name="x"):
@@ -217,3 +220,40 @@ class TestSelectEmbeddingDimension:
                                           split_fraction=0.7)
         best_row = [r for r in scan.rows if r.e_dim == scan.best_e][0]
         assert best_row.stats.rho > 0.99
+
+
+@st.composite
+def tie_heavy_series(draw):
+    """Values rounded to 0-2 decimals, laid out in constant stretches."""
+    decimals = draw(st.integers(0, 2))
+    runs = draw(st.lists(st.tuples(st.floats(0.0, 3.0), st.integers(1, 4)),
+                         min_size=4, max_size=20))
+    values = [round(v, decimals) for v, length in runs for _ in range(length)]
+    return TimeSeries("x", values, origin_index=draw(st.integers(-3, 3)))
+
+
+class TestCrossMapEngine:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(series=tie_heavy_series(), e_dim=st.integers(1, 3),
+           shift=st.integers(-2, 2), data=st.data())
+    def test_column_slice_neighbors_match_knn_oracle(self, series, e_dim,
+                                                     shift, data):
+        manifold = embed(series, EmbeddingParams(e_dim))
+        k = e_dim + 1
+        times = manifold.times
+        try:
+            cross_map = cross_estimates(manifold.points, times, series, shift, k)
+        except DataError:
+            reject()
+        lib_times = cross_map.lib_times
+        columns = np.array(sorted(data.draw(st.sets(
+            st.integers(0, lib_times.size - 1), min_size=k + 1))))
+        drawn = lib_times[columns]
+        idx, _ = nearest_rows(cross_map.dist[:, columns], k)
+        targets = times[(times + shift >= series.origin_index)
+                        & (times + shift <= series.end_index)]
+        undrawn = set(times.tolist()) - set(drawn.tolist())
+        for row, t in enumerate(targets):
+            ns = knn(manifold, manifold.points[t - times[0]], k,
+                     excluded_times=undrawn | {int(t)})
+            assert drawn[idx[row]].tolist() == times[ns.indices].tolist()

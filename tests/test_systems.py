@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,12 @@ class TestLorenz:
     def test_bad_dt(self):
         with pytest.raises(DataError):
             gen_lorenz(10, dt=0.0)
+
+    def test_escaping_state_raises_without_numpy_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="non-finite"):
+                gen_lorenz(2000, dt=0.5)
 
 
 class TestGeneratorSpec:
