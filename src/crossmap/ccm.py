@@ -10,14 +10,14 @@ plateaus supports the claim, a flat one rejects it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Sequence
 
 import numpy as np
 from scipy.stats import kendalltau
 
 from .core import DataError, SkillStats, TimeSeries
-from .embedding import EmbeddingParams, embed
+from .embedding import EmbeddingParams, ShadowManifold, embed
 from .forecast import cross_estimates, select_embedding_dimension
 
 __all__ = [
@@ -194,18 +194,28 @@ def _check_pair(a: TimeSeries, b: TimeSeries) -> None:
         raise DataError("series must share a time origin")
 
 
-def _cross_map(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
-               library_times: Sequence[int] | np.ndarray | None = None):
-    """Embed the effect and build its cross map onto the cause under the lag."""
+def _effect_manifold(cause: TimeSeries, effect: TimeSeries,
+                     config: CcmConfig) -> ShadowManifold:
     _check_pair(cause, effect)
-    manifold = embed(effect, EmbeddingParams(e_dim=config.e_dim, tau=config.tau))
-    shifted = manifold.times + config.lag
+    return embed(effect, EmbeddingParams(e_dim=config.e_dim, tau=config.tau))
+
+
+def _check_lag(manifold: ShadowManifold, cause: TimeSeries, lag: int,
+               config: CcmConfig) -> None:
+    shifted = manifold.times + lag
     n_usable = int(np.count_nonzero((shifted >= cause.origin_index)
                                     & (shifted <= cause.end_index)))
     if n_usable < config.min_lib_size:
         raise DataError(
             f"only {n_usable} usable points after shifting by lag "
-            f"{config.lag}; need at least {config.min_lib_size}")
+            f"{lag}; need at least {config.min_lib_size}")
+
+
+def _cross_map(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
+               library_times: Sequence[int] | np.ndarray | None = None):
+    """Embed the effect and build its cross map onto the cause under the lag."""
+    manifold = _effect_manifold(cause, effect, config)
+    _check_lag(manifold, cause, config.lag, config)
     lib = np.asarray(library_times, dtype=int) if library_times is not None else None
     return cross_estimates(manifold.points, manifold.times, cause, config.lag,
                            config.e_dim + 1, lib_times=lib)
@@ -259,7 +269,20 @@ def ccm_curve(cause: TimeSeries, effect: TimeSeries, config: CcmConfig) -> CcmCu
     single full-library evaluation. Identical inputs and seed reproduce
     the curve bit for bit.
     """
-    cross_map = _cross_map(cause, effect, config)
+    return _ccm_curves((cause,), effect, config)[0]
+
+
+def _ccm_curves(causes: Sequence[TimeSeries], effect: TimeSeries,
+                config: CcmConfig) -> list[CcmCurve]:
+    """:func:`ccm_curve` of each cause on one effect manifold.
+
+    Every cause must share the effect's length and origin (the first is
+    checked here, callers check the rest). Then the usable library, the
+    seeded draws and each draw's neighbors do not depend on the cause:
+    the distances are built once, each draw's neighbors are selected
+    once, and every cause is estimated from them.
+    """
+    cross_map = _cross_map(causes[0], effect, config)
     n_usable = int(cross_map.lib_times.size)
     sizes = config.lib_sizes or default_library_sizes(config.min_lib_size, n_usable)
     if sizes[-1] > n_usable:
@@ -267,16 +290,16 @@ def ccm_curve(cause: TimeSeries, effect: TimeSeries, config: CcmConfig) -> CcmCu
             f"largest library size {sizes[-1]} exceeds the {n_usable} "
             f"admissible points")
 
-    rows = []
+    rows: list[list[CurveRow]] = [[] for _ in causes]
     for size in sizes:
         if size == n_usable:
-            stats = cross_map.skill()
-            rows.append(CurveRow(lib_size=size, mean_rho=stats.rho, sd_rho=0.0,
-                                 samples_used=1,
-                                 degenerate_draws=int(stats.degenerate)))
+            for cause_rows, stats in zip(rows, cross_map.skills(causes)):
+                cause_rows.append(CurveRow(lib_size=size, mean_rho=stats.rho,
+                                           sd_rho=0.0, samples_used=1,
+                                           degenerate_draws=int(stats.degenerate)))
             continue
-        rhos = np.empty(config.samples_per_size)
-        n_degenerate = 0
+        rhos = np.empty((len(causes), config.samples_per_size))
+        n_degenerate = [0] * len(causes)
         for j in range(config.samples_per_size):
             rng = np.random.default_rng([config.seed, size, j])
             if config.contiguous_draws:
@@ -284,21 +307,27 @@ def ccm_curve(cause: TimeSeries, effect: TimeSeries, config: CcmConfig) -> CcmCu
                 positions = np.arange(start, start + size)
             else:
                 positions = np.sort(rng.choice(n_usable, size=size, replace=False))
-            stats = cross_map.skill(positions)
-            rhos[j] = stats.rho
-            n_degenerate += int(stats.degenerate)
-        rows.append(CurveRow(lib_size=size, mean_rho=float(rhos.mean()),
-                             sd_rho=float(rhos.std()),
-                             samples_used=config.samples_per_size,
-                             degenerate_draws=n_degenerate))
+            for i, stats in enumerate(cross_map.skills(causes, positions)):
+                rhos[i, j] = stats.rho
+                n_degenerate[i] += int(stats.degenerate)
+        for cause_rows, cause_rhos, n_deg in zip(rows, rhos, n_degenerate):
+            cause_rows.append(CurveRow(lib_size=size,
+                                       mean_rho=float(cause_rhos.mean()),
+                                       sd_rho=float(cause_rhos.std()),
+                                       samples_used=config.samples_per_size,
+                                       degenerate_draws=n_deg))
 
-    decision = convergence_test(rows, config.min_rho_gain,
-                                config.min_kendall_tau, config.min_final_rho) \
-        if len(rows) >= 3 else ConvergenceDecision(
-            convergent=False, final_rho=rows[-1].mean_rho,
-            rho_gain=rows[-1].mean_rho - rows[0].mean_rho, trend=0.0)
-    return CcmCurve(direction=f"{cause.name}=>{effect.name}",
-                    rows=tuple(rows), decision=decision)
+    curves = []
+    for cause, cause_rows in zip(causes, rows):
+        decision = convergence_test(cause_rows, config.min_rho_gain,
+                                    config.min_kendall_tau, config.min_final_rho) \
+            if len(cause_rows) >= 3 else ConvergenceDecision(
+                convergent=False, final_rho=cause_rows[-1].mean_rho,
+                rho_gain=cause_rows[-1].mean_rho - cause_rows[0].mean_rho,
+                trend=0.0)
+        curves.append(CcmCurve(direction=f"{cause.name}=>{effect.name}",
+                               rows=tuple(cause_rows), decision=decision))
+    return curves
 
 
 def pai_cross_map(x: TimeSeries, y: TimeSeries, config: CcmConfig,
@@ -331,13 +360,23 @@ def eccm_profile(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
     lags = sorted(set(int(v) for v in lag_range))
     if not lags:
         raise DataError("empty lag range")
-    rows = []
-    for ell in lags:
-        try:
-            stats = cross_map_skill(cause, effect, replace(config, lag=ell))
-            rows.append(EccmRow(lag=ell, rho=stats.rho))
-        except DataError as err:
-            rows.append(EccmRow(lag=ell, rho=None, note=str(err)))
+    try:
+        manifold = _effect_manifold(cause, effect, config)
+    except DataError as err:
+        rows = [EccmRow(lag=ell, rho=None, note=str(err)) for ell in lags]
+    else:
+        # one build at lag 0 serves every lag: each lag scores a view of it
+        full = None
+        rows = []
+        for ell in lags:
+            try:
+                _check_lag(manifold, cause, ell, config)
+                if full is None:
+                    full = cross_estimates(manifold.points, manifold.times, cause,
+                                           0, config.e_dim + 1)
+                rows.append(EccmRow(lag=ell, rho=full.shifted(ell).skill().rho))
+            except DataError as err:
+                rows.append(EccmRow(lag=ell, rho=None, note=str(err)))
     scored = [r for r in rows if r.rho is not None]
     if not scored:
         raise DataError("every lag in the range left no valid targets")
@@ -358,22 +397,41 @@ def causal_summary(series: Sequence[TimeSeries], config: CcmConfig,
     names = [s.name for s in series]
     if len(set(names)) != len(names):
         raise DataError(f"series names must be unique, got {names}")
-    edges = []
-    warnings = []
-    by_pair: dict[tuple[str, str], CausalEdge] = {}
-    for a in series:
-        for b in series:
-            if a.name == b.name:
+    # effects outer, so that one effect manifold's distances are alive at
+    # a time; a pair's error is kept and raised in cause-major order below
+    by_pair: dict[tuple[str, str], CausalEdge | DataError] = {}
+    for effect in series:
+        causes = []
+        for cause in series:
+            if cause.name == effect.name:
                 continue
-            curve = ccm_curve(a, b, config)
-            best_lag = None
-            if eccm_lags is not None:
-                best_lag = eccm_profile(a, b, config, eccm_lags).best_lag
-            edge = CausalEdge(cause=a.name, effect=b.name,
-                              final_rho=curve.final_rho,
-                              convergent=curve.convergent, best_lag=best_lag)
-            edges.append(edge)
-            by_pair[(a.name, b.name)] = edge
+            try:
+                _check_pair(cause, effect)
+            except DataError as err:
+                by_pair[(cause.name, effect.name)] = err
+            else:
+                causes.append(cause)
+        try:
+            curves = _ccm_curves(causes, effect, config) if causes else []
+        except DataError as err:
+            by_pair.update({(cause.name, effect.name): err for cause in causes})
+            continue
+        for cause, curve in zip(causes, curves):
+            try:
+                best_lag = None if eccm_lags is None else \
+                    eccm_profile(cause, effect, config, eccm_lags).best_lag
+            except DataError as err:
+                by_pair[(cause.name, effect.name)] = err
+                continue
+            by_pair[(cause.name, effect.name)] = CausalEdge(
+                cause=cause.name, effect=effect.name, final_rho=curve.final_rho,
+                convergent=curve.convergent, best_lag=best_lag)
+    edges = []
+    for pair in permutations(names, 2):
+        if isinstance(by_pair[pair], DataError):
+            raise by_pair[pair]
+        edges.append(by_pair[pair])
+    warnings = []
     if eccm_lags is not None:
         for a, b in combinations(names, 2):
             fwd, rev = by_pair[(a, b)], by_pair[(b, a)]

@@ -187,7 +187,8 @@ def _check_at_least(args, **floors: int) -> None:
     for name, floor in floors.items():
         value = getattr(args, name)
         if value < floor:
-            raise UsageError(f"--{name} must be >= {floor}, got {value}")
+            flag = name.replace("_", "-")
+            raise UsageError(f"--{flag} must be >= {floor}, got {value}")
 
 
 def _config_echo(config: CcmConfig, extra: dict | None = None) -> dict:
@@ -206,8 +207,7 @@ def _config_echo(config: CcmConfig, extra: dict | None = None) -> dict:
 
 
 def cmd_generate(args) -> int:
-    if args.steps < 1:
-        raise UsageError(f"--steps must be >= 1, got {args.steps}")
+    _check_at_least(args, steps=1, seed=0, burn_in=0)
     kind = args.system.replace("-", "_")
     spec = GeneratorSpec(kind=kind, steps=args.steps,
                          params=_parse_params(args.param),
@@ -221,9 +221,15 @@ def cmd_generate(args) -> int:
 
 
 def cmd_simplex(args) -> int:
+    _check_at_least(args, tau=1)
+    e_range = _parse_int_range(args.e_range, "--e-range")
+    if e_range[0] < 1:
+        raise UsageError(f"--e-range must be >= 1, got {args.e_range}")
+    if args.split_fraction is not None and not 0.0 < args.split_fraction < 1.0:
+        raise UsageError(
+            f"--split-fraction must be in (0,1), got {args.split_fraction}")
     columns = _load_columns(args.input)
     series = _pick(columns, args.col, args.input)
-    e_range = _parse_int_range(args.e_range, "--e-range")
     scan = select_embedding_dimension(series, e_range, tau=args.tau,
                                       tp=args.tp,
                                       split_fraction=args.split_fraction)
@@ -308,6 +314,7 @@ def _write_rows_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def cmd_demo(args) -> int:
+    _check_at_least(args, seed=0)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     demos = {"fig3": _demo_fig3, "fig7": _demo_fig7, "fig8": _demo_fig8,

@@ -13,7 +13,7 @@ zero for the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil
 from typing import Iterable, Sequence
 
@@ -102,22 +102,39 @@ def _pairwise_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def estimates_from_distances(dist: np.ndarray,
                              lib_times: np.ndarray,
-                             values: TimeSeries,
+                             series: Sequence[TimeSeries],
                              shift: int,
-                             k: int) -> np.ndarray:
-    """Cross estimates of ``values`` from target-to-library distances.
+                             k: int) -> list[np.ndarray]:
+    """Cross estimates of each of ``series`` from target-to-library distances.
 
     ``dist`` holds one row per target and one column per library point,
     in ascending-time order matching ``lib_times``; +inf marks an entry
     the target may not use as a neighbor (its own time, for one). Each
-    row's estimate is the simplex average of ``values`` at its k nearest
-    ``lib_times + shift``, every one of which must be a time of
-    ``values``. ``dist`` is not modified.
+    row's estimate is the simplex average of a series at its k nearest
+    ``lib_times + shift``, every one of which must be a time of that
+    series. The neighbors and weights are selected once and serve every
+    series. ``dist`` is not modified.
     """
     idx, nd = nearest_rows(dist, k)
     w = weight_rows(nd)
-    neighbor_values = values.values[lib_times[idx] + shift - values.origin_index]
-    return np.einsum("mk,mk->m", w, neighbor_values)
+    neighbor_times = lib_times[idx] + shift
+    return [np.einsum("mk,mk->m", w, s.values[neighbor_times - s.origin_index])
+            for s in series]
+
+
+def _observed_under(times: np.ndarray, values: TimeSeries, shift: int) -> np.ndarray:
+    """The times whose value at time + ``shift`` is a time of ``values``."""
+    return times[(times + shift >= values.origin_index)
+                 & (times + shift <= values.end_index)]
+
+
+def _check_sizes(usable: np.ndarray, targets: np.ndarray, shift: int, k: int) -> None:
+    if usable.size < k + 1:
+        raise DataError(
+            f"library too small: {usable.size} usable points after shifting "
+            f"by {shift}, need at least {k + 1}")
+    if targets.size < 2:
+        raise DataError(f"no valid targets after shifting by {shift}")
 
 
 @dataclass(frozen=True)
@@ -125,25 +142,50 @@ class _CrossMap:
     """Target-to-library distances of one manifold, ready to score.
 
     Built by :func:`cross_estimates`; ``dist`` already holds +inf where a
-    target meets its own time in the library.
+    target meets its own time in the library. ``values`` fixes which
+    times are observed under the shift; any series sharing its time
+    range can be scored on the same neighbors.
     """
 
     dist: np.ndarray
     lib_times: np.ndarray
-    observed: np.ndarray
+    target_times: np.ndarray
     values: TimeSeries
     shift: int
     k: int
 
-    def skill(self, columns: np.ndarray | None = None) -> SkillStats:
-        """Skill with the whole library, or with the library columns given
-        (ascending positions into ``lib_times``)."""
+    def skills(self, series: Sequence[TimeSeries],
+               columns: np.ndarray | None = None) -> list[SkillStats]:
+        """Skill of each series with the whole library, or with the library
+        columns given (ascending positions into ``lib_times``); the
+        neighbors are selected once for all of them."""
         if columns is None:
             dist, lib = self.dist, self.lib_times
         else:
             dist, lib = self.dist[:, columns], self.lib_times[columns]
-        est = estimates_from_distances(dist, lib, self.values, self.shift, self.k)
-        return skill_stats(self.observed, est)
+        estimates = estimates_from_distances(dist, lib, series, self.shift, self.k)
+        return [skill_stats(s.values[self.target_times + self.shift - s.origin_index],
+                            est)
+                for s, est in zip(series, estimates)]
+
+    def skill(self, columns: np.ndarray | None = None) -> SkillStats:
+        """Skill of ``values`` (see :meth:`skills`)."""
+        return self.skills((self.values,), columns)[0]
+
+    def shifted(self, shift: int) -> "_CrossMap":
+        """This map under another shift, on a view of the same distances.
+
+        Only for a map whose library and targets are every time of one
+        manifold. Under any shift the observed times are one contiguous
+        run of them, so ``dist[a:b, a:b]`` holds exactly the distances,
+        own times at +inf included, that a build at that shift computes.
+        """
+        usable = _observed_under(self.lib_times, self.values, shift)
+        _check_sizes(usable, usable, shift, self.k)
+        a = int(np.searchsorted(self.lib_times, usable[0]))
+        b = a + usable.size
+        return replace(self, dist=self.dist[a:b, a:b], lib_times=usable,
+                       target_times=usable, shift=shift)
 
 
 def cross_estimates(points: np.ndarray,
@@ -164,24 +206,17 @@ def cross_estimates(points: np.ndarray,
     lib = np.sort(np.asarray(lib_times, dtype=int)) if lib_times is not None else times
     if not np.all(np.isin(lib, times)):
         raise DataError("library times must be admissible embedding times")
-    usable = lib[(lib + shift >= values.origin_index)
-                 & (lib + shift <= values.end_index)]
-    if usable.size < k + 1:
-        raise DataError(
-            f"library too small: {usable.size} usable points after shifting "
-            f"by {shift}, need at least {k + 1}")
+    usable = _observed_under(lib, values, shift)
     tgt = np.asarray(target_times, dtype=int) if target_times is not None else times
-    tgt = tgt[(tgt + shift >= values.origin_index) & (tgt + shift <= values.end_index)]
-    if tgt.size < 2:
-        raise DataError(f"no valid targets after shifting by {shift}")
+    tgt = _observed_under(tgt, values, shift)
+    _check_sizes(usable, tgt, shift, k)
 
     dist = _pairwise_distances(points[tgt - times[0]], points[usable - times[0]])
     pos = np.searchsorted(usable, tgt)
     own = np.flatnonzero((pos < usable.size)
                          & (usable[np.minimum(pos, usable.size - 1)] == tgt))
     dist[own, pos[own]] = np.inf
-    return _CrossMap(dist=dist, lib_times=usable,
-                     observed=values.values[tgt + shift - values.origin_index],
+    return _CrossMap(dist=dist, lib_times=usable, target_times=tgt,
                      values=values, shift=shift, k=k)
 
 
@@ -255,6 +290,8 @@ def select_embedding_dimension(series: TimeSeries,
     e_values = sorted(set(int(e) for e in e_range))
     if not e_values:
         raise DataError("empty embedding-dimension range")
+    if split_fraction is not None and not 0.0 < split_fraction < 1.0:
+        raise DataError(f"split_fraction must be in (0,1), got {split_fraction}")
     rows = []
     for e in e_values:
         params = EmbeddingParams(e_dim=e, tau=tau, tp=tp)

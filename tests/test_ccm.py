@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
+import crossmap.forecast
 from crossmap import (CcmConfig, CurveRow, DataError, TimeSeries,
                       causal_summary, ccm_curve, convergence_test,
                       cross_map_skill, default_library_sizes, eccm_profile,
                       pai_cross_map, shared_embedding_dimension)
+from crossmap.embedding import EmbeddingParams, embed
 from crossmap.systems import (gen_coupled_logistic, gen_lagged_logistic,
                               gen_moran_fork, gen_unidirectional_logistic)
 
@@ -238,6 +243,38 @@ class TestEccm:
         with pytest.raises(DataError):
             eccm_profile(x, y, CFG, [])
 
+    def test_length_mismatch_fails_every_lag(self, coupled):
+        x, _ = coupled
+        short = TimeSeries("y", x.values[:-1])
+        with pytest.raises(DataError) as info:
+            eccm_profile(x, short, CFG, range(-2, 3))
+        assert str(info.value) == "every lag in the range left no valid targets"
+        # the note each lag would carry is the pair check's message
+        with pytest.raises(DataError, match="series lengths differ: 'X' has 800, "
+                                            "'y' has 799"):
+            cross_map_skill(x, short, replace(CFG, lag=1))
+
+    def test_effect_too_short_fails_every_lag(self):
+        x = TimeSeries("x", [0.1, 0.4, 0.2])
+        with pytest.raises(DataError,
+                           match="every lag in the range left no valid targets"):
+            eccm_profile(x, x, CcmConfig(e_dim=4), [-1, 0, 1])
+
+    def test_rows_turn_into_notes_at_the_edge(self):
+        # 40 steps, E=2: 39 state points; a lag leaves E+2 = 4 of them
+        # usable at -36 and +35 and only 3 one step further out
+        x, y = gen_coupled_logistic(40)
+        cfg = CcmConfig(e_dim=2, seed=0)
+        profile = eccm_profile(x, y, cfg, [-37, -36, 0, 35, 36])
+        rows = {r.lag: r for r in profile.rows}
+        for ell in (-37, 36):
+            assert rows[ell].rho is None
+            assert rows[ell].note == (f"only 3 usable points after shifting "
+                                      f"by lag {ell}; need at least 4")
+        for ell in (-36, 0, 35):
+            assert rows[ell].note is None
+            assert rows[ell].rho == cross_map_skill(x, y, replace(cfg, lag=ell)).rho
+
     def test_tie_break_prefers_small_magnitude_then_negative(self):
         # two constant series tie every lag at exactly rho = 0
         x = TimeSeries("x", np.full(60, 0.7))
@@ -262,6 +299,45 @@ class TestCausalSummary:
         x, _ = coupled
         net = causal_summary([x], CFG)
         assert net.edges == ()
+
+    def test_single_series_with_lag_sweep_empty(self, coupled):
+        x, _ = coupled
+        net = causal_summary([x], CFG, eccm_lags=range(-1, 2))
+        assert (net.series_names, net.edges, net.warnings) == (("X",), (), ())
+
+    def test_edges_in_cause_major_order_with_lag_sweeps(self, coupled):
+        x, y = coupled
+        twin = TimeSeries("W", x.values)
+        cfg = CcmConfig(e_dim=2, seed=3, samples_per_size=5)
+        lags = range(0, 3)
+        net = causal_summary([x, y, twin], cfg, eccm_lags=lags)
+        pairs = [(x, y), (x, twin), (y, x), (y, twin), (twin, x), (twin, y)]
+        assert [(e.cause, e.effect) for e in net.edges] \
+            == [(c.name, e.name) for c, e in pairs]
+        for edge, (cause, effect) in zip(net.edges, pairs):
+            curve = ccm_curve(cause, effect, cfg)
+            assert edge.final_rho == curve.final_rho
+            assert edge.convergent == curve.convergent
+            assert edge.best_lag == eccm_profile(cause, effect, cfg, lags).best_lag
+        assert net.warnings == tuple(
+            f"{a}<->{b}: both directions converge with non-negative best "
+            f"lags; likely synchronization by a strong driver, not mutual "
+            f"causation" for a, b in [("X", "Y"), ("X", "W"), ("Y", "W")])
+
+    def test_first_failing_pair_in_cause_major_order(self, coupled):
+        # (X, Z) is the first failing pair in cause-major order; an
+        # effect-major walk would meet (Z, X) first
+        x, y = coupled
+        z = TimeSeries("Z", y.values[:-10])
+        with pytest.raises(DataError) as info:
+            causal_summary([x, y, z], CFG)
+        assert str(info.value) == "series lengths differ: 'X' has 800, 'Z' has 790"
+
+    def test_lag_sweep_error_of_the_first_pair(self, coupled):
+        x, y = coupled
+        with pytest.raises(DataError,
+                           match="every lag in the range left no valid targets"):
+            causal_summary([x, y], CFG, eccm_lags=[900])
 
     def test_duplicate_names_rejected(self, coupled):
         x, _ = coupled
@@ -293,3 +369,86 @@ class TestSharedEmbeddingDimension:
         x, y = coupled
         e = shared_embedding_dimension(x, y)
         assert 2 <= e <= 10
+
+
+@st.composite
+def tie_heavy_group(draw, count):
+    """``count`` equal-length series on one origin, values rounded to 0-2
+    decimals so that neighbor distances tie often."""
+    n = draw(st.integers(6, 30))
+    decimals = draw(st.integers(0, 2))
+    origin = draw(st.integers(-3, 3))
+    return [TimeSeries(name, [round(v, decimals) for v in draw(
+                st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))],
+                       origin_index=origin)
+            for name in "XYZ"[:count]]
+
+
+class TestSharedDistances:
+    """The shared distance build and neighbor sweep give exactly what
+    independent builds give."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(pair=tie_heavy_group(2), e_dim=st.integers(1, 3),
+           lags=st.sets(st.integers(-6, 6), min_size=1, max_size=5))
+    def test_eccm_rows_equal_per_lag_skill(self, pair, e_dim, lags):
+        cause, effect = pair
+        cfg = CcmConfig(e_dim=e_dim)
+        try:
+            profile = eccm_profile(cause, effect, cfg, lags)
+        except DataError:
+            reject()
+        for row in profile.rows:
+            lagged = replace(cfg, lag=row.lag)
+            if row.rho is None:
+                with pytest.raises(DataError) as info:
+                    cross_map_skill(cause, effect, lagged)
+                assert str(info.value) == row.note
+            else:
+                assert row.rho == cross_map_skill(cause, effect, lagged).rho
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(group=tie_heavy_group(3), e_dim=st.integers(1, 3), data=st.data())
+    def test_network_draws_equal_per_draw_skill(self, group, e_dim, data):
+        n_points = len(group[0]) - (e_dim - 1)
+        if n_points < e_dim + 3:
+            reject()
+        # one drawn library size, so each edge's final rho is the mean
+        # over that size's seeded draws
+        size = data.draw(st.integers(e_dim + 2, n_points - 1))
+        cfg = CcmConfig(e_dim=e_dim, lib_sizes=(size,), samples_per_size=3,
+                        seed=data.draw(st.integers(0, 5)))
+        net = causal_summary(group, cfg)
+        by_name = {s.name: s for s in group}
+        times = embed(group[0], EmbeddingParams(e_dim)).times
+        for edge in net.edges:
+            rhos = np.empty(cfg.samples_per_size)
+            for j in range(cfg.samples_per_size):
+                rng = np.random.default_rng([cfg.seed, size, j])
+                positions = np.sort(rng.choice(n_points, size=size, replace=False))
+                rhos[j] = cross_map_skill(by_name[edge.cause], by_name[edge.effect],
+                                          cfg, library_times=times[positions]).rho
+            assert edge.final_rho == float(rhos.mean())
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        calls = []
+        build = crossmap.forecast._pairwise_distances
+
+        def counting(queries, points):
+            calls.append(queries.shape[0])
+            return build(queries, points)
+
+        monkeypatch.setattr(crossmap.forecast, "_pairwise_distances", counting)
+        return calls
+
+    def test_lag_sweep_builds_once(self, coupled, builds):
+        x, y = coupled
+        profile = eccm_profile(x, y, CFG, range(-8, 9))
+        assert len(profile.rows) == 17
+        assert builds == [799]
+
+    def test_network_builds_once_per_effect(self, builds):
+        z, a, b = gen_moran_fork(200)
+        causal_summary([z, a, b], CcmConfig(e_dim=2, seed=0, samples_per_size=3))
+        assert builds == [199, 199, 199]

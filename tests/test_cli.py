@@ -98,6 +98,15 @@ class TestSimplex:
         rc = main(["simplex", "-i", str(tmp_path / "nope.csv"), "--col", "X"])
         assert rc == 3
 
+    @pytest.mark.parametrize("fraction", ["1.5", "0", "-0.2"])
+    def test_split_fraction_out_of_range_is_usage_error(self, coupled_csv,
+                                                        capsys, fraction):
+        rc = main(["simplex", "-i", str(coupled_csv), "--col", "X",
+                   "--split-fraction", fraction])
+        assert rc == 2
+        assert (f"error: --split-fraction must be in (0,1), got "
+                f"{float(fraction)}") in capsys.readouterr().err
+
 
 class TestCcmCommand:
     def test_both_directions(self, coupled_csv, tmp_path):
@@ -156,14 +165,27 @@ class TestCcmCommand:
         ("ccm", ["--tau", "0"]),
         ("ccm", ["--seed", "-1"]),
         ("eccm", ["--tau", "0", "--lags=-2:2"]),
+        ("simplex", ["--tau", "0"]),
+        ("simplex", ["--e-range", "0:3"]),
+        ("demo", ["--seed", "-1"]),
+        ("generate", ["--burn-in", "-5"]),
+        ("generate", ["--seed", "-1"]),
     ])
-    def test_out_of_range_flag_is_usage_error(self, coupled_csv, capsys,
-                                              cmd, flags):
-        # --e auto: the flag must be rejected before the E scan runs
-        rc = main([cmd, "-i", str(coupled_csv), "--cause", "X",
-                   "--effect", "Y", *flags])
+    def test_out_of_range_flag_is_usage_error(self, coupled_csv, tmp_path,
+                                              capsys, cmd, flags):
+        # --e auto: the flag must be rejected before the E scan runs, and
+        # no command may write anything first
+        out = tmp_path / "out"
+        head = {"ccm": ["-i", coupled_csv, "--cause", "X", "--effect", "Y"],
+                "eccm": ["-i", coupled_csv, "--cause", "X", "--effect", "Y"],
+                "simplex": ["-i", coupled_csv, "--col", "X"],
+                "demo": ["fig7", "--out-dir", out],
+                "generate": ["--system", "coupled-logistic", "--steps", "10",
+                             "--out", out]}[cmd]
+        rc = main([cmd, *map(str, head), *flags])
         assert rc == 2
         assert f"error: {flags[0]} must be >=" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_lib_sizes(self, coupled_csv):
         assert main(["ccm", "-i", str(coupled_csv), "--cause", "X",

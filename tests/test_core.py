@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossmap import (DataError, TimeSeries, pearson, read_series_csv,
                       skill_stats, windowed_pearson, write_series_csv)
@@ -160,6 +164,29 @@ class TestCsvRoundTrip:
         assert [s.name for s in back] == ["alpha", "beta"]
         assert np.array_equal(back[0].values, a.values)
         assert np.array_equal(back[1].values, b.values)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(names=st.lists(st.text(alphabet="AZaz09_ ,\"'\n", min_size=1,
+                                  max_size=8).filter(lambda t: t == t.strip()),
+                          min_size=1, max_size=4, unique=True),
+           n_rows=st.integers(1, 20), data=st.data())
+    def test_round_trip_is_bit_exact(self, names, n_rows, data):
+        # negative zero, subnormals and 17-significant-digit values too
+        value = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([-0.0, 5e-324, -2.225073858507201e-308,
+                             0.30000000000000004, 1.7976931348623157e308]))
+        series = [TimeSeries(name, data.draw(st.lists(value, min_size=n_rows,
+                                                      max_size=n_rows)))
+                  for name in names]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "round.csv")
+            write_series_csv(path, series)
+            back = read_series_csv(path)
+        assert [s.name for s in back] == names
+        for got, want in zip(back, series):
+            assert got.values.view(np.uint64).tolist() \
+                == want.values.view(np.uint64).tolist()
 
     def test_rejects_missing_cell(self, tmp_path):
         p = tmp_path / "bad.csv"

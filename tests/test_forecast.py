@@ -214,6 +214,13 @@ class TestSelectEmbeddingDimension:
         with pytest.raises(DataError):
             select_embedding_dimension(logistic_series(100), e_range=[])
 
+    @pytest.mark.parametrize("fraction", [1.5, 1.0, 0.0])
+    def test_split_fraction_checked_before_the_scan(self, fraction):
+        # not one "too short" note per E: the fraction itself is the error
+        with pytest.raises(DataError, match=r"split_fraction must be in \(0,1\)"):
+            select_embedding_dimension(logistic_series(500), e_range=range(1, 4),
+                                       split_fraction=fraction)
+
     def test_split_mode(self):
         scan = select_embedding_dimension(logistic_series(500),
                                           e_range=range(1, 5),
