@@ -39,6 +39,9 @@ __all__ = [
     "causal_summary",
 ]
 
+# fewest library sizes the convergence test can judge a curve from
+MIN_CONVERGENCE_SIZES = 3
+
 
 @dataclass(frozen=True)
 class CcmConfig:
@@ -245,8 +248,9 @@ def convergence_test(rows: Sequence[CurveRow],
     (L, mean_rho) exceeds ``min_kendall_tau``; and the final skill
     exceeds ``min_final_rho``.
     """
-    if len(rows) < 3:
-        raise DataError(f"convergence test needs >= 3 library sizes, got {len(rows)}")
+    if len(rows) < MIN_CONVERGENCE_SIZES:
+        raise DataError(f"convergence test needs >= {MIN_CONVERGENCE_SIZES} "
+                        f"library sizes, got {len(rows)}")
     sizes = [r.lib_size for r in rows]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise DataError("curve rows must be sorted by increasing library size")
@@ -321,7 +325,7 @@ def _ccm_curves(causes: Sequence[TimeSeries], effect: TimeSeries,
     for cause, cause_rows in zip(causes, rows):
         decision = convergence_test(cause_rows, config.min_rho_gain,
                                     config.min_kendall_tau, config.min_final_rho) \
-            if len(cause_rows) >= 3 else ConvergenceDecision(
+            if len(cause_rows) >= MIN_CONVERGENCE_SIZES else ConvergenceDecision(
                 convergent=False, final_rho=cause_rows[-1].mean_rho,
                 rho_gain=cause_rows[-1].mean_rho - cause_rows[0].mean_rho,
                 trend=0.0)

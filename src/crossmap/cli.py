@@ -27,9 +27,9 @@ from .core import (CrossmapError, DataError, NumericalError, SkillStats,
                    TimeSeries, read_series_csv, windowed_pearson,
                    write_series_csv)
 from .forecast import EDimScan, select_embedding_dimension
-from .ccm import (CausalNetwork, CcmConfig, CcmCurve, EccmProfile,
-                  causal_summary, ccm_curve, eccm_profile, pai_cross_map,
-                  shared_embedding_dimension)
+from .ccm import (MIN_CONVERGENCE_SIZES, CausalNetwork, CcmConfig, CcmCurve,
+                  EccmProfile, causal_summary, ccm_curve, eccm_profile,
+                  pai_cross_map, shared_embedding_dimension)
 from .systems import GENERATOR_KINDS, GeneratorSpec, generate
 
 REPORT_VERSION = 1
@@ -277,6 +277,10 @@ def cmd_ccm(args) -> int:
         if n_deg:
             warnings.append(f"{c.direction}: {n_deg} degenerate draws "
                             f"(zero-variance estimates) across the sweep")
+        if len(c.rows) < MIN_CONVERGENCE_SIZES:
+            warnings.append(f"{c.direction}: convergence test skipped: "
+                            f"{len(c.rows)} library sizes "
+                            f"(needs {MIN_CONVERGENCE_SIZES})")
     report = RunReport(
         tool_version=__version__, command=_echo(args),
         inputs={"file": args.input, "columns": [args.cause, args.effect]},

@@ -144,23 +144,28 @@ def nearest_rows(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     ascending distance with ties broken by ascending column index.
     Columns must already be in ascending-time order so that the column
     tie-break equals the time tie-break. Inadmissible entries should be
-    +inf; a row with fewer than k finite entries raises.
+    +inf; a row with fewer than k finite entries raises. ``dist`` is not
+    modified.
 
+    Each of k rounds takes every row's smallest remaining entry and masks
+    it with +inf on a working copy. ``argmin`` returns the first column
+    of a tie group, so ties go to the earliest time by construction.
     This is the vectorized fast path; it must agree with :func:`knn`
     exactly (a test enforces it).
     """
     m, n = dist.shape
     if k > n:
         raise DataError(f"need {k} neighbors but matrix has only {n} columns")
-    if k == n:
-        part = np.broadcast_to(np.arange(n), (m, n)).copy()
-        pdist = dist.copy()
-    else:
-        part = np.argpartition(dist, k - 1, axis=1)[:, :k]
-        pdist = np.take_along_axis(dist, part, axis=1)
-    order = np.lexsort((part, pdist), axis=1)
-    idx = np.take_along_axis(part, order, axis=1)
-    out = np.take_along_axis(pdist, order, axis=1)
+    work = dist.copy()
+    rows = np.arange(m)
+    idx = np.empty((m, k), dtype=np.intp)
+    out = np.empty((m, k), dtype=dist.dtype)
+    for j in range(k):
+        col = np.argmin(work, axis=1)
+        idx[:, j] = col
+        # read before masking: a row short of finite entries then shows +inf
+        out[:, j] = work[rows, col]
+        work[rows, col] = np.inf
 
     if not np.all(np.isfinite(out[:, k - 1])):
         bad = int(np.flatnonzero(~np.isfinite(out[:, k - 1]))[0])
@@ -168,14 +173,4 @@ def nearest_rows(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(
             f"need {k} neighbors but only {n_fin} usable candidates for "
             f"query row {bad}")
-
-    # argpartition may split a tie group at the k-th distance arbitrarily;
-    # redo those rows with a full stable sort
-    boundary = out[:, k - 1]
-    with np.errstate(invalid="ignore"):
-        ties = (dist <= boundary[:, None]).sum(axis=1) > k
-    for r in np.flatnonzero(ties):
-        full = np.argsort(dist[r], kind="stable")[:k]
-        idx[r] = full
-        out[r] = dist[r, full]
     return idx, out

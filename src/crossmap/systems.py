@@ -48,7 +48,7 @@ class GeneratorSpec:
 def _check_unit(value: float, step: int, label: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise NumericalError(
-            f"{label} left [0,1] at step {step}: {value!r}; "
+            f"{label} left [0,1] at step {step}: {float(value)!r}; "
             f"parameters outside the supported range")
     return value
 
@@ -131,18 +131,17 @@ def gen_lagged_logistic(steps: int, delay: int = 2, coupling: float = 0.1,
         raise DataError(f"steps must be >= 1, got {steps}")
     if delay < 0:
         raise DataError(f"delay must be >= 0, got {delay}")
-    total = steps + burn_in
-    xs = np.empty(total)
-    xs[0] = x0
-    for t in range(1, total):
-        xs[t] = _check_unit(3.8 * xs[t - 1] * (1.0 - xs[t - 1]), t, "X")
-    ys = np.empty(total)
-    ys[0] = y0
-    for t in range(1, total):
+    # X is autonomous, so it is iterated in full first; Y then reads it
+    (xs,) = _iterate_logistic(steps + burn_in, 0, [x0],
+                              lambda _t, s: [3.8 * s[0] * (1.0 - s[0])], ("X",))
+
+    def advance(t: int, s: list[float]) -> list[float]:
         drive = xs[t - delay] if t - delay >= 0 else x0
-        y = ys[t - 1]
-        ys[t] = _check_unit(3.8 * y * (1.0 - y) - coupling * y * drive, t, "Y")
-    return TimeSeries("X", xs[burn_in:]), TimeSeries("Y", ys[burn_in:])
+        y = s[0]
+        return [3.8 * y * (1.0 - y) - coupling * y * drive]
+
+    (ys,) = _iterate_logistic(steps, burn_in, [y0], advance, ("Y",))
+    return TimeSeries("X", xs[burn_in:]), TimeSeries("Y", ys)
 
 
 def gen_moran_fork(steps: int, coupling: float = 0.1,
@@ -162,25 +161,21 @@ def gen_moran_fork(steps: int, coupling: float = 0.1,
         raise DataError(f"steps must be >= 1, got {steps}")
     total = steps + burn_in
     if driver_kind == "logistic":
-        zs = np.empty(total)
-        zs[0] = 0.4
-        for t in range(1, total):
-            zs[t] = _check_unit(3.8 * zs[t - 1] * (1.0 - zs[t - 1]), t, "Z")
+        (zs,) = _iterate_logistic(total, 0, [0.4],
+                                  lambda _t, s: [3.8 * s[0] * (1.0 - s[0])], ("Z",))
     elif driver_kind == "noise":
         zs = np.random.default_rng(seed).uniform(0.0, 1.0, size=total)
     else:
         raise DataError(f"unknown driver kind {driver_kind!r}; use logistic or noise")
-    a = np.empty(total)
-    b = np.empty(total)
-    a[0], b[0] = 0.2, 0.6
-    for t in range(1, total):
+
+    def advance(t: int, s: list[float]) -> list[float]:
+        a, b = s
         z = zs[t - 1]
-        a[t] = _check_unit(3.7 * a[t - 1] * (1.0 - a[t - 1])
-                           - coupling * a[t - 1] * z, t, "A")
-        b[t] = _check_unit(3.9 * b[t - 1] * (1.0 - b[t - 1])
-                           - coupling * b[t - 1] * z, t, "B")
-    return (TimeSeries("Z", zs[burn_in:]), TimeSeries("A", a[burn_in:]),
-            TimeSeries("B", b[burn_in:]))
+        return [3.7 * a * (1.0 - a) - coupling * a * z,
+                3.9 * b * (1.0 - b) - coupling * b * z]
+
+    a, b = _iterate_logistic(steps, burn_in, [0.2, 0.6], advance, ("A", "B"))
+    return TimeSeries("Z", zs[burn_in:]), TimeSeries("A", a), TimeSeries("B", b)
 
 
 def _lorenz_deriv(s: np.ndarray, sigma: float, rho: float, beta: float) -> np.ndarray:

@@ -452,3 +452,30 @@ class TestSharedDistances:
         z, a, b = gen_moran_fork(200)
         causal_summary([z, a, b], CcmConfig(e_dim=2, seed=0, samples_per_size=3))
         assert builds == [199, 199, 199]
+
+
+class TestDrawOrder:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(pair=tie_heavy_group(2), e_dim=st.integers(1, 3),
+           contiguous=st.booleans(), seed=st.integers(0, 5), data=st.data())
+    def test_row_does_not_depend_on_the_size_grid(self, pair, e_dim, contiguous,
+                                                  seed, data):
+        # a curve's row at size L is the same from every grid holding L,
+        # the full-library size included
+        cause, effect = pair
+        n_points = len(effect) - (e_dim - 1)
+        if n_points < e_dim + 2:
+            reject()
+        size = st.integers(e_dim + 2, n_points)
+        common = data.draw(size)
+        grids = [(common,)] + [
+            tuple(sorted(data.draw(st.sets(size, max_size=4)) | {common}))
+            for _ in range(2)]
+        rows = []
+        for grid in grids:
+            cfg = CcmConfig(e_dim=e_dim, lib_sizes=grid, samples_per_size=3,
+                            seed=seed, contiguous_draws=contiguous)
+            rows.append({r.lib_size: r for r in ccm_curve(cause, effect, cfg).rows})
+        for lib_size in set(rows[1]) & set(rows[2]):
+            assert rows[1][lib_size] == rows[2][lib_size]
+        assert rows[0][common] == rows[1][common] == rows[2][common]

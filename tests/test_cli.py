@@ -68,6 +68,20 @@ class TestGenerate:
                    "--param", "rx=4.2", "--out", str(tmp_path / "x.csv")])
         assert rc == 4
 
+    @pytest.mark.parametrize("system,params,message", [
+        ("lagged-logistic", ["x0=1.5"], "X left [0,1] at step 1: -2.8499999999999996;"),
+        ("moran-fork", ["coupling=8"], "A left [0,1] at step 1: -0.04800000000000004;"),
+        ("moran-fork", ["coupling=8", "driver_kind=noise"],
+         "A left [0,1] at step 1: -0.42713869971432694;"),
+    ], ids=["lagged", "fork-logistic", "fork-noise"])
+    def test_escape_message_prints_a_plain_float(self, tmp_path, capsys,
+                                                 system, params, message):
+        flags = [f for p in params for f in ("--param", p)]
+        rc = main(["generate", "--system", system, "--steps", "50", *flags,
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 4
+        assert f"numerical failure: {message}" in capsys.readouterr().err
+
 
 class TestSimplex:
     def test_scan_report(self, coupled_csv, tmp_path, capsys):
@@ -186,6 +200,24 @@ class TestCcmCommand:
         assert rc == 2
         assert f"error: {flags[0]} must be >=" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_too_few_sizes_warns_that_convergence_was_not_tested(self, tmp_path):
+        data = tmp_path / "cl.csv"
+        main(["generate", "--system", "coupled-logistic", "--steps", "400",
+              "--out", str(data)])
+        reports = {}
+        for sizes in ("5,200", "5,20,200"):
+            out = tmp_path / f"{sizes}.json"
+            rc = main(["ccm", "-i", str(data), "--cause", "X", "--effect", "Y",
+                       "--e", "2", "--lib-sizes", sizes, "--both-directions",
+                       "--out", str(out)])
+            assert rc == 0
+            reports[sizes] = RunReport.from_json(out.read_text())
+        assert reports["5,200"].warnings == [
+            "X=>Y: convergence test skipped: 2 library sizes (needs 3)",
+            "Y=>X: convergence test skipped: 2 library sizes (needs 3)"]
+        assert reports["5,20,200"].warnings == []
+        assert reports["5,20,200"].results["curves"][0]["convergent"]
 
     def test_bad_lib_sizes(self, coupled_csv):
         assert main(["ccm", "-i", str(coupled_csv), "--cause", "X",

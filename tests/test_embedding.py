@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossmap import DataError, EmbeddingParams, TimeSeries, embed, knn
 from crossmap.embedding import nearest_rows
@@ -168,3 +169,30 @@ class TestNearestRows:
         idx, nd = nearest_rows(dist.copy(), 3)
         assert idx[0].tolist() == [1, 2, 0]
         assert nd[0].tolist() == [1.0, 2.0, 3.0]
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_matches_stable_sort_oracle(self, data):
+        # few distance levels and +inf entries: ties and short rows are common
+        m = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(1, 8))
+        cell = st.sampled_from([0.0, 0.5, 1.0, 2.0, np.inf])
+        dist = np.array(data.draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                                           min_size=m, max_size=m)))
+        k = data.draw(st.integers(1, n))
+        before = dist.copy()
+        finite = np.isfinite(dist).sum(axis=1)
+        if np.any(finite < k):
+            bad = int(np.flatnonzero(finite < k)[0])
+            with pytest.raises(DataError) as info:
+                nearest_rows(dist, k)
+            assert str(info.value) == (
+                f"need {k} neighbors but only {finite[bad]} usable candidates "
+                f"for query row {bad}")
+        else:
+            idx, nd = nearest_rows(dist, k)
+            want = np.stack([np.argsort(row, kind="stable")[:k] for row in dist])
+            assert idx.dtype == want.dtype and nd.dtype == dist.dtype
+            assert np.array_equal(idx, want)
+            assert np.array_equal(nd, np.take_along_axis(dist, want, axis=1))
+        assert np.array_equal(dist, before)
