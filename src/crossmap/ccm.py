@@ -17,8 +17,8 @@ import numpy as np
 from scipy.stats import kendalltau
 
 from .core import DataError, SkillStats, TimeSeries
-from .embedding import EmbeddingParams, ShadowManifold, embed
-from .forecast import cross_estimates, select_embedding_dimension
+from .embedding import EmbeddingParams, embed
+from .forecast import _observed_under, cross_estimates, select_embedding_dimension
 
 __all__ = [
     "CcmConfig",
@@ -197,31 +197,26 @@ def _check_pair(a: TimeSeries, b: TimeSeries) -> None:
         raise DataError("series must share a time origin")
 
 
-def _effect_manifold(cause: TimeSeries, effect: TimeSeries,
-                     config: CcmConfig) -> ShadowManifold:
+def _effect_cross_map(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
+                      library_times: Sequence[int] | np.ndarray | None = None):
+    """Check the pair, embed the effect and build its cross map onto the
+    cause at lag 0; every lag is a view of it (see :func:`_at_lag`)."""
     _check_pair(cause, effect)
-    return embed(effect, EmbeddingParams(e_dim=config.e_dim, tau=config.tau))
+    manifold = embed(effect, EmbeddingParams(e_dim=config.e_dim, tau=config.tau))
+    lib = np.asarray(library_times, dtype=int) if library_times is not None else None
+    return cross_estimates(manifold.points, manifold.times, cause,
+                           config.e_dim + 1, lib_times=lib)
 
 
-def _check_lag(manifold: ShadowManifold, cause: TimeSeries, lag: int,
-               config: CcmConfig) -> None:
-    shifted = manifold.times + lag
-    n_usable = int(np.count_nonzero((shifted >= cause.origin_index)
-                                    & (shifted <= cause.end_index)))
+def _at_lag(full, lag: int, config: CcmConfig):
+    """The lag-0 build ``full`` under ``lag``, once at least E+2 of the
+    manifold's times have a cause value at time + lag."""
+    n_usable = _observed_under(full.target_times, full.values, lag).size
     if n_usable < config.min_lib_size:
         raise DataError(
             f"only {n_usable} usable points after shifting by lag "
             f"{lag}; need at least {config.min_lib_size}")
-
-
-def _cross_map(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
-               library_times: Sequence[int] | np.ndarray | None = None):
-    """Embed the effect and build its cross map onto the cause under the lag."""
-    manifold = _effect_manifold(cause, effect, config)
-    _check_lag(manifold, cause, config.lag, config)
-    lib = np.asarray(library_times, dtype=int) if library_times is not None else None
-    return cross_estimates(manifold.points, manifold.times, cause, config.lag,
-                           config.e_dim + 1, lib_times=lib)
+    return full.shifted(lag)
 
 
 def cross_map_skill(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
@@ -234,7 +229,8 @@ def cross_map_skill(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
     cause(t + lag) as the weighted average of cause at the neighbors'
     times + lag. High convergent skill supports the claim cause => effect.
     """
-    return _cross_map(cause, effect, config, library_times).skill()
+    return _at_lag(_effect_cross_map(cause, effect, config, library_times),
+                   config.lag, config).skill()
 
 
 def convergence_test(rows: Sequence[CurveRow],
@@ -273,20 +269,20 @@ def ccm_curve(cause: TimeSeries, effect: TimeSeries, config: CcmConfig) -> CcmCu
     single full-library evaluation. Identical inputs and seed reproduce
     the curve bit for bit.
     """
-    return _ccm_curves((cause,), effect, config)[0]
+    return _ccm_curves(_effect_cross_map(cause, effect, config), (cause,),
+                       effect, config)[0]
 
 
-def _ccm_curves(causes: Sequence[TimeSeries], effect: TimeSeries,
+def _ccm_curves(full, causes: Sequence[TimeSeries], effect: TimeSeries,
                 config: CcmConfig) -> list[CcmCurve]:
-    """:func:`ccm_curve` of each cause on one effect manifold.
+    """:func:`ccm_curve` of each cause on the effect's lag-0 build ``full``.
 
-    Every cause must share the effect's length and origin (the first is
-    checked here, callers check the rest). Then the usable library, the
-    seeded draws and each draw's neighbors do not depend on the cause:
-    the distances are built once, each draw's neighbors are selected
-    once, and every cause is estimated from them.
+    Every cause must share the effect's length and origin. Then the
+    usable library, the seeded draws and each draw's neighbors do not
+    depend on the cause: each draw's neighbors are selected once, and
+    every cause is estimated from them.
     """
-    cross_map = _cross_map(causes[0], effect, config)
+    cross_map = _at_lag(full, config.lag, config)
     n_usable = int(cross_map.lib_times.size)
     sizes = config.lib_sizes or default_library_sizes(config.min_lib_size, n_usable)
     if sizes[-1] > n_usable:
@@ -334,9 +330,7 @@ def _ccm_curves(causes: Sequence[TimeSeries], effect: TimeSeries,
     return curves
 
 
-def pai_cross_map(x: TimeSeries, y: TimeSeries, config: CcmConfig,
-                  library_times: Sequence[int] | np.ndarray | None = None,
-                  ) -> SkillStats:
+def pai_cross_map(x: TimeSeries, y: TimeSeries, config: CcmConfig) -> SkillStats:
     """Joint-embedding variant: estimate x from E lags of x plus y itself.
 
     State points are (x_t, x_{t-tau}, ..., x_{t-(E-1)tau}, y_t). Neighbor
@@ -347,9 +341,8 @@ def pai_cross_map(x: TimeSeries, y: TimeSeries, config: CcmConfig,
     manifold = embed(x, EmbeddingParams(e_dim=config.e_dim, tau=config.tau))
     y_at_times = y.values[manifold.times - y.origin_index]
     joint = np.hstack([manifold.points, y_at_times[:, None]])
-    lib = np.asarray(library_times, dtype=int) if library_times is not None else None
-    return cross_estimates(joint, manifold.times, x, config.lag,
-                           config.e_dim + 1, lib_times=lib).skill()
+    return cross_estimates(joint, manifold.times, x,
+                           config.e_dim + 1).shifted(config.lag).skill()
 
 
 def eccm_profile(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
@@ -361,32 +354,34 @@ def eccm_profile(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
     a true, possibly delayed, causal direction; non-negative best lags in
     both directions flag driver-response synchronization instead.
     """
+    return _eccm_profiles(_effect_cross_map(cause, effect, config), (cause,),
+                          effect, config, lag_range)[0]
+
+
+def _eccm_profiles(full, causes: Sequence[TimeSeries], effect: TimeSeries,
+                   config: CcmConfig, lag_range: Sequence[int]) -> list[EccmProfile]:
+    """:func:`eccm_profile` of each cause on the effect's lag-0 build
+    ``full``: each lag's neighbors are selected once on a view of it and
+    serve every cause. A lag with too few usable points gets a note."""
     lags = sorted(set(int(v) for v in lag_range))
     if not lags:
         raise DataError("empty lag range")
-    try:
-        manifold = _effect_manifold(cause, effect, config)
-    except DataError as err:
-        rows = [EccmRow(lag=ell, rho=None, note=str(err)) for ell in lags]
-    else:
-        # one build at lag 0 serves every lag: each lag scores a view of it
-        full = None
-        rows = []
-        for ell in lags:
-            try:
-                _check_lag(manifold, cause, ell, config)
-                if full is None:
-                    full = cross_estimates(manifold.points, manifold.times, cause,
-                                           0, config.e_dim + 1)
-                rows.append(EccmRow(lag=ell, rho=full.shifted(ell).skill().rho))
-            except DataError as err:
-                rows.append(EccmRow(lag=ell, rho=None, note=str(err)))
-    scored = [r for r in rows if r.rho is not None]
-    if not scored:
-        raise DataError("every lag in the range left no valid targets")
-    best = max(scored, key=lambda r: (r.rho, -abs(r.lag), -r.lag))
-    return EccmProfile(direction=f"{cause.name}=>{effect.name}",
-                       rows=tuple(rows), best_lag=best.lag)
+    rows = []  # one list per lag, one row per cause
+    for ell in lags:
+        try:
+            rows.append([EccmRow(lag=ell, rho=s.rho)
+                         for s in _at_lag(full, ell, config).skills(causes)])
+        except DataError as err:
+            rows.append([EccmRow(lag=ell, rho=None, note=str(err))] * len(causes))
+    profiles = []
+    for cause, cause_rows in zip(causes, zip(*rows)):
+        scored = [r for r in cause_rows if r.rho is not None]
+        if not scored:
+            raise DataError("every lag in the range left no valid targets")
+        best = max(scored, key=lambda r: (r.rho, -abs(r.lag), -r.lag))
+        profiles.append(EccmProfile(direction=f"{cause.name}=>{effect.name}",
+                                    rows=tuple(cause_rows), best_lag=best.lag))
+    return profiles
 
 
 def causal_summary(series: Sequence[TimeSeries], config: CcmConfig,
@@ -415,18 +410,18 @@ def causal_summary(series: Sequence[TimeSeries], config: CcmConfig,
                 by_pair[(cause.name, effect.name)] = err
             else:
                 causes.append(cause)
+        if not causes:
+            continue
         try:
-            curves = _ccm_curves(causes, effect, config) if causes else []
+            full = _effect_cross_map(causes[0], effect, config)
+            curves = _ccm_curves(full, causes, effect, config)
+            best_lags = [None] * len(causes) if eccm_lags is None else [
+                p.best_lag for p in _eccm_profiles(full, causes, effect, config,
+                                                   eccm_lags)]
         except DataError as err:
             by_pair.update({(cause.name, effect.name): err for cause in causes})
             continue
-        for cause, curve in zip(causes, curves):
-            try:
-                best_lag = None if eccm_lags is None else \
-                    eccm_profile(cause, effect, config, eccm_lags).best_lag
-            except DataError as err:
-                by_pair[(cause.name, effect.name)] = err
-                continue
+        for cause, curve, best_lag in zip(causes, curves, best_lags):
             by_pair[(cause.name, effect.name)] = CausalEdge(
                 cause=cause.name, effect=effect.name, final_rho=curve.final_rho,
                 convergent=curve.convergent, best_lag=best_lag)

@@ -191,6 +191,14 @@ def _check_at_least(args, **floors: int) -> None:
             raise UsageError(f"--{flag} must be >= {floor}, got {value}")
 
 
+def _constant_effect(direction: str, effect: TimeSeries) -> list[str]:
+    """A warning when the effect is constant: its manifold is one point."""
+    if effect.values.min() < effect.values.max():
+        return []
+    return [f"{direction}: effect {effect.name!r} is constant; every distance "
+            f"is 0, so neighbors are the earliest library times"]
+
+
 def _config_echo(config: CcmConfig, extra: dict | None = None) -> dict:
     out = {
         "e_dim": config.e_dim, "tau": config.tau, "lag": config.lag,
@@ -272,7 +280,8 @@ def cmd_ccm(args) -> int:
             for c, e in pairs]
 
     warnings = []
-    for c in curves:
+    for (_, c_effect), c in zip(pairs, curves):
+        warnings += _constant_effect(c.direction, c_effect)
         n_deg = sum(r.degenerate_draws for r in c.rows)
         if n_deg:
             warnings.append(f"{c.direction}: {n_deg} degenerate draws "
@@ -305,7 +314,7 @@ def cmd_eccm(args) -> int:
         inputs={"file": args.input, "columns": [args.cause, args.effect]},
         config=_config_echo(config, {"e_source": args.e, "lags": lags}),
         results={"eccm": profile_dict(profile)},
-        warnings=[])
+        warnings=_constant_effect(profile.direction, effect))
     _emit(report, args.out)
     return 0
 

@@ -141,10 +141,11 @@ def _check_sizes(usable: np.ndarray, targets: np.ndarray, shift: int, k: int) ->
 class _CrossMap:
     """Target-to-library distances of one manifold, ready to score.
 
-    Built by :func:`cross_estimates`; ``dist`` already holds +inf where a
-    target meets its own time in the library. ``values`` fixes which
-    times are observed under the shift; any series sharing its time
-    range can be scored on the same neighbors.
+    Built at shift 0 by :func:`cross_estimates`; ``dist`` already holds
+    +inf where a target meets its own time in the library. Score it under
+    a shift through :meth:`shifted`. ``values`` fixes which times are
+    observed under the shift; any series sharing its time range can be
+    scored on the same neighbors.
     """
 
     dist: np.ndarray
@@ -173,51 +174,49 @@ class _CrossMap:
         return self.skills((self.values,), columns)[0]
 
     def shifted(self, shift: int) -> "_CrossMap":
-        """This map under another shift, on a view of the same distances.
+        """This map under ``shift``, on a view of the same distances.
 
-        Only for a map whose library and targets are every time of one
-        manifold. Under any shift the observed times are one contiguous
-        run of them, so ``dist[a:b, a:b]`` holds exactly the distances,
-        own times at +inf included, that a build at that shift computes.
+        Only for the map :func:`cross_estimates` returned: a view's times
+        are already filtered, so shifting it again drops times. Under any
+        shift the observed times form one interval, so the usable library
+        and the usable targets are each one contiguous run of their sorted
+        times, and ``dist[ta:tb, la:lb]`` holds exactly their distances,
+        own times at +inf included.
         """
         usable = _observed_under(self.lib_times, self.values, shift)
-        _check_sizes(usable, usable, shift, self.k)
-        a = int(np.searchsorted(self.lib_times, usable[0]))
-        b = a + usable.size
-        return replace(self, dist=self.dist[a:b, a:b], lib_times=usable,
-                       target_times=usable, shift=shift)
+        targets = _observed_under(self.target_times, self.values, shift)
+        _check_sizes(usable, targets, shift, self.k)
+        la = int(np.searchsorted(self.lib_times, usable[0]))
+        ta = int(np.searchsorted(self.target_times, targets[0]))
+        return replace(self, dist=self.dist[ta:ta + targets.size, la:la + usable.size],
+                       lib_times=usable, target_times=targets, shift=shift)
 
 
 def cross_estimates(points: np.ndarray,
                     times: np.ndarray,
                     values: TimeSeries,
-                    shift: int,
                     k: int,
                     lib_times: np.ndarray | None = None,
                     target_times: np.ndarray | None = None) -> _CrossMap:
-    """Cross map from state points onto ``values`` at each time + ``shift``.
+    """Cross map from state points onto ``values``, built at shift 0.
 
-    ``times`` are the consecutive times of ``points``. Every target time t
-    with a known observation at t + shift is estimated by its k nearest
-    library states, its own time excluded, voting for the value at their
-    own time + shift. Library times must be a subset of ``times``; those
-    without a value at time + shift are dropped.
+    ``times`` are the consecutive times of ``points``; library and target
+    times must be subsets of them. Under a shift (see
+    :meth:`_CrossMap.shifted`), every target time t with a known
+    observation at t + shift is estimated by its k nearest library states,
+    its own time excluded, voting for the value at their own time + shift;
+    library times without a value at time + shift are dropped.
     """
     lib = np.sort(np.asarray(lib_times, dtype=int)) if lib_times is not None else times
     if not np.all(np.isin(lib, times)):
         raise DataError("library times must be admissible embedding times")
-    usable = _observed_under(lib, values, shift)
-    tgt = np.asarray(target_times, dtype=int) if target_times is not None else times
-    tgt = _observed_under(tgt, values, shift)
-    _check_sizes(usable, tgt, shift, k)
-
-    dist = _pairwise_distances(points[tgt - times[0]], points[usable - times[0]])
-    pos = np.searchsorted(usable, tgt)
-    own = np.flatnonzero((pos < usable.size)
-                         & (usable[np.minimum(pos, usable.size - 1)] == tgt))
-    dist[own, pos[own]] = np.inf
-    return _CrossMap(dist=dist, lib_times=usable, target_times=tgt,
-                     values=values, shift=shift, k=k)
+    tgt = np.sort(np.asarray(target_times, dtype=int)) \
+        if target_times is not None else times
+    dist = _pairwise_distances(points[tgt - times[0]], points[lib - times[0]])
+    own = np.flatnonzero(np.isin(tgt, lib))
+    dist[own, np.searchsorted(lib, tgt[own])] = np.inf
+    return _CrossMap(dist=dist, lib_times=lib, target_times=tgt,
+                     values=values, shift=0, k=k)
 
 
 def simplex_forecast(library: ShadowManifold,
@@ -256,7 +255,7 @@ def loo_skill(series: TimeSeries, params: EmbeddingParams) -> SkillStats:
     """
     manifold = embed(series, params)
     return cross_estimates(manifold.points, manifold.times, series,
-                           params.tp, params.e_dim + 1).skill()
+                           params.e_dim + 1).shifted(params.tp).skill()
 
 
 def train_test_skill(series: TimeSeries, params: EmbeddingParams,
@@ -270,9 +269,10 @@ def train_test_skill(series: TimeSeries, params: EmbeddingParams,
     if n_train >= manifold.n_points:
         raise DataError("split leaves no prediction targets")
     return cross_estimates(manifold.points, manifold.times, series,
-                           params.tp, params.e_dim + 1,
+                           params.e_dim + 1,
                            lib_times=manifold.times[:n_train],
-                           target_times=manifold.times[n_train:]).skill()
+                           target_times=manifold.times[n_train:]
+                           ).shifted(params.tp).skill()
 
 
 def select_embedding_dimension(series: TimeSeries,

@@ -248,17 +248,18 @@ class TestEccm:
         short = TimeSeries("y", x.values[:-1])
         with pytest.raises(DataError) as info:
             eccm_profile(x, short, CFG, range(-2, 3))
-        assert str(info.value) == "every lag in the range left no valid targets"
-        # the note each lag would carry is the pair check's message
+        assert str(info.value) == "series lengths differ: 'X' has 800, 'y' has 799"
+        # the same message the plain cross map gives
         with pytest.raises(DataError, match="series lengths differ: 'X' has 800, "
                                             "'y' has 799"):
             cross_map_skill(x, short, replace(CFG, lag=1))
 
     def test_effect_too_short_fails_every_lag(self):
         x = TimeSeries("x", [0.1, 0.4, 0.2])
-        with pytest.raises(DataError,
-                           match="every lag in the range left no valid targets"):
+        with pytest.raises(DataError) as info:
             eccm_profile(x, x, CcmConfig(e_dim=4), [-1, 0, 1])
+        assert str(info.value) == ("series 'x' too short to embed: length 3 < "
+                                   "minimum 4 for E=4, tau=1")
 
     def test_rows_turn_into_notes_at_the_edge(self):
         # 40 steps, E=2: 39 state points; a lag leaves E+2 = 4 of them
@@ -450,8 +451,12 @@ class TestSharedDistances:
 
     def test_network_builds_once_per_effect(self, builds):
         z, a, b = gen_moran_fork(200)
-        causal_summary([z, a, b], CcmConfig(e_dim=2, seed=0, samples_per_size=3))
-        assert builds == [199, 199, 199]
+        cfg = CcmConfig(e_dim=2, seed=0, samples_per_size=3)
+        # the lag sweeps are views of the build the curves use
+        for eccm_lags in (None, range(-3, 4)):
+            builds.clear()
+            causal_summary([z, a, b], cfg, eccm_lags=eccm_lags)
+            assert builds == [199, 199, 199]
 
 
 class TestDrawOrder:

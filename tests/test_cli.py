@@ -11,6 +11,19 @@ def run(tmp_path, *argv):
 
 
 @pytest.fixture()
+def constant_effect_csv(tmp_path):
+    """400 rows: X random, Y = 0.5 throughout."""
+    path = tmp_path / "const_y.csv"
+    x = np.random.default_rng(0).random(400).tolist()
+    path.write_text("X,Y\n" + "".join(f"{v!r},0.5\n" for v in x))
+    return path
+
+
+CONSTANT_Y = ("X=>Y: effect 'Y' is constant; every distance is 0, so "
+              "neighbors are the earliest library times")
+
+
+@pytest.fixture()
 def coupled_csv(tmp_path):
     path = tmp_path / "cl.csv"
     rc = main(["generate", "--system", "coupled-logistic", "--steps", "600",
@@ -219,6 +232,17 @@ class TestCcmCommand:
         assert reports["5,20,200"].warnings == []
         assert reports["5,20,200"].results["curves"][0]["convergent"]
 
+    def test_constant_effect_warns(self, constant_effect_csv, tmp_path):
+        out = tmp_path / "r.json"
+        rc = main(["ccm", "-i", str(constant_effect_csv), "--cause", "X",
+                   "--effect", "Y", "--e", "2", "--samples", "5",
+                   "--both-directions", "--out", str(out)])
+        assert rc == 0
+        warnings = RunReport.from_json(out.read_text()).warnings
+        # only X=>Y has the constant effect; Y=>X has degenerate draws
+        assert warnings.count(CONSTANT_Y) == 1
+        assert not any("effect 'X'" in w for w in warnings)
+
     def test_bad_lib_sizes(self, coupled_csv):
         assert main(["ccm", "-i", str(coupled_csv), "--cause", "X",
                      "--effect", "Y", "--e", "2", "--lib-sizes", "3;4"]) == 2
@@ -235,6 +259,17 @@ class TestEccmCommand:
         assert rc == 0
         report = RunReport.from_json(out.read_text())
         assert report.results["eccm"]["best_lag"] == -2
+
+    def test_constant_effect_warns(self, constant_effect_csv, tmp_path):
+        warnings = {}
+        for cause, effect in (("X", "Y"), ("Y", "X")):
+            out = tmp_path / f"{effect}.json"
+            rc = main(["eccm", "-i", str(constant_effect_csv), "--cause", cause,
+                       "--effect", effect, "--lags=-2:2", "--e", "2",
+                       "--out", str(out)])
+            assert rc == 0
+            warnings[effect] = RunReport.from_json(out.read_text()).warnings
+        assert warnings == {"Y": [CONSTANT_Y], "X": []}
 
     def test_empty_lag_range(self, coupled_csv):
         assert main(["eccm", "-i", str(coupled_csv), "--cause", "X",

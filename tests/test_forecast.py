@@ -248,8 +248,13 @@ class TestCrossMapEngine:
         manifold = embed(series, EmbeddingParams(e_dim))
         k = e_dim + 1
         times = manifold.times
+        # every time as library and target, or a train/test split
+        n = data.draw(st.one_of(st.none(), st.integers(1, times.size - 1)))
+        lib, tgt = (times, times) if n is None else (times[:n], times[n:])
         try:
-            cross_map = cross_estimates(manifold.points, times, series, shift, k)
+            cross_map = cross_estimates(manifold.points, times, series, k,
+                                        lib_times=lib, target_times=tgt
+                                        ).shifted(shift)
         except DataError:
             reject()
         lib_times = cross_map.lib_times
@@ -257,8 +262,8 @@ class TestCrossMapEngine:
             st.integers(0, lib_times.size - 1), min_size=k + 1))))
         drawn = lib_times[columns]
         idx, _ = nearest_rows(cross_map.dist[:, columns], k)
-        targets = times[(times + shift >= series.origin_index)
-                        & (times + shift <= series.end_index)]
+        targets = tgt[(tgt + shift >= series.origin_index)
+                      & (tgt + shift <= series.end_index)]
         undrawn = set(times.tolist()) - set(drawn.tolist())
         for row, t in enumerate(targets):
             ns = knn(manifold, manifold.points[t - times[0]], k,
