@@ -41,14 +41,17 @@ __all__ = [
 
 # fewest library sizes the convergence test can judge a curve from
 MIN_CONVERGENCE_SIZES = 3
+# sizes in the default library grid, and the floor of the shared E
+DEFAULT_LIB_SIZE_COUNT = 8
+MIN_SHARED_E_DIM = 2
 
 
 @dataclass(frozen=True)
 class CcmConfig:
     """Cross-mapping parameters.
 
-    ``lib_sizes`` of None means the default grid: 8 sizes geometrically
-    spaced from E+2 (the smallest library that leaves E+1 neighbors after
+    ``lib_sizes`` of None means :func:`default_library_sizes` from E+2
+    (the smallest library that leaves E+1 neighbors after
     self-exclusion) up to every admissible point. Library draws are
     uniform random subsets without replacement; ``contiguous_draws``
     switches to random contiguous segments for comparison. The three
@@ -113,11 +116,14 @@ class ConvergenceDecision:
 
 @dataclass(frozen=True)
 class CcmCurve:
-    """Cross-map skill as a function of library size for one causal claim."""
+    """Cross-map skill as a function of library size for one causal claim;
+    ``warnings`` name a constant effect, degenerate draws or a skipped
+    convergence test."""
 
     direction: str
     rows: tuple[CurveRow, ...]
     decision: ConvergenceDecision
+    warnings: tuple[str, ...] = ()
 
     @property
     def convergent(self) -> bool:
@@ -137,11 +143,12 @@ class EccmRow:
 
 @dataclass(frozen=True)
 class EccmProfile:
-    """Cross-map skill versus prediction lag at the full library."""
+    """Cross-map skill versus prediction lag at the full library, with warnings."""
 
     direction: str
     rows: tuple[EccmRow, ...]
     best_lag: int
+    warnings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -162,30 +169,31 @@ class CausalNetwork:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
-def default_library_sizes(min_size: int, max_size: int, count: int = 8) -> tuple[int, ...]:
-    """Geometrically spaced library sizes from min_size to max_size."""
+def default_library_sizes(min_size: int, max_size: int) -> tuple[int, ...]:
+    """Up to ``DEFAULT_LIB_SIZE_COUNT`` geometric sizes from min_size to max_size."""
     if min_size > max_size:
         raise DataError(
             f"not enough admissible points: need at least {min_size}, have {max_size}")
     if min_size == max_size:
         return (min_size,)
-    sizes = np.unique(np.rint(np.geomspace(min_size, max_size, count)).astype(int))
+    grid = np.geomspace(min_size, max_size, DEFAULT_LIB_SIZE_COUNT)
+    sizes = np.unique(np.rint(grid).astype(int))
     sizes = sizes[(sizes >= min_size) & (sizes <= max_size)]
     out = sorted({min_size, max_size, *sizes.tolist()})
     return tuple(int(s) for s in out)
 
 
 def shared_embedding_dimension(*series: TimeSeries, e_range=range(1, 11),
-                               tau: int = 1, floor: int = 2) -> int:
+                               tau: int = 1) -> int:
     """Embedding dimension for cross mapping a group of series.
 
-    The largest per-series best E from the simplex scan, floored at 2: a
-    near-autonomous driver predicts itself perfectly at E=1, but a
-    one-coordinate state cannot resolve a second interacting variable.
+    The largest per-series best E from the simplex scan, floored at
+    ``MIN_SHARED_E_DIM``: a near-autonomous driver predicts itself
+    perfectly at E=1, but one coordinate cannot resolve two variables.
     """
     best = max(select_embedding_dimension(s, e_range=e_range, tau=tau).best_e
                for s in series)
-    return max(floor, best)
+    return max(MIN_SHARED_E_DIM, best)
 
 
 def _check_pair(a: TimeSeries, b: TimeSeries) -> None:
@@ -195,6 +203,14 @@ def _check_pair(a: TimeSeries, b: TimeSeries) -> None:
             f"{b.name!r} has {len(b)}")
     if a.origin_index != b.origin_index:
         raise DataError("series must share a time origin")
+
+
+def _constant_effect(cause: TimeSeries, effect: TimeSeries) -> tuple[str, ...]:
+    """A warning when the effect is constant: its manifold is one point."""
+    if effect.values.min() < effect.values.max():
+        return ()
+    return (f"{cause.name}=>{effect.name}: effect {effect.name!r} is constant; "
+            f"every distance is 0, so neighbors are the earliest library times",)
 
 
 def _effect_cross_map(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
@@ -292,17 +308,14 @@ def _ccm_curves(full, causes: Sequence[TimeSeries], effect: TimeSeries,
 
     rows: list[list[CurveRow]] = [[] for _ in causes]
     for size in sizes:
-        if size == n_usable:
-            for cause_rows, stats in zip(rows, cross_map.skills(causes)):
-                cause_rows.append(CurveRow(lib_size=size, mean_rho=stats.rho,
-                                           sd_rho=0.0, samples_used=1,
-                                           degenerate_draws=int(stats.degenerate)))
-            continue
-        rhos = np.empty((len(causes), config.samples_per_size))
+        n_draws = 1 if size == n_usable else config.samples_per_size
+        rhos = np.empty((len(causes), n_draws))
         n_degenerate = [0] * len(causes)
-        for j in range(config.samples_per_size):
+        for j in range(n_draws):
             rng = np.random.default_rng([config.seed, size, j])
-            if config.contiguous_draws:
+            if size == n_usable:
+                positions = None
+            elif config.contiguous_draws:
                 start = int(rng.integers(0, n_usable - size + 1))
                 positions = np.arange(start, start + size)
             else:
@@ -314,19 +327,30 @@ def _ccm_curves(full, causes: Sequence[TimeSeries], effect: TimeSeries,
             cause_rows.append(CurveRow(lib_size=size,
                                        mean_rho=float(cause_rhos.mean()),
                                        sd_rho=float(cause_rhos.std()),
-                                       samples_used=config.samples_per_size,
+                                       samples_used=n_draws,
                                        degenerate_draws=n_deg))
 
     curves = []
     for cause, cause_rows in zip(causes, rows):
-        decision = convergence_test(cause_rows, config.min_rho_gain,
-                                    config.min_kendall_tau, config.min_final_rho) \
-            if len(cause_rows) >= MIN_CONVERGENCE_SIZES else ConvergenceDecision(
+        direction = f"{cause.name}=>{effect.name}"
+        warnings = list(_constant_effect(cause, effect))
+        n_degenerate = sum(r.degenerate_draws for r in cause_rows)
+        if n_degenerate:
+            warnings.append(f"{direction}: {n_degenerate} degenerate draws "
+                            f"(zero-variance estimates) across the sweep")
+        if len(cause_rows) >= MIN_CONVERGENCE_SIZES:
+            decision = convergence_test(cause_rows, config.min_rho_gain,
+                                        config.min_kendall_tau, config.min_final_rho)
+        else:
+            decision = ConvergenceDecision(
                 convergent=False, final_rho=cause_rows[-1].mean_rho,
                 rho_gain=cause_rows[-1].mean_rho - cause_rows[0].mean_rho,
                 trend=0.0)
-        curves.append(CcmCurve(direction=f"{cause.name}=>{effect.name}",
-                               rows=tuple(cause_rows), decision=decision))
+            warnings.append(f"{direction}: convergence test skipped: "
+                            f"{len(cause_rows)} library sizes "
+                            f"(needs {MIN_CONVERGENCE_SIZES})")
+        curves.append(CcmCurve(direction=direction, rows=tuple(cause_rows),
+                               decision=decision, warnings=tuple(warnings)))
     return curves
 
 
@@ -380,7 +404,8 @@ def _eccm_profiles(full, causes: Sequence[TimeSeries], effect: TimeSeries,
             raise DataError("every lag in the range left no valid targets")
         best = max(scored, key=lambda r: (r.rho, -abs(r.lag), -r.lag))
         profiles.append(EccmProfile(direction=f"{cause.name}=>{effect.name}",
-                                    rows=tuple(cause_rows), best_lag=best.lag))
+                                    rows=tuple(cause_rows), best_lag=best.lag,
+                                    warnings=_constant_effect(cause, effect)))
     return profiles
 
 
@@ -389,9 +414,10 @@ def causal_summary(series: Sequence[TimeSeries], config: CcmConfig,
     """All-pairs CCM curves (and optional lag sweeps) as a directed-edge table.
 
     Each ordered pair gets one edge with its convergence verdict; no
-    transitive closure is inferred. When lag sweeps run and both
-    directions of a pair converge with non-negative best lags, a
-    synchronization warning is attached.
+    transitive closure is inferred. The warnings are each edge's curve
+    warnings in edge order, then, when lag sweeps run, a synchronization
+    warning for each pair whose two directions converge with non-negative
+    best lags.
     """
     names = [s.name for s in series]
     if len(set(names)) != len(names):
@@ -399,6 +425,7 @@ def causal_summary(series: Sequence[TimeSeries], config: CcmConfig,
     # effects outer, so that one effect manifold's distances are alive at
     # a time; a pair's error is kept and raised in cause-major order below
     by_pair: dict[tuple[str, str], CausalEdge | DataError] = {}
+    curve_warnings: dict[tuple[str, str], tuple[str, ...]] = {}
     for effect in series:
         causes = []
         for cause in series:
@@ -425,12 +452,14 @@ def causal_summary(series: Sequence[TimeSeries], config: CcmConfig,
             by_pair[(cause.name, effect.name)] = CausalEdge(
                 cause=cause.name, effect=effect.name, final_rho=curve.final_rho,
                 convergent=curve.convergent, best_lag=best_lag)
+            curve_warnings[(cause.name, effect.name)] = curve.warnings
     edges = []
+    warnings = []
     for pair in permutations(names, 2):
         if isinstance(by_pair[pair], DataError):
             raise by_pair[pair]
         edges.append(by_pair[pair])
-    warnings = []
+        warnings += curve_warnings[pair]
     if eccm_lags is not None:
         for a, b in combinations(names, 2):
             fwd, rev = by_pair[(a, b)], by_pair[(b, a)]

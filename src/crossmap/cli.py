@@ -21,15 +21,16 @@ import json
 import sys
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from typing import Sequence
 
 from . import __version__
 from .core import (CrossmapError, DataError, NumericalError, SkillStats,
                    TimeSeries, read_series_csv, windowed_pearson,
                    write_series_csv)
 from .forecast import EDimScan, select_embedding_dimension
-from .ccm import (MIN_CONVERGENCE_SIZES, CausalNetwork, CcmConfig, CcmCurve,
-                  EccmProfile, causal_summary, ccm_curve, eccm_profile,
-                  pai_cross_map, shared_embedding_dimension)
+from .ccm import (CausalNetwork, CcmConfig, CcmCurve, EccmProfile,
+                  causal_summary, ccm_curve, eccm_profile, pai_cross_map,
+                  shared_embedding_dimension)
 from .systems import GENERATOR_KINDS, GeneratorSpec, generate
 
 REPORT_VERSION = 1
@@ -112,22 +113,35 @@ def network_dict(net: CausalNetwork) -> dict:
     }
 
 
-def _emit(report: RunReport, out: str | None) -> None:
-    text = report.to_json()
+def _emit(args, out: str | None, inputs: dict, config: dict, results: dict,
+          warnings: Sequence[str] = ()) -> None:
+    """Print the run's report, or write it to ``out``."""
+    text = RunReport(tool_version=__version__,
+                     command=list(getattr(args, "_argv", [])),
+                     inputs=inputs, config=config, results=results,
+                     warnings=list(warnings)).to_json()
     if out:
         Path(out).write_text(text + "\n")
     else:
         print(text)
 
 
-def _load_columns(path: str) -> dict[str, TimeSeries]:
-    return {s.name: s for s in read_series_csv(path)}
+def _load(path: str, *names: str) -> list[TimeSeries]:
+    """The named columns of the CSV at ``path``, in the order named."""
+    columns = {s.name: s for s in read_series_csv(path)}
+    for name in names:
+        if name not in columns:
+            raise DataError(
+                f"{path}: no column {name!r}; available: {', '.join(columns)}")
+    return [columns[name] for name in names]
 
-def _pick(columns: dict[str, TimeSeries], name: str, path: str) -> TimeSeries:
-    if name not in columns:
-        raise DataError(
-            f"{path}: no column {name!r}; available: {', '.join(columns)}")
-    return columns[name]
+
+def _load_pair(args) -> list[TimeSeries]:
+    """The --cause and --effect columns of --input, which must differ."""
+    if args.cause == args.effect:
+        raise UsageError(f"--cause and --effect must differ, got "
+                         f"{args.cause!r} for both")
+    return _load(args.input, args.cause, args.effect)
 
 
 def _parse_int_range(text: str, what: str) -> list[int]:
@@ -191,14 +205,6 @@ def _check_at_least(args, **floors: int) -> None:
             raise UsageError(f"--{flag} must be >= {floor}, got {value}")
 
 
-def _constant_effect(direction: str, effect: TimeSeries) -> list[str]:
-    """A warning when the effect is constant: its manifold is one point."""
-    if effect.values.min() < effect.values.max():
-        return []
-    return [f"{direction}: effect {effect.name!r} is constant; every distance "
-            f"is 0, so neighbors are the earliest library times"]
-
-
 def _config_echo(config: CcmConfig, extra: dict | None = None) -> dict:
     out = {
         "e_dim": config.e_dim, "tau": config.tau, "lag": config.lag,
@@ -236,32 +242,22 @@ def cmd_simplex(args) -> int:
     if args.split_fraction is not None and not 0.0 < args.split_fraction < 1.0:
         raise UsageError(
             f"--split-fraction must be in (0,1), got {args.split_fraction}")
-    columns = _load_columns(args.input)
-    series = _pick(columns, args.col, args.input)
+    [series] = _load(args.input, args.col)
     scan = select_embedding_dimension(series, e_range, tau=args.tau,
                                       tp=args.tp,
                                       split_fraction=args.split_fraction)
-    warnings = []
-    if any(r.stats and r.stats.degenerate for r in scan.rows):
-        warnings.append(
-            f"column {args.col!r} has zero variance in at least one scan "
-            f"row; rho reported as 0 there")
-    report = RunReport(
-        tool_version=__version__, command=_echo(args),
-        inputs={"file": args.input, "columns": [args.col]},
-        config={"e_range": e_range, "tau": args.tau, "tp": args.tp,
-                "split_fraction": args.split_fraction},
-        results={"e_scan": scan_dict(scan)},
-        warnings=warnings)
-    _emit(report, args.out)
+    _emit(args, args.out,
+          inputs={"file": args.input, "columns": [args.col]},
+          config={"e_range": e_range, "tau": args.tau, "tp": args.tp,
+                  "split_fraction": args.split_fraction},
+          results={"e_scan": scan_dict(scan)},
+          warnings=scan.warnings)
     return 0
 
 
 def cmd_ccm(args) -> int:
     _check_at_least(args, samples=1, tau=1, seed=0)
-    columns = _load_columns(args.input)
-    cause = _pick(columns, args.cause, args.input)
-    effect = _pick(columns, args.effect, args.input)
+    cause, effect = _load_pair(args)
     sizes = _parse_sizes(args.lib_sizes) if args.lib_sizes else None
     config = CcmConfig(e_dim=_resolve_e(args, cause, effect), tau=args.tau,
                        lag=args.lag, lib_sizes=sizes,
@@ -278,44 +274,26 @@ def cmd_ccm(args) -> int:
             {"direction": f"{c.name}=>{e.name}",
              "stats": stats_dict(pai_cross_map(c, e, config))}
             for c, e in pairs]
-
-    warnings = []
-    for (_, c_effect), c in zip(pairs, curves):
-        warnings += _constant_effect(c.direction, c_effect)
-        n_deg = sum(r.degenerate_draws for r in c.rows)
-        if n_deg:
-            warnings.append(f"{c.direction}: {n_deg} degenerate draws "
-                            f"(zero-variance estimates) across the sweep")
-        if len(c.rows) < MIN_CONVERGENCE_SIZES:
-            warnings.append(f"{c.direction}: convergence test skipped: "
-                            f"{len(c.rows)} library sizes "
-                            f"(needs {MIN_CONVERGENCE_SIZES})")
-    report = RunReport(
-        tool_version=__version__, command=_echo(args),
-        inputs={"file": args.input, "columns": [args.cause, args.effect]},
-        config=_config_echo(config, {"e_source": args.e,
-                                     "both_directions": args.both_directions,
-                                     "pai": args.pai}),
-        results=results, warnings=warnings)
-    _emit(report, args.out)
+    _emit(args, args.out,
+          inputs={"file": args.input, "columns": [args.cause, args.effect]},
+          config=_config_echo(config, {"e_source": args.e,
+                                       "both_directions": args.both_directions,
+                                       "pai": args.pai}),
+          results=results, warnings=[w for c in curves for w in c.warnings])
     return 0
 
 
 def cmd_eccm(args) -> int:
     _check_at_least(args, tau=1)
-    columns = _load_columns(args.input)
-    cause = _pick(columns, args.cause, args.input)
-    effect = _pick(columns, args.effect, args.input)
+    cause, effect = _load_pair(args)
     lags = _parse_int_range(args.lags, "--lags")
     config = CcmConfig(e_dim=_resolve_e(args, cause, effect), tau=args.tau)
     profile = eccm_profile(cause, effect, config, lags)
-    report = RunReport(
-        tool_version=__version__, command=_echo(args),
-        inputs={"file": args.input, "columns": [args.cause, args.effect]},
-        config=_config_echo(config, {"e_source": args.e, "lags": lags}),
-        results={"eccm": profile_dict(profile)},
-        warnings=_constant_effect(profile.direction, effect))
-    _emit(report, args.out)
+    _emit(args, args.out,
+          inputs={"file": args.input, "columns": [args.cause, args.effect]},
+          config=_config_echo(config, {"e_source": args.e, "lags": lags}),
+          results={"eccm": profile_dict(profile)},
+          warnings=profile.warnings)
     return 0
 
 
@@ -345,24 +323,17 @@ def _demo_fig3(args, out_dir: Path) -> int:
                      for t, (a, b) in enumerate(zip(x.values, y.values))])
     windows = [{"window": [a, b], "r": windowed_pearson(x, y, a, b)}
                for a, b in FIG3_WINDOWS]
-    report = RunReport(
-        tool_version=__version__, command=_echo(args),
-        inputs={"generated": "coupled_logistic", "csv": str(csv_path)},
-        config={"steps": 1000, "burn_in": FIG3_BURN_IN, "x0": 0.2, "y0": 0.5,
-                "rx": 3.8, "ry": 3.8, "bxy": 0.02, "byx": 0.08},
-        results={"windows": windows},
-        warnings=[])
-    _emit(report, str(out_dir / "fig3_report.json"))
+    _emit(args, str(out_dir / "fig3_report.json"),
+          inputs={"generated": "coupled_logistic", "csv": str(csv_path)},
+          config={"steps": 1000, "burn_in": FIG3_BURN_IN, "x0": 0.2, "y0": 0.5,
+                  "rx": 3.8, "ry": 3.8, "bxy": 0.02, "byx": 0.08},
+          results={"windows": windows})
     print(f"wrote {csv_path} and fig3_report.json", file=sys.stderr)
     return 0
 
 
 def _demo_curves(args, out_dir: Path, name: str, x: TimeSeries, y: TimeSeries,
-                 generated: str, gen_config: dict,
-                 config: CcmConfig | None = None) -> int:
-    if config is None:
-        config = CcmConfig(e_dim=shared_embedding_dimension(x, y),
-                           seed=args.seed)
+                 generated: str, gen_config: dict, config: CcmConfig) -> int:
     curves = [ccm_curve(x, y, config), ccm_curve(y, x, config)]
     csv_path = out_dir / f"{name}.csv"
     _write_rows_csv(csv_path,
@@ -371,13 +342,11 @@ def _demo_curves(args, out_dir: Path, name: str, x: TimeSeries, y: TimeSeries,
                     [[c.direction, r.lib_size, repr(r.mean_rho),
                       repr(r.sd_rho), r.samples_used]
                      for c in curves for r in c.rows])
-    report = RunReport(
-        tool_version=__version__, command=_echo(args),
-        inputs={"generated": generated, "csv": str(csv_path)},
-        config=_config_echo(config, gen_config),
-        results={"curves": [curve_dict(c) for c in curves]},
-        warnings=[])
-    _emit(report, str(out_dir / f"{name}_report.json"))
+    _emit(args, str(out_dir / f"{name}_report.json"),
+          inputs={"generated": generated, "csv": str(csv_path)},
+          config=_config_echo(config, gen_config),
+          results={"curves": [curve_dict(c) for c in curves]},
+          warnings=[w for c in curves for w in c.warnings])
     print(f"wrote {csv_path} and {name}_report.json", file=sys.stderr)
     return 0
 
@@ -385,8 +354,9 @@ def _demo_curves(args, out_dir: Path, name: str, x: TimeSeries, y: TimeSeries,
 def _demo_fig7(args, out_dir: Path) -> int:
     x, y = generate(GeneratorSpec(kind="coupled_logistic", steps=1000,
                                   burn_in=FIG3_BURN_IN))
+    config = CcmConfig(e_dim=shared_embedding_dimension(x, y), seed=args.seed)
     return _demo_curves(args, out_dir, "fig7", x, y, "coupled_logistic",
-                        {"steps": 1000, "burn_in": FIG3_BURN_IN})
+                        {"steps": 1000, "burn_in": FIG3_BURN_IN}, config)
 
 
 def _demo_fig8(args, out_dir: Path) -> int:
@@ -395,8 +365,7 @@ def _demo_fig8(args, out_dir: Path) -> int:
     # cannot cross-map; pin the two-variable dimension instead
     config = CcmConfig(e_dim=2, seed=args.seed)
     return _demo_curves(args, out_dir, "fig8", x, y,
-                        "unidirectional_logistic", {"steps": 1000},
-                        config=config)
+                        "unidirectional_logistic", {"steps": 1000}, config)
 
 
 def _demo_fork(args, out_dir: Path) -> int:
@@ -408,19 +377,13 @@ def _demo_fork(args, out_dir: Path) -> int:
     _write_rows_csv(csv_path, ["cause", "effect", "final_rho", "convergent"],
                     [[e.cause, e.effect, repr(e.final_rho), e.convergent]
                      for e in net.edges])
-    report = RunReport(
-        tool_version=__version__, command=_echo(args),
-        inputs={"generated": "moran_fork", "csv": str(csv_path)},
-        config=_config_echo(config, {"steps": 1000, "coupling": 0.1}),
-        results={"network": network_dict(net)},
-        warnings=list(net.warnings))
-    _emit(report, str(out_dir / "fork_report.json"))
+    _emit(args, str(out_dir / "fork_report.json"),
+          inputs={"generated": "moran_fork", "csv": str(csv_path)},
+          config=_config_echo(config, {"steps": 1000, "coupling": 0.1}),
+          results={"network": network_dict(net)},
+          warnings=net.warnings)
     print(f"wrote {csv_path} and fork_report.json", file=sys.stderr)
     return 0
-
-
-def _echo(args) -> list[str]:
-    return list(getattr(args, "_argv", []))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -53,10 +53,11 @@ class EDimRow:
 
 @dataclass(frozen=True)
 class EDimScan:
-    """Leave-one-out skill per scanned embedding dimension."""
+    """Leave-one-out skill per scanned embedding dimension, with warnings."""
 
     rows: tuple[EDimRow, ...]
     best_e: int
+    warnings: tuple[str, ...] = ()
 
 
 def weight_rows(dist: np.ndarray) -> np.ndarray:
@@ -285,7 +286,8 @@ def select_embedding_dimension(series: TimeSeries,
     Skill is leave-one-out by default; pass ``split_fraction`` to score
     with a train/test split instead. Ties go to the smallest E.
     Dimensions the series is too short for are kept in the scan with a
-    note instead of stats.
+    note instead of stats; a zero-variance row (rho reported as 0) adds a
+    warning.
     """
     e_values = sorted(set(int(e) for e in e_range))
     if not e_values:
@@ -308,4 +310,8 @@ def select_embedding_dimension(series: TimeSeries,
         raise DataError(
             f"series {series.name!r} too short for every scanned dimension")
     best = max(scored, key=lambda r: (r.stats.rho, -r.e_dim))
-    return EDimScan(rows=tuple(rows), best_e=best.e_dim)
+    warnings = ()
+    if any(r.stats.degenerate for r in scored):
+        warnings = (f"column {series.name!r} has zero variance in at least one "
+                    f"scan row; rho reported as 0 there",)
+    return EDimScan(rows=tuple(rows), best_e=best.e_dim, warnings=warnings)

@@ -22,6 +22,17 @@ def coupled():
 CFG = CcmConfig(e_dim=2, seed=11, samples_per_size=8)
 
 
+@pytest.fixture(scope="module")
+def constant_effect_pair():
+    """X random, Y = 0.5 throughout: the claim X=>Y has a constant effect."""
+    x = TimeSeries("X", np.random.default_rng(0).random(400))
+    return x, TimeSeries("Y", np.full(400, 0.5))
+
+
+CONSTANT_Y = ("X=>Y: effect 'Y' is constant; every distance is 0, so "
+              "neighbors are the earliest library times")
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(DataError):
@@ -178,6 +189,15 @@ class TestCcmCurve:
         curve = ccm_curve(x, y, cfg)
         assert curve.rows[-1].mean_rho == cross_map_skill(x, y, CFG).rho
 
+    def test_too_few_sizes_warn_that_convergence_was_skipped(self, coupled):
+        x, y = coupled
+        curve = ccm_curve(x, y, CcmConfig(e_dim=2, lib_sizes=(5, 200),
+                                          samples_per_size=5))
+        assert not curve.convergent
+        assert curve.warnings == (
+            "X=>Y: convergence test skipped: 2 library sizes (needs 3)",)
+        assert ccm_curve(x, y, CFG).warnings == ()
+
     def test_oversized_grid_rejected(self, coupled):
         x, y = coupled
         with pytest.raises(DataError, match="exceeds"):
@@ -242,6 +262,11 @@ class TestEccm:
         x, y = coupled
         with pytest.raises(DataError):
             eccm_profile(x, y, CFG, [])
+
+    def test_constant_effect_warns(self, constant_effect_pair):
+        x, y = constant_effect_pair
+        assert eccm_profile(x, y, CFG, range(-2, 3)).warnings == (CONSTANT_Y,)
+        assert eccm_profile(y, x, CFG, range(-2, 3)).warnings == ()
 
     def test_length_mismatch_fails_every_lag(self, coupled):
         x, _ = coupled
@@ -339,6 +364,17 @@ class TestCausalSummary:
         with pytest.raises(DataError,
                            match="every lag in the range left no valid targets"):
             causal_summary([x, y], CFG, eccm_lags=[900])
+
+    def test_constant_effect_warns_on_both_edges(self, constant_effect_pair):
+        x, y = constant_effect_pair
+        cfg = CcmConfig(e_dim=2, samples_per_size=5)
+        net = causal_summary([x, y], cfg, eccm_lags=range(-2, 3))
+        # X=>Y embeds the constant Y; every Y=>X estimate is the constant Y
+        assert net.warnings == (
+            CONSTANT_Y,
+            "Y=>X: 36 degenerate draws (zero-variance estimates) across the sweep")
+        assert net.warnings == (ccm_curve(x, y, cfg).warnings
+                                + ccm_curve(y, x, cfg).warnings)
 
     def test_duplicate_names_rejected(self, coupled):
         x, _ = coupled

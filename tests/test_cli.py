@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from crossmap import CcmConfig, ccm_curve, read_series_csv
 from crossmap.cli import RunReport, main
 
 
@@ -214,6 +215,22 @@ class TestCcmCommand:
         assert f"error: {flags[0]} must be >=" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd,flags", [
+        ("ccm", []),
+        ("eccm", ["--lags=-2:2"]),
+    ])
+    def test_equal_cause_and_effect_is_usage_error(self, tmp_path, capsys,
+                                                   cmd, flags):
+        # the input does not exist: the pair must be rejected before any
+        # column is read (a read would exit 3) or E is scanned
+        out = tmp_path / "out"
+        rc = main([cmd, "-i", str(tmp_path / "missing.csv"), "--cause", "X",
+                   "--effect", "X", *flags, "--out", str(out)])
+        assert rc == 2
+        assert ("error: --cause and --effect must differ, got 'X' for both"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_too_few_sizes_warns_that_convergence_was_not_tested(self, tmp_path):
         data = tmp_path / "cl.csv"
         main(["generate", "--system", "coupled-logistic", "--steps", "400",
@@ -242,6 +259,20 @@ class TestCcmCommand:
         # only X=>Y has the constant effect; Y=>X has degenerate draws
         assert warnings.count(CONSTANT_Y) == 1
         assert not any("effect 'X'" in w for w in warnings)
+
+    def test_warnings_are_the_library_curves_warnings(self, constant_effect_csv,
+                                                      tmp_path):
+        out = tmp_path / "r.json"
+        rc = main(["ccm", "-i", str(constant_effect_csv), "--cause", "X",
+                   "--effect", "Y", "--e", "2", "--samples", "5",
+                   "--lib-sizes", "5,200", "--both-directions", "--out", str(out)])
+        assert rc == 0
+        x, y = read_series_csv(str(constant_effect_csv))
+        config = CcmConfig(e_dim=2, samples_per_size=5, lib_sizes=(5, 200))
+        expected = ccm_curve(x, y, config).warnings + ccm_curve(y, x, config).warnings
+        # every kind of curve warning, in curve order
+        assert len(expected) == 4
+        assert RunReport.from_json(out.read_text()).warnings == list(expected)
 
     def test_bad_lib_sizes(self, coupled_csv):
         assert main(["ccm", "-i", str(coupled_csv), "--cause", "X",

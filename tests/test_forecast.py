@@ -190,12 +190,15 @@ class TestSelectEmbeddingDimension:
         assert scan.best_e in (1, 2, 3)
         best_row = [r for r in scan.rows if r.e_dim == scan.best_e][0]
         assert best_row.stats.rho > 0.99
+        assert scan.warnings == ()
 
     def test_constant_series_degenerate(self):
         scan = select_embedding_dimension(TimeSeries("c", np.ones(50)),
                                           e_range=range(2, 6))
         assert scan.best_e == 2
         assert all(r.stats.degenerate for r in scan.rows)
+        assert scan.warnings == ("column 'c' has zero variance in at least one "
+                                 "scan row; rho reported as 0 there",)
 
     def test_short_series_marks_unavailable(self):
         scan = select_embedding_dimension(logistic_series(12),
