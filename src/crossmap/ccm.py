@@ -9,12 +9,11 @@ plateaus supports the claim, a flat one rejects it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import kendalltau
 
 from .core import DataError, SkillStats, TimeSeries
 from .embedding import EmbeddingParams, embed
@@ -39,8 +38,11 @@ __all__ = [
     "causal_summary",
 ]
 
-# fewest library sizes the convergence test can judge a curve from
+# fewest library sizes the convergence test judges, and its thresholds
 MIN_CONVERGENCE_SIZES = 3
+MIN_RHO_GAIN = 0.10
+MIN_KENDALL_TAU = 0.5
+MIN_FINAL_RHO = 0.2
 # sizes in the default library grid, and the floor of the shared E
 DEFAULT_LIB_SIZE_COUNT = 8
 MIN_SHARED_E_DIM = 2
@@ -54,8 +56,7 @@ class CcmConfig:
     (the smallest library that leaves E+1 neighbors after
     self-exclusion) up to every admissible point. Library draws are
     uniform random subsets without replacement; ``contiguous_draws``
-    switches to random contiguous segments for comparison. The three
-    ``min_*`` values are the convergence-test thresholds.
+    switches to random contiguous segments for comparison.
     """
 
     e_dim: int
@@ -65,15 +66,9 @@ class CcmConfig:
     samples_per_size: int = 100
     seed: int = 0
     contiguous_draws: bool = False
-    min_rho_gain: float = 0.10
-    min_kendall_tau: float = 0.5
-    min_final_rho: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.e_dim < 1:
-            raise DataError(f"embedding dimension must be >= 1, got {self.e_dim}")
-        if self.tau < 1:
-            raise DataError(f"delay tau must be >= 1, got {self.tau}")
+        EmbeddingParams(e_dim=self.e_dim, tau=self.tau)
         if self.samples_per_size < 1:
             raise DataError(f"samples_per_size must be >= 1, got {self.samples_per_size}")
         if self.seed < 0:
@@ -205,12 +200,18 @@ def _check_pair(a: TimeSeries, b: TimeSeries) -> None:
         raise DataError("series must share a time origin")
 
 
-def _constant_effect(cause: TimeSeries, effect: TimeSeries) -> tuple[str, ...]:
-    """A warning when the effect is constant: its manifold is one point."""
-    if effect.values.min() < effect.values.max():
-        return ()
-    return (f"{cause.name}=>{effect.name}: effect {effect.name!r} is constant; "
-            f"every distance is 0, so neighbors are the earliest library times",)
+def _effect_warnings(cause: TimeSeries, effect: TimeSeries, n_degenerate: int,
+                     unit: str) -> list[str]:
+    """Warnings for a constant effect, then for ``n_degenerate`` degenerate ``unit``."""
+    direction = f"{cause.name}=>{effect.name}"
+    warnings = []
+    if not effect.values.min() < effect.values.max():
+        warnings.append(f"{direction}: effect {effect.name!r} is constant; every "
+                        f"distance is 0, so neighbors are the earliest library times")
+    if n_degenerate:
+        warnings.append(f"{direction}: {n_degenerate} degenerate {unit} "
+                        f"(zero-variance estimates) across the sweep")
+    return warnings
 
 
 def _effect_cross_map(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
@@ -249,16 +250,13 @@ def cross_map_skill(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
                    config.lag, config).skill()
 
 
-def convergence_test(rows: Sequence[CurveRow],
-                     min_rho_gain: float = 0.10,
-                     min_kendall_tau: float = 0.5,
-                     min_final_rho: float = 0.2) -> ConvergenceDecision:
+def convergence_test(rows: Sequence[CurveRow]) -> ConvergenceDecision:
     """Decide convergence of a skill-vs-library-size curve.
 
     Convergent iff all three hold: the skill gain from the smallest to
-    the largest library exceeds ``min_rho_gain``; Kendall's tau of
-    (L, mean_rho) exceeds ``min_kendall_tau``; and the final skill
-    exceeds ``min_final_rho``.
+    the largest library exceeds ``MIN_RHO_GAIN``; Kendall's tau-b of
+    (L, mean_rho) exceeds ``MIN_KENDALL_TAU``; and the final skill
+    exceeds ``MIN_FINAL_RHO``.
     """
     if len(rows) < MIN_CONVERGENCE_SIZES:
         raise DataError(f"convergence test needs >= {MIN_CONVERGENCE_SIZES} "
@@ -269,10 +267,13 @@ def convergence_test(rows: Sequence[CurveRow],
     rhos = [r.mean_rho for r in rows]
     final = rhos[-1]
     gain = final - rhos[0]
-    tau = kendalltau(sizes, rhos).statistic
-    trend = float(tau) if np.isfinite(tau) else 0.0
-    convergent = (gain > min_rho_gain) and (trend > min_kendall_tau) \
-        and (final > min_final_rho)
+    # tau-b with untied sizes, clipped as rounding can give 1.0000000000000002
+    signs = np.sign(np.subtract.outer(rhos, rhos))[np.tril_indices(len(rhos), -1)]
+    untied = np.count_nonzero(signs)
+    trend = float(np.clip(signs.sum() / np.sqrt(signs.size) / np.sqrt(untied),
+                          -1.0, 1.0)) if untied else 0.0
+    convergent = (gain > MIN_RHO_GAIN) and (trend > MIN_KENDALL_TAU) \
+        and (final > MIN_FINAL_RHO)
     return ConvergenceDecision(convergent=convergent, final_rho=float(final),
                                rho_gain=float(gain), trend=trend)
 
@@ -333,19 +334,14 @@ def _ccm_curves(full, causes: Sequence[TimeSeries], effect: TimeSeries,
     curves = []
     for cause, cause_rows in zip(causes, rows):
         direction = f"{cause.name}=>{effect.name}"
-        warnings = list(_constant_effect(cause, effect))
-        n_degenerate = sum(r.degenerate_draws for r in cause_rows)
-        if n_degenerate:
-            warnings.append(f"{direction}: {n_degenerate} degenerate draws "
-                            f"(zero-variance estimates) across the sweep")
+        warnings = _effect_warnings(
+            cause, effect, sum(r.degenerate_draws for r in cause_rows), "draws")
         if len(cause_rows) >= MIN_CONVERGENCE_SIZES:
-            decision = convergence_test(cause_rows, config.min_rho_gain,
-                                        config.min_kendall_tau, config.min_final_rho)
+            decision = convergence_test(cause_rows)
         else:
-            decision = ConvergenceDecision(
-                convergent=False, final_rho=cause_rows[-1].mean_rho,
-                rho_gain=cause_rows[-1].mean_rho - cause_rows[0].mean_rho,
-                trend=0.0)
+            final, first = cause_rows[-1].mean_rho, cause_rows[0].mean_rho
+            decision = ConvergenceDecision(convergent=False, final_rho=final,
+                                           rho_gain=final - first, trend=0.0)
             warnings.append(f"{direction}: convergence test skipped: "
                             f"{len(cause_rows)} library sizes "
                             f"(needs {MIN_CONVERGENCE_SIZES})")
@@ -390,22 +386,24 @@ def _eccm_profiles(full, causes: Sequence[TimeSeries], effect: TimeSeries,
     lags = sorted(set(int(v) for v in lag_range))
     if not lags:
         raise DataError("empty lag range")
-    rows = []  # one list per lag, one row per cause
+    rows = []  # one list per lag, one (row, degenerate) pair per cause
     for ell in lags:
         try:
-            rows.append([EccmRow(lag=ell, rho=s.rho)
+            rows.append([(EccmRow(lag=ell, rho=s.rho), s.degenerate)
                          for s in _at_lag(full, ell, config).skills(causes)])
         except DataError as err:
-            rows.append([EccmRow(lag=ell, rho=None, note=str(err))] * len(causes))
+            rows.append([(EccmRow(lag=ell, rho=None, note=str(err)), False)]
+                        * len(causes))
     profiles = []
-    for cause, cause_rows in zip(causes, zip(*rows)):
+    for cause, pairs in zip(causes, zip(*rows)):
+        cause_rows, degenerate = zip(*pairs)
         scored = [r for r in cause_rows if r.rho is not None]
         if not scored:
             raise DataError("every lag in the range left no valid targets")
         best = max(scored, key=lambda r: (r.rho, -abs(r.lag), -r.lag))
-        profiles.append(EccmProfile(direction=f"{cause.name}=>{effect.name}",
-                                    rows=tuple(cause_rows), best_lag=best.lag,
-                                    warnings=_constant_effect(cause, effect)))
+        profiles.append(EccmProfile(
+            direction=f"{cause.name}=>{effect.name}", rows=cause_rows, best_lag=best.lag,
+            warnings=tuple(_effect_warnings(cause, effect, sum(degenerate), "lags"))))
     return profiles
 
 

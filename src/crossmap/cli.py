@@ -28,9 +28,9 @@ from .core import (CrossmapError, DataError, NumericalError, SkillStats,
                    TimeSeries, read_series_csv, windowed_pearson,
                    write_series_csv)
 from .forecast import EDimScan, select_embedding_dimension
-from .ccm import (CausalNetwork, CcmConfig, CcmCurve, EccmProfile,
-                  causal_summary, ccm_curve, eccm_profile, pai_cross_map,
-                  shared_embedding_dimension)
+from .ccm import (MIN_FINAL_RHO, MIN_KENDALL_TAU, MIN_RHO_GAIN, CausalNetwork,
+                  CcmConfig, CcmCurve, EccmProfile, causal_summary, ccm_curve,
+                  eccm_profile, pai_cross_map, shared_embedding_dimension)
 from .systems import GENERATOR_KINDS, GeneratorSpec, generate
 
 REPORT_VERSION = 1
@@ -161,10 +161,13 @@ def _parse_int_range(text: str, what: str) -> list[int]:
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(v) for v in text.split(","))
+        sizes = tuple(int(v) for v in text.split(","))
     except ValueError:
-        raise UsageError(f"cannot parse library sizes {text!r}; use "
-                         f"comma-separated integers") from None
+        sizes = ()
+    if not sizes or sizes[0] < 1 or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise UsageError(f"--lib-sizes must be >= 1 and strictly increasing "
+                         f"comma-separated integers, got {text!r}")
+    return sizes
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -211,9 +214,8 @@ def _config_echo(config: CcmConfig, extra: dict | None = None) -> dict:
         "lib_sizes": list(config.lib_sizes) if config.lib_sizes else None,
         "samples_per_size": config.samples_per_size, "seed": config.seed,
         "contiguous_draws": config.contiguous_draws,
-        "min_rho_gain": config.min_rho_gain,
-        "min_kendall_tau": config.min_kendall_tau,
-        "min_final_rho": config.min_final_rho,
+        "min_rho_gain": MIN_RHO_GAIN, "min_kendall_tau": MIN_KENDALL_TAU,
+        "min_final_rho": MIN_FINAL_RHO,
     }
     if extra:
         out.update(extra)

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,12 @@ def constant_effect_pair():
 
 CONSTANT_Y = ("X=>Y: effect 'Y' is constant; every distance is 0, so "
               "neighbors are the earliest library times")
+
+
+@pytest.fixture(scope="module")
+def kendalltau():
+    """scipy's Kendall tau, the oracle for the convergence trend."""
+    return pytest.importorskip("scipy.stats").kendalltau
 
 
 class TestConfig:
@@ -145,6 +155,29 @@ class TestConvergenceTest:
                 CurveRow(20, 0.3, 0.0, 5)]
         with pytest.raises(DataError, match="sorted"):
             convergence_test(rows)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data(), n=st.integers(3, 40), decimals=st.integers(0, 2))
+    def test_trend_is_kendall_tau_b(self, kendalltau, data, n, decimals):
+        # rounding to 0-2 decimals makes rho ties (and -0.0 beside 0.0) common
+        sizes = sorted(data.draw(st.sets(st.integers(4, 10_000), min_size=n,
+                                         max_size=n)))
+        rhos = [round(v, decimals) for v in data.draw(
+            st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))]
+        tau = kendalltau(sizes, rhos).statistic
+        expected = float(tau) if np.isfinite(tau) else 0.0
+        trend = convergence_test([CurveRow(size, rho, 0.0, 1)
+                                  for size, rho in zip(sizes, rhos)]).trend
+        assert np.float64(trend).tobytes() == np.float64(expected).tobytes()
+
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, crossmap, crossmap.cli; print(sorted(m for m in "
+                "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        src = str(Path(crossmap.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-c", code], check=True,
+                                capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src})
+        assert result.stdout.strip() == "[]"
 
 
 class TestCcmCurve:
@@ -266,7 +299,9 @@ class TestEccm:
     def test_constant_effect_warns(self, constant_effect_pair):
         x, y = constant_effect_pair
         assert eccm_profile(x, y, CFG, range(-2, 3)).warnings == (CONSTANT_Y,)
-        assert eccm_profile(y, x, CFG, range(-2, 3)).warnings == ()
+        # every Y=>X estimate is the constant Y
+        assert eccm_profile(y, x, CFG, range(-2, 3)).warnings == (
+            "Y=>X: 5 degenerate lags (zero-variance estimates) across the sweep",)
 
     def test_length_mismatch_fails_every_lag(self, coupled):
         x, _ = coupled
@@ -435,6 +470,7 @@ class TestSharedDistances:
             profile = eccm_profile(cause, effect, cfg, lags)
         except DataError:
             reject()
+        n_degenerate = 0
         for row in profile.rows:
             lagged = replace(cfg, lag=row.lag)
             if row.rho is None:
@@ -442,7 +478,12 @@ class TestSharedDistances:
                     cross_map_skill(cause, effect, lagged)
                 assert str(info.value) == row.note
             else:
-                assert row.rho == cross_map_skill(cause, effect, lagged).rho
+                stats = cross_map_skill(cause, effect, lagged)
+                assert row.rho == stats.rho
+                n_degenerate += stats.degenerate
+        expected = [f"{cause.name}=>{effect.name}: {n_degenerate} degenerate lags "
+                    f"(zero-variance estimates) across the sweep"] if n_degenerate else []
+        assert [w for w in profile.warnings if "degenerate" in w] == expected
 
     @settings(max_examples=30, deadline=None, database=None)
     @given(group=tie_heavy_group(3), e_dim=st.integers(1, 3), data=st.data())

@@ -198,6 +198,9 @@ class TestCcmCommand:
         ("demo", ["--seed", "-1"]),
         ("generate", ["--burn-in", "-5"]),
         ("generate", ["--seed", "-1"]),
+        ("ccm", ["--lib-sizes", "10,10"]),
+        ("ccm", ["--lib-sizes", "10,5"]),
+        ("ccm", ["--lib-sizes", "0,10"]),
     ])
     def test_out_of_range_flag_is_usage_error(self, coupled_csv, tmp_path,
                                               capsys, cmd, flags):
@@ -300,7 +303,9 @@ class TestEccmCommand:
                        "--out", str(out)])
             assert rc == 0
             warnings[effect] = RunReport.from_json(out.read_text()).warnings
-        assert warnings == {"Y": [CONSTANT_Y], "X": []}
+        # every Y=>X estimate is the constant Y
+        assert warnings == {"Y": [CONSTANT_Y], "X": [
+            "Y=>X: 5 degenerate lags (zero-variance estimates) across the sweep"]}
 
     def test_empty_lag_range(self, coupled_csv):
         assert main(["eccm", "-i", str(coupled_csv), "--cause", "X",
