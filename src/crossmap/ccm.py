@@ -9,7 +9,7 @@ plateaus supports the claim, a flat one rejects it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Sequence
 
@@ -161,7 +161,7 @@ class CausalNetwork:
 
     series_names: tuple[str, ...]
     edges: tuple[CausalEdge, ...]
-    warnings: tuple[str, ...] = field(default_factory=tuple)
+    warnings: tuple[str, ...] = ()
 
 
 def default_library_sizes(min_size: int, max_size: int) -> tuple[int, ...]:
@@ -294,10 +294,10 @@ def _ccm_curves(full, causes: Sequence[TimeSeries], effect: TimeSeries,
                 config: CcmConfig) -> list[CcmCurve]:
     """:func:`ccm_curve` of each cause on the effect's lag-0 build ``full``.
 
-    Every cause must share the effect's length and origin. Then the
-    usable library, the seeded draws and each draw's neighbors do not
-    depend on the cause: each draw's neighbors are selected once, and
-    every cause is estimated from them.
+    Every cause shares the effect's length and origin, as both callers
+    check. So the usable library, the seeded draws and each draw's
+    neighbors do not depend on the cause: each draw's neighbors are
+    selected once, and every cause is estimated from them.
     """
     cross_map = _at_lag(full, config.lag, config)
     n_usable = int(cross_map.lib_times.size)
@@ -382,7 +382,8 @@ def _eccm_profiles(full, causes: Sequence[TimeSeries], effect: TimeSeries,
                    config: CcmConfig, lag_range: Sequence[int]) -> list[EccmProfile]:
     """:func:`eccm_profile` of each cause on the effect's lag-0 build
     ``full``: each lag's neighbors are selected once on a view of it and
-    serve every cause. A lag with too few usable points gets a note."""
+    serve every cause, on the effect's axis as both callers check. A lag
+    with too few usable points gets a note."""
     lags = sorted(set(int(v) for v in lag_range))
     if not lags:
         raise DataError("empty lag range")
@@ -411,62 +412,44 @@ def causal_summary(series: Sequence[TimeSeries], config: CcmConfig,
                    eccm_lags: Sequence[int] | None = None) -> CausalNetwork:
     """All-pairs CCM curves (and optional lag sweeps) as a directed-edge table.
 
-    Each ordered pair gets one edge with its convergence verdict; no
-    transitive closure is inferred. The warnings are each edge's curve
-    warnings in edge order, then, when lag sweeps run, a synchronization
-    warning for each pair whose two directions converge with non-negative
-    best lags.
+    Every series must share the first one's length and origin: the first
+    that differs raises "series lengths differ" or "series must share a
+    time origin" before any embedding. Each ordered pair gets one edge
+    with its convergence verdict; no transitive closure is inferred. The
+    warnings are each edge's curve warnings in edge order, then, when lag
+    sweeps run, a synchronization warning for each pair whose two
+    directions converge with non-negative best lags.
     """
     names = [s.name for s in series]
     if len(set(names)) != len(names):
         raise DataError(f"series names must be unique, got {names}")
-    # effects outer, so that one effect manifold's distances are alive at
-    # a time; a pair's error is kept and raised in cause-major order below
-    by_pair: dict[tuple[str, str], CausalEdge | DataError] = {}
-    curve_warnings: dict[tuple[str, str], tuple[str, ...]] = {}
+    for other in series[1:]:
+        _check_pair(series[0], other)
+    # on one shared axis every effect fails alike or not at all; effects
+    # outer, so that one effect manifold's distances are alive at a time
+    by_pair: dict[tuple[str, str], tuple[CausalEdge, tuple[str, ...]]] = {}
     for effect in series:
-        causes = []
-        for cause in series:
-            if cause.name == effect.name:
-                continue
-            try:
-                _check_pair(cause, effect)
-            except DataError as err:
-                by_pair[(cause.name, effect.name)] = err
-            else:
-                causes.append(cause)
+        causes = [cause for cause in series if cause.name != effect.name]
         if not causes:
             continue
-        try:
-            full = _effect_cross_map(causes[0], effect, config)
-            curves = _ccm_curves(full, causes, effect, config)
-            best_lags = [None] * len(causes) if eccm_lags is None else [
-                p.best_lag for p in _eccm_profiles(full, causes, effect, config,
-                                                   eccm_lags)]
-        except DataError as err:
-            by_pair.update({(cause.name, effect.name): err for cause in causes})
-            continue
+        full = _effect_cross_map(causes[0], effect, config)
+        curves = _ccm_curves(full, causes, effect, config)
+        best_lags = [None] * len(causes) if eccm_lags is None else [
+            p.best_lag for p in _eccm_profiles(full, causes, effect, config, eccm_lags)]
         for cause, curve, best_lag in zip(causes, curves, best_lags):
-            by_pair[(cause.name, effect.name)] = CausalEdge(
+            by_pair[(cause.name, effect.name)] = (CausalEdge(
                 cause=cause.name, effect=effect.name, final_rho=curve.final_rho,
-                convergent=curve.convergent, best_lag=best_lag)
-            curve_warnings[(cause.name, effect.name)] = curve.warnings
-    edges = []
-    warnings = []
-    for pair in permutations(names, 2):
-        if isinstance(by_pair[pair], DataError):
-            raise by_pair[pair]
-        edges.append(by_pair[pair])
-        warnings += curve_warnings[pair]
+                convergent=curve.convergent, best_lag=best_lag), curve.warnings)
+    edges = {pair: by_pair[pair][0] for pair in permutations(names, 2)}
+    warnings = [w for pair in edges for w in by_pair[pair][1]]
     if eccm_lags is not None:
         for a, b in combinations(names, 2):
-            fwd, rev = by_pair[(a, b)], by_pair[(b, a)]
+            fwd, rev = edges[(a, b)], edges[(b, a)]
             if (fwd.convergent and rev.convergent
-                    and fwd.best_lag is not None and fwd.best_lag >= 0
-                    and rev.best_lag is not None and rev.best_lag >= 0):
+                    and fwd.best_lag >= 0 and rev.best_lag >= 0):
                 warnings.append(
                     f"{a}<->{b}: both directions converge with non-negative "
                     f"best lags; likely synchronization by a strong driver, "
                     f"not mutual causation")
-    return CausalNetwork(series_names=tuple(names), edges=tuple(edges),
+    return CausalNetwork(series_names=tuple(names), edges=tuple(edges.values()),
                          warnings=tuple(warnings))

@@ -129,8 +129,8 @@ def gen_lagged_logistic(steps: int, delay: int = 2, coupling: float = 0.1,
     """
     if steps < 1:
         raise DataError(f"steps must be >= 1, got {steps}")
-    if delay < 0:
-        raise DataError(f"delay must be >= 0, got {delay}")
+    if not isinstance(delay, (int, np.integer)) or delay < 0:
+        raise DataError(f"delay must be an integer >= 0, got {delay}")
     # X is autonomous, so it is iterated in full first; Y then reads it
     (xs,) = _iterate_logistic(steps + burn_in, 0, [x0],
                               lambda _t, s: [3.8 * s[0] * (1.0 - s[0])], ("X",))
@@ -164,6 +164,8 @@ def gen_moran_fork(steps: int, coupling: float = 0.1,
         (zs,) = _iterate_logistic(total, 0, [0.4],
                                   lambda _t, s: [3.8 * s[0] * (1.0 - s[0])], ("Z",))
     elif driver_kind == "noise":
+        if seed < 0:
+            raise DataError(f"seed must be non-negative, got {seed}")
         zs = np.random.default_rng(seed).uniform(0.0, 1.0, size=total)
     else:
         raise DataError(f"unknown driver kind {driver_kind!r}; use logistic or noise")
@@ -198,7 +200,10 @@ def gen_lorenz(steps: int, dt: float = 0.01, sigma: float = 10.0,
         raise DataError(f"dt must be positive, got {dt}")
     total = steps + burn_in
     out = np.empty((total, 3))
-    s = np.asarray(initial, dtype=float)
+    try:
+        s = np.asarray(initial, dtype=float)
+    except (TypeError, ValueError):
+        raise DataError(f"initial state must be three numbers, got {initial!r}") from None
     if s.shape != (3,):
         raise DataError("initial state must have three components")
     out[0] = s

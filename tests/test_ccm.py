@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -394,6 +395,44 @@ class TestCausalSummary:
             causal_summary([x, y, z], CFG)
         assert str(info.value) == "series lengths differ: 'X' has 800, 'Z' has 790"
 
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(count=st.integers(2, 4), n=st.integers(6, 30), e_dim=st.integers(1, 3),
+           lag=st.integers(-3, 3), top=st.none() | st.integers(6, 40),
+           data=st.data())
+    def test_network_fails_on_its_axis_or_as_its_first_curve(
+            self, count, n, e_dim, lag, top, data):
+        axes = [(n, 0)] * count
+        if data.draw(st.booleans()):
+            axes[data.draw(st.integers(0, count - 1))] = (
+                data.draw(st.integers(6, 30)), data.draw(st.integers(-2, 2)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 5)))
+        group = [TimeSeries(name, rng.random(length), origin_index=origin)
+                 for name, (length, origin) in zip("WXYZ", axes)]
+        # a top size past the usable points makes every curve fail alike
+        cfg = CcmConfig(e_dim=e_dim, lag=lag, samples_per_size=2,
+                        lib_sizes=None if top is None else (e_dim + 2, top))
+        expected = None
+        for a, b in permutations(group, 2):
+            if len(a) != len(b):
+                expected = (f"series lengths differ: {a.name!r} has {len(a)}, "
+                            f"{b.name!r} has {len(b)}")
+            elif a.origin_index != b.origin_index:
+                expected = "series must share a time origin"
+            if expected:
+                break
+        else:
+            try:
+                ccm_curve(group[0], group[1], cfg)
+            except DataError as err:
+                expected = str(err)
+        if expected is None:
+            net = causal_summary(group, cfg)
+            assert len(net.edges) == count * (count - 1)
+        else:
+            with pytest.raises(DataError) as info:
+                causal_summary(group, cfg)
+            assert str(info.value) == expected
+
     def test_lag_sweep_error_of_the_first_pair(self, coupled):
         x, y = coupled
         with pytest.raises(DataError,
@@ -525,6 +564,15 @@ class TestSharedDistances:
         profile = eccm_profile(x, y, CFG, range(-8, 9))
         assert len(profile.rows) == 17
         assert builds == [799]
+
+    def test_misaligned_network_raises_before_any_build(self, coupled, builds):
+        x, y = coupled
+        z = TimeSeries("Z", y.values[:-10])
+        for eccm_lags in (None, range(-3, 4)):
+            with pytest.raises(DataError) as info:
+                causal_summary([x, y, z], CFG, eccm_lags=eccm_lags)
+            assert str(info.value) == "series lengths differ: 'X' has 800, 'Z' has 790"
+            assert builds == []
 
     def test_network_builds_once_per_effect(self, builds):
         z, a, b = gen_moran_fork(200)

@@ -96,6 +96,22 @@ class TestGenerate:
         assert rc == 4
         assert f"numerical failure: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("system,params,message", [
+        ("lagged-logistic", ["delay=2.0"], "delay must be an integer >= 0, got 2.0"),
+        ("lorenz", ["initial=abc"], "initial state must be three numbers, got 'abc'"),
+        ("moran-fork", ["driver_kind=noise", "seed=-1"],
+         "seed must be non-negative, got -1"),
+    ], ids=["float-delay", "text-initial", "negative-seed"])
+    def test_bad_param_value_is_data_error(self, tmp_path, capsys,
+                                           system, params, message):
+        out = tmp_path / "x.csv"
+        flags = [f for p in params for f in ("--param", p)]
+        rc = main(["generate", "--system", system, "--steps", "50", *flags,
+                   "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not out.exists()
+
 
 class TestSimplex:
     def test_scan_report(self, coupled_csv, tmp_path, capsys):

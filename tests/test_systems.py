@@ -106,6 +106,12 @@ class TestLaggedLogistic:
         with pytest.raises(DataError):
             gen_lagged_logistic(100, delay=-1)
 
+    @pytest.mark.parametrize("delay", [2.0, "2"])
+    def test_non_integer_delay_rejected(self, delay):
+        with pytest.raises(DataError,
+                           match=f"^delay must be an integer >= 0, got {delay}$"):
+            gen_lagged_logistic(100, delay=delay)
+
 
 class TestMoranFork:
     def test_deterministic(self):
@@ -136,6 +142,14 @@ class TestMoranFork:
         with pytest.raises(DataError):
             gen_moran_fork(100, driver_kind="sine")
 
+    def test_negative_noise_seed_rejected(self):
+        with pytest.raises(DataError, match="^seed must be non-negative, got -1$"):
+            gen_moran_fork(100, driver_kind="noise", seed=-1)
+        spec = GeneratorSpec(kind="moran_fork", steps=100,
+                             params={"driver_kind": "noise"}, seed=-1)
+        with pytest.raises(DataError, match="^seed must be non-negative, got -1$"):
+            generate(spec)
+
 
 class TestLorenz:
     def test_zero_initial_is_fixed_point(self):
@@ -161,6 +175,11 @@ class TestLorenz:
     def test_bad_dt(self):
         with pytest.raises(DataError):
             gen_lorenz(10, dt=0.0)
+
+    @pytest.mark.parametrize("initial", ["abc", ("a", 1.0, 1.0), {"x": 1.0}])
+    def test_non_numeric_initial_rejected(self, initial):
+        with pytest.raises(DataError, match="^initial state must be three numbers"):
+            gen_lorenz(10, initial=initial)
 
     def test_escaping_state_raises_without_numpy_warnings(self):
         with warnings.catch_warnings():
