@@ -170,19 +170,26 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
+def _parse_number(text: str) -> int | float:
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _parse_params(pairs: list[str]) -> dict:
+    """NAME=VALUE pairs; a value is an int, a float, a tuple of numbers
+    when it is a comma list of them, and otherwise text."""
     out = {}
     for pair in pairs:
         if "=" not in pair:
             raise UsageError(f"--param needs NAME=VALUE, got {pair!r}")
         key, value = pair.split("=", 1)
         try:
-            out[key] = int(value)
+            numbers = tuple(_parse_number(v) for v in value.split(","))
+            out[key] = numbers if "," in value else numbers[0]
         except ValueError:
-            try:
-                out[key] = float(value)
-            except ValueError:
-                out[key] = value
+            out[key] = value
     return out
 
 

@@ -33,7 +33,11 @@ __all__ = [
     "select_embedding_dimension",
 ]
 
-_CHUNK_ROWS = 512
+# each target's neighbor table holds this many library columns: wide
+# enough that draws of a few hundred columns rarely fall back to the points
+_TABLE_WIDTH = 64
+# the most differences one block of distances computes at once
+_BLOCK_CELLS = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -92,33 +96,55 @@ def simplex_weights(distances: Sequence[float],
 
 
 def _pairwise_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Euclidean distances, computed exactly like :func:`embedding.knn`."""
-    out = np.empty((queries.shape[0], points.shape[0]))
-    for lo in range(0, queries.shape[0], _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, queries.shape[0])
-        diff = queries[lo:hi, None, :] - points[None, :, :]
-        out[lo:hi] = np.sqrt(np.einsum("mne,mne->mn", diff, diff))
-    return out
+    """Euclidean distances, computed exactly like :func:`embedding.knn`.
+
+    Each entry depends only on its query and point, not on the shape of
+    the block, so a block of rows or columns equals that part of the whole.
+    """
+    diff = queries[:, None, :] - points[None, :, :]
+    out = np.einsum("mne,mne->mn", diff, diff)
+    return np.sqrt(out, out=out)
+
+
+def _row_blocks(n_rows: int, n_cols: int, e_dim: int) -> list[slice]:
+    """Row blocks whose difference temporary, rows x ``n_cols`` x
+    ``e_dim`` numbers, holds at most ``_BLOCK_CELLS`` of them."""
+    step = max(1, _BLOCK_CELLS // max(1, n_cols * e_dim))
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
+
+def _distances_but_own(queries: np.ndarray, points: np.ndarray,
+                       own: np.ndarray) -> np.ndarray:
+    """:func:`_pairwise_distances` with each query's own point, at its
+    position ``own`` in ``points`` (or -1 for none), at +inf."""
+    dist = _pairwise_distances(queries, points)
+    hit = np.flatnonzero(own >= 0)
+    dist[hit, own[hit]] = np.inf
+    return dist
+
+
+def _first_columns(dist: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first ``width`` columns in (distance, column) order, and
+    their distances."""
+    n = dist.shape[1]
+    cols = (np.sort(np.argpartition(dist, width - 1, axis=1)[:, :width], axis=1)
+            if width < n else np.broadcast_to(np.arange(n), dist.shape))
+    kept = np.take_along_axis(dist, cols, axis=1)
+    order = np.argsort(kept, axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1), np.take_along_axis(kept, order, axis=1)
 
 
 def estimates_from_distances(dist: np.ndarray,
-                             lib_times: np.ndarray,
-                             series: Sequence[TimeSeries],
-                             shift: int,
-                             k: int) -> list[np.ndarray]:
-    """Cross estimates of each of ``series`` from target-to-library distances.
+                             neighbor_times: np.ndarray,
+                             series: Sequence[TimeSeries]) -> list[np.ndarray]:
+    """Cross estimates of each of ``series`` from each target's neighbors.
 
-    ``dist`` holds one row per target and one column per library point,
-    in ascending-time order matching ``lib_times``; +inf marks an entry
-    the target may not use as a neighbor (its own time, for one). Each
-    row's estimate is the simplex average of a series at its k nearest
-    ``lib_times + shift``, every one of which must be a time of that
-    series. The neighbors and weights are selected once and serve every
-    series. ``dist`` is not modified.
+    Row i of ``dist`` holds target i's neighbor distances in non-decreasing
+    order, and row i of ``neighbor_times`` the times whose values they
+    vote for, each of which must be a time of every series. The weights
+    are computed once and serve every series.
     """
-    idx, nd = nearest_rows(dist, k)
-    w = weight_rows(nd)
-    neighbor_times = lib_times[idx] + shift
+    w = weight_rows(dist)
     return [np.einsum("mk,mk->m", w, s.values[neighbor_times - s.origin_index])
             for s in series]
 
@@ -139,33 +165,122 @@ def _check_sizes(usable: np.ndarray, targets: np.ndarray, shift: int, k: int) ->
 
 
 @dataclass(frozen=True)
-class _CrossMap:
-    """Target-to-library distances of one manifold, ready to score.
+class _NeighborTable:
+    """Each target's nearest library columns, without the full matrix.
 
-    Built at shift 0 by :func:`cross_estimates`; ``dist`` already holds
-    +inf where a target meets its own time in the library. Score it under
-    a shift through :meth:`shifted`. ``values`` fixes which times are
-    observed under the shift; any series sharing its time range can be
-    scored on the same neighbors.
+    Row i of ``near`` holds target i's first ``min(_TABLE_WIDTH, n)`` of
+    the n library columns (times ``lib_times``) in (distance, column)
+    order, and ``near_dist``
+    their distances; its own column (``own``, or -1) is +inf. Only
+    entries strictly below the row's last distance are trusted, because
+    a column tied with the last entry may have an earlier twin outside
+    the table; when the table holds every column, every finite entry is.
+    Untrusted entries hold column n, which no library has.
     """
 
-    dist: np.ndarray
+    near: np.ndarray
+    near_dist: np.ndarray
+    lib_times: np.ndarray
+    target_points: np.ndarray
+    lib_points: np.ndarray
+    own: np.ndarray
+
+    @classmethod
+    def build(cls, lib_times: np.ndarray, target_points: np.ndarray,
+              lib_points: np.ndarray, own: np.ndarray) -> "_NeighborTable":
+        n_targets, n = target_points.shape[0], lib_points.shape[0]
+        width = min(_TABLE_WIDTH, n)
+        near = np.empty((n_targets, width), dtype=np.intp)
+        near_dist = np.empty(near.shape)
+        # one block's distances live only inside this statement
+        for rows in _row_blocks(n_targets, n, lib_points.shape[1]):
+            near[rows], near_dist[rows] = _first_columns(_distances_but_own(
+                target_points[rows], lib_points, own[rows]), width)
+        trusted = (np.isfinite(near_dist) if width == n
+                   else near_dist < near_dist[:, -1:])
+        near[~trusted] = n
+        return cls(near=near, near_dist=near_dist, lib_times=lib_times,
+                   target_points=target_points, lib_points=lib_points, own=own)
+
+    def nearest(self, rows: slice, member: np.ndarray,
+                k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Columns and distances of the k nearest ``member`` columns of each
+        target in ``rows``, ties to the lower column, exactly as
+        :func:`nearest_rows` on the dense block; ``member`` is a mask over
+        the n library columns and column n, which is False.
+
+        A row with at least k trusted members takes the first k of them,
+        in k rounds that each take the row's first remaining member; the
+        rest are computed from the points, in blocks.
+        """
+        near, near_dist = self.near[rows], self.near_dist[rows]
+        ok = member[near]
+        at = np.arange(near.shape[0])
+        picked = np.empty((near.shape[0], k), dtype=np.intp)
+        walked = np.ones(near.shape[0], dtype=bool)
+        for j in range(k):
+            # argmax returns a row's first True, or 0 when it has none left
+            picked[:, j] = ok.argmax(axis=1)
+            walked &= ok[at, picked[:, j]]
+            ok[at, picked[:, j]] = False
+        cols = np.take_along_axis(near, picked, axis=1)
+        dist = np.take_along_axis(near_dist, picked, axis=1)
+        short = np.flatnonzero(~walked) + rows.start
+        if short.size:
+            members = np.flatnonzero(member)
+            own = self.own[short]
+            own = np.where(np.isin(own, members), np.searchsorted(members, own), -1)
+            lib = self.lib_points[members]
+            for block in _row_blocks(short.size, members.size, lib.shape[1]):
+                idx, nd = nearest_rows(_distances_but_own(
+                    self.target_points[short[block]], lib, own[block]), k)
+                cols[short[block] - rows.start] = members[idx]
+                dist[short[block] - rows.start] = nd
+        return cols, dist
+
+
+@dataclass(frozen=True)
+class _CrossMap:
+    """A neighbor table of one manifold, ready to score.
+
+    Built at shift 0 by :func:`cross_estimates`; score it under a shift
+    through :meth:`shifted`. A map's targets are table rows ``row0`` on,
+    its library table columns ``col0`` on. ``values`` fixes which times are observed under the
+    shift; any series sharing its time range can be scored on the same
+    neighbors.
+    """
+
+    table: _NeighborTable
+    row0: int
+    col0: int
     lib_times: np.ndarray
     target_times: np.ndarray
     values: TimeSeries
     shift: int
     k: int
 
+    def neighbors(self, columns: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """Each target's k nearest library times and their distances, its
+        own time excluded and ties to the earliest time, among the whole
+        library or the columns given (ascending positions into
+        ``lib_times``)."""
+        member = np.zeros(self.table.lib_times.size + 1, dtype=bool)
+        if columns is None:
+            member[self.col0:self.col0 + self.lib_times.size] = True
+        else:
+            member[self.col0 + np.asarray(columns, dtype=int)] = True
+        cols, dist = self.table.nearest(
+            slice(self.row0, self.row0 + self.target_times.size), member, self.k)
+        return self.table.lib_times[cols], dist
+
     def skills(self, series: Sequence[TimeSeries],
                columns: np.ndarray | None = None) -> list[SkillStats]:
         """Skill of each series with the whole library, or with the library
-        columns given (ascending positions into ``lib_times``); the
-        neighbors are selected once for all of them."""
-        if columns is None:
-            dist, lib = self.dist, self.lib_times
-        else:
-            dist, lib = self.dist[:, columns], self.lib_times[columns]
-        estimates = estimates_from_distances(dist, lib, series, self.shift, self.k)
+        columns given (see :meth:`neighbors`); the neighbors are selected
+        once for all of them."""
+        times, dist = self.neighbors(columns)
+        estimates = estimates_from_distances(dist, times + self.shift, series)
         return [skill_stats(s.values[self.target_times + self.shift - s.origin_index],
                             est)
                 for s, est in zip(series, estimates)]
@@ -175,21 +290,19 @@ class _CrossMap:
         return self.skills((self.values,), columns)[0]
 
     def shifted(self, shift: int) -> "_CrossMap":
-        """This map under ``shift``, on a view of the same distances.
+        """This map under ``shift``, on the same table.
 
         Only for the map :func:`cross_estimates` returned: a view's times
         are already filtered, so shifting it again drops times. Under any
         shift the observed times form one interval, so the usable library
         and the usable targets are each one contiguous run of their sorted
-        times, and ``dist[ta:tb, la:lb]`` holds exactly their distances,
-        own times at +inf included.
+        times: a range of table columns and a range of table rows.
         """
         usable = _observed_under(self.lib_times, self.values, shift)
         targets = _observed_under(self.target_times, self.values, shift)
         _check_sizes(usable, targets, shift, self.k)
-        la = int(np.searchsorted(self.lib_times, usable[0]))
-        ta = int(np.searchsorted(self.target_times, targets[0]))
-        return replace(self, dist=self.dist[ta:ta + targets.size, la:la + usable.size],
+        return replace(self, row0=int(np.searchsorted(self.target_times, targets[0])),
+                       col0=int(np.searchsorted(self.lib_times, usable[0])),
                        lib_times=usable, target_times=targets, shift=shift)
 
 
@@ -213,10 +326,10 @@ def cross_estimates(points: np.ndarray,
         raise DataError("library times must be admissible embedding times")
     tgt = np.sort(np.asarray(target_times, dtype=int)) \
         if target_times is not None else times
-    dist = _pairwise_distances(points[tgt - times[0]], points[lib - times[0]])
-    own = np.flatnonzero(np.isin(tgt, lib))
-    dist[own, np.searchsorted(lib, tgt[own])] = np.inf
-    return _CrossMap(dist=dist, lib_times=lib, target_times=tgt,
+    own = np.where(np.isin(tgt, lib), np.searchsorted(lib, tgt), -1)
+    table = _NeighborTable.build(lib, points[tgt - times[0]], points[lib - times[0]],
+                                 own)
+    return _CrossMap(table=table, row0=0, col0=0, lib_times=lib, target_times=tgt,
                      values=values, shift=0, k=k)
 
 

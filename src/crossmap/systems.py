@@ -8,7 +8,9 @@ generation aborts with the offending step otherwise.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -237,6 +239,10 @@ def generate(spec: GeneratorSpec) -> tuple[TimeSeries, ...]:
     """Run the generator described by ``spec`` and return its series."""
     fn = _DISPATCH[spec.kind]
     kwargs = dict(spec.params)
+    for name, param in inspect.signature(fn).parameters.items():
+        if (isinstance(param.default, (int, float)) and name in kwargs
+                and not isinstance(kwargs[name], Real)):
+            raise DataError(f"{name} must be a number, got {kwargs[name]!r}")
     if spec.kind == "moran_fork":
         kwargs.setdefault("seed", spec.seed)
     try:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from itertools import permutations
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-import crossmap.forecast
+import crossmap.ccm
 from crossmap import (CcmConfig, CurveRow, DataError, TimeSeries,
                       causal_summary, ccm_curve, convergence_test,
                       cross_map_skill, default_library_sizes, eccm_profile,
@@ -231,6 +232,25 @@ class TestCcmCurve:
         assert curve.warnings == (
             "X=>Y: convergence test skipped: 2 library sizes (needs 3)",)
         assert ccm_curve(x, y, CFG).warnings == ()
+
+    @pytest.mark.parametrize("constant", [False, True],
+                             ids=["logistic", "constant-effect"])
+    def test_long_curve_memory_does_not_grow_as_n_squared(self, constant):
+        # at N=4000 the target x library float64 matrix alone is 122 MiB; a
+        # constant effect ties every distance, so every row falls back
+        x, y = gen_coupled_logistic(4000)
+        if constant:
+            y = TimeSeries("Y", np.full(4000, 0.5))
+        cfg = CcmConfig(e_dim=2, lib_sizes=(4, 100, 1000, 3999),
+                        samples_per_size=2)
+        tracemalloc.start()
+        try:
+            curve = ccm_curve(x, y, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.lib_size for r in curve.rows] == [4, 100, 1000, 3999]
+        assert peak < 48 * 2 ** 20
 
     def test_oversized_grid_rejected(self, coupled):
         x, y = coupled
@@ -549,14 +569,15 @@ class TestSharedDistances:
 
     @pytest.fixture()
     def builds(self, monkeypatch):
+        # one entry per cross-map build: the number of manifold points
         calls = []
-        build = crossmap.forecast._pairwise_distances
+        build = crossmap.ccm.cross_estimates
 
-        def counting(queries, points):
-            calls.append(queries.shape[0])
-            return build(queries, points)
+        def counting(points, *args, **kwargs):
+            calls.append(points.shape[0])
+            return build(points, *args, **kwargs)
 
-        monkeypatch.setattr(crossmap.forecast, "_pairwise_distances", counting)
+        monkeypatch.setattr(crossmap.ccm, "cross_estimates", counting)
         return calls
 
     def test_lag_sweep_builds_once(self, coupled, builds):

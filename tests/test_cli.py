@@ -67,6 +67,19 @@ class TestGenerate:
         want = gen_lagged_logistic(100, delay=4, coupling=0.2)
         assert np.array_equal(got[1].values, want[1].values)
 
+    def test_comma_list_sets_lorenz_initial_state(self, tmp_path):
+        out = tmp_path / "lorenz.csv"
+        rc = main(["generate", "--system", "lorenz", "--steps", "20",
+                   "--param", "initial=1,2.5,-3", "--out", str(out)])
+        assert rc == 0
+        from crossmap import read_series_csv
+        from crossmap.systems import gen_lorenz
+        got = read_series_csv(out)
+        want = gen_lorenz(20, initial=(1, 2.5, -3))
+        assert [s.values[0] for s in got] == [1.0, 2.5, -3.0]
+        for g, w in zip(got, want):
+            assert np.array_equal(g.values, w.values)
+
     def test_bad_param_shape(self, tmp_path):
         rc = main(["generate", "--system", "lorenz", "--steps", "10",
                    "--param", "dt", "--out", str(tmp_path / "x.csv")])
@@ -101,7 +114,11 @@ class TestGenerate:
         ("lorenz", ["initial=abc"], "initial state must be three numbers, got 'abc'"),
         ("moran-fork", ["driver_kind=noise", "seed=-1"],
          "seed must be non-negative, got -1"),
-    ], ids=["float-delay", "text-initial", "negative-seed"])
+        ("lagged-logistic", ["coupling=abc"], "coupling must be a number, got 'abc'"),
+        ("coupled-logistic", ["rx=3.8,3.9"], "rx must be a number, got (3.8, 3.9)"),
+        ("lorenz", ["initial=1,2"], "initial state must have three components"),
+    ], ids=["float-delay", "text-initial", "negative-seed", "text-coupling",
+            "list-rate", "short-initial"])
     def test_bad_param_value_is_data_error(self, tmp_path, capsys,
                                            system, params, message):
         out = tmp_path / "x.csv"

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -5,8 +7,9 @@ from hypothesis import given, reject, settings, strategies as st
 from crossmap import (DataError, EmbeddingParams, TimeSeries, embed, knn,
                       loo_skill, select_embedding_dimension, simplex_forecast,
                       simplex_weights, train_test_skill)
+from crossmap import forecast
 from crossmap.embedding import nearest_rows
-from crossmap.forecast import cross_estimates
+from crossmap.forecast import _pairwise_distances, cross_estimates
 
 
 def logistic_series(n, x0=0.31, r=3.8, name="x"):
@@ -242,6 +245,34 @@ def tie_heavy_series(draw):
     return TimeSeries("x", values, origin_index=draw(st.integers(-3, 3)))
 
 
+def dense_neighbors(cross_map, manifold, lib, tgt, columns):
+    """The map's neighbor times and distances from the whole target x
+    library matrix, sliced to its view and columns, by :func:`nearest_rows`."""
+    times = manifold.times
+    dist = _pairwise_distances(manifold.points[tgt - times[0]],
+                               manifold.points[lib - times[0]])
+    own = np.flatnonzero(np.isin(tgt, lib))
+    dist[own, np.searchsorted(lib, tgt[own])] = np.inf
+    dist = dist[cross_map.row0:cross_map.row0 + cross_map.target_times.size,
+                cross_map.col0:cross_map.col0 + cross_map.lib_times.size]
+    lib_times = cross_map.lib_times
+    if columns is not None:
+        dist, lib_times = dist[:, columns], lib_times[columns]
+    idx, nd = nearest_rows(dist, cross_map.k)
+    return lib_times[idx], nd
+
+
+@st.composite
+def long_tie_heavy_series(draw):
+    """Up to 160 values on a grid of 1, 0.1 or 0.01, so that many rows tie
+    at the table's last distance; lengths reach past the table width."""
+    step = draw(st.sampled_from([1.0, 0.1, 0.01]))
+    n = draw(st.integers(12, 160))
+    levels = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
+    return TimeSeries("x", [round(v * step, 2) for v in levels],
+                      origin_index=draw(st.integers(-3, 3)))
+
+
 class TestCrossMapEngine:
     @settings(max_examples=60, deadline=None, database=None)
     @given(series=tie_heavy_series(), e_dim=st.integers(1, 3),
@@ -264,11 +295,79 @@ class TestCrossMapEngine:
         columns = np.array(sorted(data.draw(st.sets(
             st.integers(0, lib_times.size - 1), min_size=k + 1))))
         drawn = lib_times[columns]
-        idx, _ = nearest_rows(cross_map.dist[:, columns], k)
+        neighbor_times, neighbor_dist = cross_map.neighbors(columns)
         targets = tgt[(tgt + shift >= series.origin_index)
                       & (tgt + shift <= series.end_index)]
         undrawn = set(times.tolist()) - set(drawn.tolist())
         for row, t in enumerate(targets):
             ns = knn(manifold, manifold.points[t - times[0]], k,
                      excluded_times=undrawn | {int(t)})
-            assert drawn[idx[row]].tolist() == times[ns.indices].tolist()
+            assert neighbor_times[row].tolist() == times[ns.indices].tolist()
+            assert neighbor_dist[row].tolist() == ns.distances.tolist()
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(series=long_tie_heavy_series(), e_dim=st.integers(1, 10),
+           shift=st.integers(-2, 2), split=st.booleans(),
+           width=st.sampled_from([1, 2, 5, forecast._TABLE_WIDTH]),
+           cells=st.sampled_from([1, 97, forecast._BLOCK_CELLS]), data=st.data())
+    def test_table_matches_dense_nearest_rows(self, series, e_dim, shift, split,
+                                              width, cells, data):
+        # the table's width and block size only move work between the walk,
+        # the fallback and the blocks; the neighbors stay the dense ones
+        manifold = embed(series, EmbeddingParams(e_dim))
+        times, k = manifold.times, e_dim + 1
+        if times.size < k + 2:
+            reject()
+        cut = data.draw(st.integers(1, times.size - 1)) if split else times.size
+        lib, tgt = times[:cut], (times[cut:] if split else times)
+        with mock.patch.object(forecast, "_TABLE_WIDTH", width), \
+                mock.patch.object(forecast, "_BLOCK_CELLS", cells):
+            try:
+                cross_map = cross_estimates(manifold.points, times, series, k,
+                                            lib_times=lib, target_times=tgt
+                                            ).shifted(shift)
+            except DataError:
+                reject()
+            size = cross_map.lib_times.size
+            around_width = [s for s in range(width - 2, width + 3) if k + 1 <= s <= size]
+            draw_size = data.draw(st.one_of(
+                st.none(), st.integers(k + 1, size),
+                st.sampled_from(around_width or [size])))
+            columns = None if draw_size is None else np.array(sorted(data.draw(
+                st.sets(st.integers(0, size - 1), min_size=draw_size,
+                        max_size=draw_size))))
+            got = cross_map.neighbors(columns)
+        want = dense_neighbors(cross_map, manifold, lib, tgt, columns)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tolist() == want[1].tolist()
+        assert got[1].dtype == want[1].dtype
+
+    @pytest.mark.parametrize("e_dim", [2, 10])
+    def test_every_draw_size_matches_dense_nearest_rows(self, e_dim):
+        # sizes from E+2 up to the whole library, across the table width,
+        # on a series with about 30 distinct values
+        values = np.round(logistic_series(160).values * 30) / 30
+        series = TimeSeries("x", values)
+        manifold = embed(series, EmbeddingParams(e_dim))
+        times = manifold.times
+        cross_map = cross_estimates(manifold.points, times, series,
+                                    e_dim + 1).shifted(1)
+        size = cross_map.lib_times.size
+        rng = np.random.default_rng(e_dim)
+        for draw_size in range(e_dim + 2, size + 1):
+            columns = np.sort(rng.choice(size, size=draw_size, replace=False))
+            got = cross_map.neighbors(columns)
+            want = dense_neighbors(cross_map, manifold, times, times, columns)
+            assert got[0].tolist() == want[0].tolist(), draw_size
+            assert got[1].tolist() == want[1].tolist(), draw_size
+
+    def test_row_short_of_finite_distances_raises(self):
+        # distances between 0 and 1e300 overflow to +inf, so target 0 has
+        # one finite candidate; the table must not trust its +inf entries
+        series = TimeSeries("x", [0.0, 1e300, 0.0, 1e300, 1e300, 1e300, 1e300])
+        manifold = embed(series, EmbeddingParams(1))
+        cross_map = cross_estimates(manifold.points, manifold.times, series,
+                                    2).shifted(0)
+        with pytest.raises(DataError, match="^need 2 neighbors but only 1 usable "
+                                            "candidates for query row 0$"):
+            cross_map.neighbors()

@@ -212,6 +212,24 @@ class TestGeneratorSpec:
         with pytest.raises(DataError, match="parameters"):
             generate(spec)
 
+    @pytest.mark.parametrize("kind,params,message", [
+        ("lagged_logistic", {"coupling": "abc"}, "coupling must be a number, got 'abc'"),
+        ("coupled_logistic", {"bxy": (0.1, 0.2)},
+         "bxy must be a number, got (0.1, 0.2)"),
+        ("lorenz", {"dt": "0.01"}, "dt must be a number, got '0.01'"),
+    ], ids=["text-coupling", "tuple-rate", "text-dt"])
+    def test_text_for_a_numeric_param_names_it(self, kind, params, message):
+        with pytest.raises(DataError) as info:
+            generate(GeneratorSpec(kind=kind, steps=10, params=params))
+        assert str(info.value) == message
+
+    def test_numeric_params_accept_ints_and_numpy_floats(self):
+        spec = GeneratorSpec(kind="lagged_logistic", steps=50,
+                             params={"coupling": np.float64(0.2), "x0": 0})
+        x, y = generate(spec)
+        want = gen_lagged_logistic(50, coupling=0.2, x0=0.0)
+        assert np.array_equal(y.values, want[1].values)
+
     def test_seed_reaches_noise_driver(self):
         spec1 = GeneratorSpec(kind="moran_fork", steps=100,
                               params={"driver_kind": "noise"}, seed=5)
