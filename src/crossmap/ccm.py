@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import DataError, SkillStats, TimeSeries
 from .embedding import EmbeddingParams, embed
-from .forecast import _observed_under, cross_estimates, select_embedding_dimension
+from .forecast import cross_estimates, select_embedding_dimension
 
 __all__ = [
     "CcmConfig",
@@ -217,23 +217,12 @@ def _effect_warnings(cause: TimeSeries, effect: TimeSeries, n_degenerate: int,
 def _effect_cross_map(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
                       library_times: Sequence[int] | np.ndarray | None = None):
     """Check the pair, embed the effect and build its cross map onto the
-    cause at lag 0; every lag is a view of it (see :func:`_at_lag`)."""
+    cause at lag 0; every lag is a view of it, ``full.shifted(lag)``."""
     _check_pair(cause, effect)
     manifold = embed(effect, EmbeddingParams(e_dim=config.e_dim, tau=config.tau))
     lib = np.asarray(library_times, dtype=int) if library_times is not None else None
     return cross_estimates(manifold.points, manifold.times, cause,
                            config.e_dim + 1, lib_times=lib)
-
-
-def _at_lag(full, lag: int, config: CcmConfig):
-    """The lag-0 build ``full`` under ``lag``, once at least E+2 of the
-    manifold's times have a cause value at time + lag."""
-    n_usable = _observed_under(full.target_times, full.values, lag).size
-    if n_usable < config.min_lib_size:
-        raise DataError(
-            f"only {n_usable} usable points after shifting by lag "
-            f"{lag}; need at least {config.min_lib_size}")
-    return full.shifted(lag)
 
 
 def cross_map_skill(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
@@ -246,8 +235,8 @@ def cross_map_skill(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
     cause(t + lag) as the weighted average of cause at the neighbors'
     times + lag. High convergent skill supports the claim cause => effect.
     """
-    return _at_lag(_effect_cross_map(cause, effect, config, library_times),
-                   config.lag, config).skill()
+    return _effect_cross_map(cause, effect, config,
+                             library_times).shifted(config.lag).skill()
 
 
 def convergence_test(rows: Sequence[CurveRow]) -> ConvergenceDecision:
@@ -299,7 +288,7 @@ def _ccm_curves(full, causes: Sequence[TimeSeries], effect: TimeSeries,
     neighbors do not depend on the cause: each draw's neighbors are
     selected once, and every cause is estimated from them.
     """
-    cross_map = _at_lag(full, config.lag, config)
+    cross_map = full.shifted(config.lag)
     n_usable = int(cross_map.lib_times.size)
     sizes = config.lib_sizes or default_library_sizes(config.min_lib_size, n_usable)
     if sizes[-1] > n_usable:
@@ -391,7 +380,7 @@ def _eccm_profiles(full, causes: Sequence[TimeSeries], effect: TimeSeries,
     for ell in lags:
         try:
             rows.append([(EccmRow(lag=ell, rho=s.rho), s.degenerate)
-                         for s in _at_lag(full, ell, config).skills(causes)])
+                         for s in full.shifted(ell).skills(causes)])
         except DataError as err:
             rows.append([(EccmRow(lag=ell, rho=None, note=str(err)), False)]
                         * len(causes))

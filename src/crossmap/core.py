@@ -119,12 +119,16 @@ class SkillStats:
 
 
 def _pearson_raw(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
-    ac = a - a.mean()
-    bc = b - b.mean()
-    denom = float(np.sqrt(np.dot(ac, ac) * np.dot(bc, bc)))
-    if denom == 0.0:
-        return 0.0, True
-    r = float(np.dot(ac, bc) / denom)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ac = a - a.mean()
+        bc = b - b.mean()
+        denom = float(np.sqrt(np.dot(ac, ac) * np.dot(bc, bc)))
+        if denom == 0.0:
+            return 0.0, True
+        r = float(np.dot(ac, bc) / denom)
+    if not (np.isfinite(denom) and np.isfinite(r)):
+        raise NumericalError("correlation is not finite: the values are too large "
+                             "for float64 sums; rescale them")
     return min(1.0, max(-1.0, r)), False
 
 
@@ -182,7 +186,8 @@ def read_series_csv(path: str) -> list[TimeSeries]:
     The first row holds the series names; every cell below must be a
     decimal real. Missing cells, non-numeric cells, and NaN/Inf are
     rejected outright. A leading UTF-8 byte-order mark and blank lines
-    after the last data row are ignored.
+    (empty, or only whitespace in every cell) after the last data row are
+    ignored.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -198,7 +203,7 @@ def read_series_csv(path: str) -> list[TimeSeries]:
         columns: list[list[float]] = [[] for _ in names]
         blank_line = None  # first blank line not yet followed by data
         for line_no, row in enumerate(reader, start=2):
-            if not row:
+            if not "".join(row).strip():
                 blank_line = blank_line or line_no
                 continue
             if blank_line is not None:

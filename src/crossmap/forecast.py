@@ -126,9 +126,7 @@ def _distances_but_own(queries: np.ndarray, points: np.ndarray,
 def _first_columns(dist: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's first ``width`` columns in (distance, column) order, and
     their distances."""
-    n = dist.shape[1]
-    cols = (np.sort(np.argpartition(dist, width - 1, axis=1)[:, :width], axis=1)
-            if width < n else np.broadcast_to(np.arange(n), dist.shape))
+    cols = np.sort(np.argpartition(dist, width - 1, axis=1)[:, :width], axis=1)
     kept = np.take_along_axis(dist, cols, axis=1)
     order = np.argsort(kept, axis=1, kind="stable")
     return np.take_along_axis(cols, order, axis=1), np.take_along_axis(kept, order, axis=1)
@@ -149,45 +147,31 @@ def estimates_from_distances(dist: np.ndarray,
             for s in series]
 
 
-def _observed_under(times: np.ndarray, values: TimeSeries, shift: int) -> np.ndarray:
-    """The times whose value at time + ``shift`` is a time of ``values``."""
-    return times[(times + shift >= values.origin_index)
-                 & (times + shift <= values.end_index)]
-
-
-def _check_sizes(usable: np.ndarray, targets: np.ndarray, shift: int, k: int) -> None:
-    if usable.size < k + 1:
-        raise DataError(
-            f"library too small: {usable.size} usable points after shifting "
-            f"by {shift}, need at least {k + 1}")
-    if targets.size < 2:
-        raise DataError(f"no valid targets after shifting by {shift}")
-
-
 @dataclass(frozen=True)
 class _NeighborTable:
     """Each target's nearest library columns, without the full matrix.
 
-    Row i of ``near`` holds target i's first ``min(_TABLE_WIDTH, n)`` of
-    the n library columns (times ``lib_times``) in (distance, column)
-    order, and ``near_dist``
-    their distances; its own column (``own``, or -1) is +inf. Only
-    entries strictly below the row's last distance are trusted, because
-    a column tied with the last entry may have an earlier twin outside
-    the table; when the table holds every column, every finite entry is.
+    Row i of ``near`` holds target i (time ``target_times[i]``)'s first
+    ``min(_TABLE_WIDTH, n)`` of the n library columns (times
+    ``lib_times``) in (distance, column) order, and ``near_dist`` their
+    distances; its own column (``own``, or -1) is +inf. Only entries
+    strictly below the row's last distance are trusted, because a column
+    tied with the last entry may have an earlier twin outside the table.
     Untrusted entries hold column n, which no library has.
     """
 
     near: np.ndarray
     near_dist: np.ndarray
     lib_times: np.ndarray
+    target_times: np.ndarray
     target_points: np.ndarray
     lib_points: np.ndarray
     own: np.ndarray
 
     @classmethod
-    def build(cls, lib_times: np.ndarray, target_points: np.ndarray,
-              lib_points: np.ndarray, own: np.ndarray) -> "_NeighborTable":
+    def build(cls, lib_times: np.ndarray, target_times: np.ndarray,
+              target_points: np.ndarray, lib_points: np.ndarray,
+              own: np.ndarray) -> "_NeighborTable":
         n_targets, n = target_points.shape[0], lib_points.shape[0]
         width = min(_TABLE_WIDTH, n)
         near = np.empty((n_targets, width), dtype=np.intp)
@@ -196,11 +180,10 @@ class _NeighborTable:
         for rows in _row_blocks(n_targets, n, lib_points.shape[1]):
             near[rows], near_dist[rows] = _first_columns(_distances_but_own(
                 target_points[rows], lib_points, own[rows]), width)
-        trusted = (np.isfinite(near_dist) if width == n
-                   else near_dist < near_dist[:, -1:])
-        near[~trusted] = n
+        near[near_dist >= near_dist[:, -1:]] = n
         return cls(near=near, near_dist=near_dist, lib_times=lib_times,
-                   target_points=target_points, lib_points=lib_points, own=own)
+                   target_times=target_times, target_points=target_points,
+                   lib_points=lib_points, own=own)
 
     def nearest(self, rows: slice, member: np.ndarray,
                 k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -241,23 +224,29 @@ class _NeighborTable:
 
 @dataclass(frozen=True)
 class _CrossMap:
-    """A neighbor table of one manifold, ready to score.
+    """A view of one manifold's neighbor table, ready to score.
 
-    Built at shift 0 by :func:`cross_estimates`; score it under a shift
-    through :meth:`shifted`. A map's targets are table rows ``row0`` on,
-    its library table columns ``col0`` on. ``values`` fixes which times are observed under the
-    shift; any series sharing its time range can be scored on the same
-    neighbors.
+    :func:`cross_estimates` returns the build, at shift 0; :meth:`shifted`
+    gives the view under any shift. A view's targets are the table rows
+    ``rows`` and its library the table columns ``cols``. ``values`` fixes
+    which times are observed under the shift; any series sharing its time
+    range can be scored on the same neighbors.
     """
 
     table: _NeighborTable
-    row0: int
-    col0: int
-    lib_times: np.ndarray
-    target_times: np.ndarray
+    rows: slice
+    cols: slice
     values: TimeSeries
     shift: int
     k: int
+
+    @property
+    def lib_times(self) -> np.ndarray:
+        return self.table.lib_times[self.cols]
+
+    @property
+    def target_times(self) -> np.ndarray:
+        return self.table.target_times[self.rows]
 
     def neighbors(self, columns: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -267,11 +256,10 @@ class _CrossMap:
         ``lib_times``)."""
         member = np.zeros(self.table.lib_times.size + 1, dtype=bool)
         if columns is None:
-            member[self.col0:self.col0 + self.lib_times.size] = True
+            member[self.cols] = True
         else:
-            member[self.col0 + np.asarray(columns, dtype=int)] = True
-        cols, dist = self.table.nearest(
-            slice(self.row0, self.row0 + self.target_times.size), member, self.k)
+            member[self.cols.start + np.asarray(columns, dtype=int)] = True
+        cols, dist = self.table.nearest(self.rows, member, self.k)
         return self.table.lib_times[cols], dist
 
     def skills(self, series: Sequence[TimeSeries],
@@ -290,20 +278,22 @@ class _CrossMap:
         return self.skills((self.values,), columns)[0]
 
     def shifted(self, shift: int) -> "_CrossMap":
-        """This map under ``shift``, on the same table.
+        """The build this view came from, under ``shift``.
 
-        Only for the map :func:`cross_estimates` returned: a view's times
-        are already filtered, so shifting it again drops times. Under any
-        shift the observed times form one interval, so the usable library
-        and the usable targets are each one contiguous run of their sorted
-        times: a range of table columns and a range of table rows.
+        The times observed under a shift form one interval, so the usable
+        library and the usable targets are each one run of the build's
+        sorted times: a range of table columns and a range of table rows.
         """
-        usable = _observed_under(self.lib_times, self.values, shift)
-        targets = _observed_under(self.target_times, self.values, shift)
-        _check_sizes(usable, targets, shift, self.k)
-        return replace(self, row0=int(np.searchsorted(self.target_times, targets[0])),
-                       col0=int(np.searchsorted(self.lib_times, usable[0])),
-                       lib_times=usable, target_times=targets, shift=shift)
+        bounds = [self.values.origin_index - shift, self.values.end_index - shift + 1]
+        cols = slice(*np.searchsorted(self.table.lib_times, bounds).tolist())
+        rows = slice(*np.searchsorted(self.table.target_times, bounds).tolist())
+        n_usable = cols.stop - cols.start
+        if n_usable < self.k + 1:
+            raise DataError(f"library too small: {n_usable} usable points after "
+                            f"shifting by {shift}, need at least {self.k + 1}")
+        if rows.stop - rows.start < 2:
+            raise DataError(f"no valid targets after shifting by {shift}")
+        return replace(self, rows=rows, cols=cols, shift=shift)
 
 
 def cross_estimates(points: np.ndarray,
@@ -327,9 +317,9 @@ def cross_estimates(points: np.ndarray,
     tgt = np.sort(np.asarray(target_times, dtype=int)) \
         if target_times is not None else times
     own = np.where(np.isin(tgt, lib), np.searchsorted(lib, tgt), -1)
-    table = _NeighborTable.build(lib, points[tgt - times[0]], points[lib - times[0]],
-                                 own)
-    return _CrossMap(table=table, row0=0, col0=0, lib_times=lib, target_times=tgt,
+    table = _NeighborTable.build(lib, tgt, points[tgt - times[0]],
+                                 points[lib - times[0]], own)
+    return _CrossMap(table=table, rows=slice(0, tgt.size), cols=slice(0, lib.size),
                      values=values, shift=0, k=k)
 
 
@@ -398,9 +388,9 @@ def select_embedding_dimension(series: TimeSeries,
 
     Skill is leave-one-out by default; pass ``split_fraction`` to score
     with a train/test split instead. Ties go to the smallest E.
-    Dimensions the series is too short for are kept in the scan with a
-    note instead of stats; a zero-variance row (rho reported as 0) adds a
-    warning.
+    Dimensions that cannot be scored (too short a series, too few finite
+    distances) are kept in the scan with a note instead of stats; a
+    zero-variance row (rho reported as 0) adds a warning.
     """
     e_values = sorted(set(int(e) for e in e_range))
     if not e_values:
@@ -420,8 +410,8 @@ def select_embedding_dimension(series: TimeSeries,
             rows.append(EDimRow(e_dim=e, stats=None, note=str(err)))
     scored = [r for r in rows if r.stats is not None]
     if not scored:
-        raise DataError(
-            f"series {series.name!r} too short for every scanned dimension")
+        raise DataError(f"series {series.name!r}: no scanned dimension could be "
+                        f"scored; E={rows[0].e_dim}: {rows[0].note}")
     best = max(scored, key=lambda r: (r.stats.rho, -r.e_dim))
     warnings = ()
     if any(r.stats.degenerate for r in scored):

@@ -351,8 +351,8 @@ class TestEccm:
         rows = {r.lag: r for r in profile.rows}
         for ell in (-37, 36):
             assert rows[ell].rho is None
-            assert rows[ell].note == (f"only 3 usable points after shifting "
-                                      f"by lag {ell}; need at least 4")
+            assert rows[ell].note == (f"library too small: 3 usable points after "
+                                      f"shifting by {ell}, need at least 4")
         for ell in (-36, 0, 35):
             assert rows[ell].note is None
             assert rows[ell].rho == cross_map_skill(x, y, replace(cfg, lag=ell)).rho

@@ -5,6 +5,7 @@ import pytest
 
 from crossmap import CcmConfig, ccm_curve, read_series_csv
 from crossmap.cli import RunReport, main
+from crossmap.systems import gen_coupled_logistic
 
 
 def run(tmp_path, *argv):
@@ -22,6 +23,17 @@ def constant_effect_csv(tmp_path):
 
 CONSTANT_Y = ("X=>Y: effect 'Y' is constant; every distance is 0, so "
               "neighbors are the earliest library times")
+
+
+@pytest.fixture()
+def huge_x_csv(tmp_path):
+    """300 coupled-logistic rows with X scaled by 1e160, Y as generated."""
+    x, y = gen_coupled_logistic(300)
+    path = tmp_path / "huge_x.csv"
+    path.write_text("X,Y\n" + "".join(f"{a!r},{b!r}\n" for a, b in
+                                        zip((x.values * 1e160).tolist(),
+                                            y.values.tolist())))
+    return path
 
 
 @pytest.fixture()
@@ -158,6 +170,22 @@ class TestSimplex:
     def test_missing_file(self, tmp_path):
         rc = main(["simplex", "-i", str(tmp_path / "nope.csv"), "--col", "X"])
         assert rc == 3
+
+    def test_overflowing_distances_are_named(self, huge_x_csv, capsys):
+        rc = main(["simplex", "-i", str(huge_x_csv), "--col", "X",
+                   "--e-range", "1:3"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "data error: series 'X': no scanned dimension could be scored; "
+            "E=1: need 2 neighbors but only 0 usable candidates for query row 0\n")
+
+    def test_trailing_whitespace_line_is_ignored(self, tmp_path, capsys):
+        p = tmp_path / "ws.csv"
+        x = np.random.default_rng(1).random(40).tolist()
+        p.write_text("X\n" + "".join(f"{v!r}\n" for v in x) + "\t\n")
+        rc = main(["simplex", "-i", str(p), "--col", "X", "--e-range", "1:2"])
+        assert rc == 0
+        assert len(json.loads(capsys.readouterr().out)["results"]["e_scan"]["rows"]) == 2
 
     @pytest.mark.parametrize("fraction", ["1.5", "0", "-0.2"])
     def test_split_fraction_out_of_range_is_usage_error(self, coupled_csv,
@@ -309,6 +337,14 @@ class TestCcmCommand:
         # every kind of curve warning, in curve order
         assert len(expected) == 4
         assert RunReport.from_json(out.read_text()).warnings == list(expected)
+
+    def test_overflowing_correlation_exits_4(self, huge_x_csv, tmp_path, capsys):
+        rc = main(["ccm", "-i", str(huge_x_csv), "--cause", "X", "--effect", "Y",
+                   "--e", "2", "--samples", "2", "--lib-sizes", "4,50,299",
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 4
+        assert "too large for float64 sums; rescale them" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_bad_lib_sizes(self, coupled_csv):
         assert main(["ccm", "-i", str(coupled_csv), "--cause", "X",

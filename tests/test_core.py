@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossmap import (DataError, TimeSeries, pearson, read_series_csv,
-                      skill_stats, windowed_pearson, write_series_csv)
+from crossmap import (DataError, NumericalError, TimeSeries, pearson,
+                      read_series_csv, skill_stats, windowed_pearson,
+                      write_series_csv)
 from crossmap.systems import gen_coupled_logistic
 
 
@@ -107,6 +108,18 @@ class TestSkillStats:
     def test_degenerate_observed(self):
         st = skill_stats([0, 0, 0], [1, 2, 3])
         assert st.degenerate and st.rho == 0.0 and st.mae == 2.0
+
+    def test_overflowing_sums_raise_instead_of_rho_minus_one(self):
+        # the centred dot products overflow to inf, and inf/inf is nan
+        v = gen_coupled_logistic(300)[0].values * 1e160
+        for a, b in ((v, v), (v, v[::-1]), (v, np.ones(300))):
+            with pytest.raises(NumericalError, match="too large for float64 "
+                                                     "sums; rescale them"):
+                skill_stats(a, b)
+        with pytest.raises(NumericalError):
+            pearson(v, v)
+        # rescaled, the same values score
+        assert skill_stats(v / 1e160, v / 1e160).rho == 1.0
 
     def test_self_skill_nonconstant(self):
         rng = np.random.default_rng(3)
@@ -226,6 +239,24 @@ class TestCsvRoundTrip:
         x, y = read_series_csv(p)
         assert x.values.tolist() == [1.0, 3.0]
         assert y.values.tolist() == [2.0, 4.0]
+
+    def test_ignores_trailing_whitespace_only_lines(self, tmp_path):
+        p = tmp_path / "crlf.csv"
+        p.write_bytes(b"X,Y\r\n1,2\r\n3,4\r\n5,6\r\n \r\n")
+        x, y = read_series_csv(p)
+        assert x.values.tolist() == [1.0, 3.0, 5.0]
+        assert y.values.tolist() == [2.0, 4.0, 6.0]
+        p.write_text("X\n1.0\n2.0\n\t\n\n")
+        assert read_series_csv(p)[0].values.tolist() == [1.0, 2.0]
+        p.write_text("X,Y\n1.0,2.0\n , \t\n")
+        assert read_series_csv(p)[0].values.tolist() == [1.0]
+
+    @pytest.mark.parametrize("blank", [" ", "\t", " , "])
+    def test_rejects_whitespace_only_line_between_rows(self, tmp_path, blank):
+        p = tmp_path / "gap.csv"
+        p.write_text(f"X,Y\n1.0,2.0\n{blank}\n3.0,4.0\n")
+        with pytest.raises(DataError, match=r"gap\.csv:3: expected 2 cells, got 0"):
+            read_series_csv(p)
 
     def test_rejects_blank_line_between_rows(self, tmp_path):
         p = tmp_path / "gap.csv"

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from crossmap import (DataError, EmbeddingParams, TimeSeries, embed, knn,
-                      loo_skill, select_embedding_dimension, simplex_forecast,
-                      simplex_weights, train_test_skill)
+from crossmap import (DataError, EmbeddingParams, NumericalError, TimeSeries,
+                      embed, knn, loo_skill, select_embedding_dimension,
+                      simplex_forecast, simplex_weights, train_test_skill)
 from crossmap import forecast
 from crossmap.embedding import nearest_rows
 from crossmap.forecast import _pairwise_distances, cross_estimates
+from crossmap.systems import gen_coupled_logistic
 
 
 def logistic_series(n, x0=0.31, r=3.8, name="x"):
@@ -220,6 +221,22 @@ class TestSelectEmbeddingDimension:
         with pytest.raises(DataError):
             select_embedding_dimension(logistic_series(100), e_range=[])
 
+    def test_no_scored_row_quotes_the_first_note(self):
+        # squared distances of values near 1e160 overflow to +inf, so no
+        # row has a finite neighbor; length is not what failed
+        x, _ = gen_coupled_logistic(300)
+        with pytest.raises(DataError) as info:
+            select_embedding_dimension(TimeSeries("X", x.values * 1e160),
+                                       e_range=range(1, 4))
+        assert str(info.value) == ("series 'X': no scanned dimension could be "
+                                   "scored; E=1: need 2 neighbors but only 0 "
+                                   "usable candidates for query row 0")
+
+    def test_overflowing_correlation_is_a_numerical_error(self):
+        series = TimeSeries("v", np.linspace(0.0, 1.0, 200) * 1e154)
+        with pytest.raises(NumericalError, match="too large for float64 sums"):
+            select_embedding_dimension(series, e_range=range(1, 3))
+
     @pytest.mark.parametrize("fraction", [1.5, 1.0, 0.0])
     def test_split_fraction_checked_before_the_scan(self, fraction):
         # not one "too short" note per E: the fraction itself is the error
@@ -253,8 +270,7 @@ def dense_neighbors(cross_map, manifold, lib, tgt, columns):
                                manifold.points[lib - times[0]])
     own = np.flatnonzero(np.isin(tgt, lib))
     dist[own, np.searchsorted(lib, tgt[own])] = np.inf
-    dist = dist[cross_map.row0:cross_map.row0 + cross_map.target_times.size,
-                cross_map.col0:cross_map.col0 + cross_map.lib_times.size]
+    dist = dist[cross_map.rows, cross_map.cols]
     lib_times = cross_map.lib_times
     if columns is not None:
         dist, lib_times = dist[:, columns], lib_times[columns]
@@ -360,6 +376,20 @@ class TestCrossMapEngine:
             want = dense_neighbors(cross_map, manifold, times, times, columns)
             assert got[0].tolist() == want[0].tolist(), draw_size
             assert got[1].tolist() == want[1].tolist(), draw_size
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_a_view_shifted_again_is_the_build_shifted_once(self, split):
+        x, y = gen_coupled_logistic(200)
+        manifold = embed(y, EmbeddingParams(2))
+        times = manifold.times
+        lib = times[:120] if split else None
+        build = cross_estimates(manifold.points, times, x, 3, lib_times=lib)
+        once = build.shifted(-2)
+        for view in (build.shifted(3).shifted(-2),
+                     build.shifted(-30).shifted(5).shifted(-2)):
+            assert view.lib_times.tolist() == once.lib_times.tolist()
+            assert view.target_times.tolist() == once.target_times.tolist()
+            assert view.skill() == once.skill()
 
     def test_row_short_of_finite_distances_raises(self):
         # distances between 0 and 1e300 overflow to +inf, so target 0 has
