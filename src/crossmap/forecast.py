@@ -36,8 +36,14 @@ __all__ = [
 # each target's neighbor table holds this many library columns: wide
 # enough that draws of a few hundred columns rarely fall back to the points
 _TABLE_WIDTH = 64
-# the most differences one block of distances computes at once
-_BLOCK_CELLS = 2 ** 21
+# the most differences one block of distances computes at once: 1 MiB of
+# float64, which stays in a 2 MiB L2 cache
+_BLOCK_CELLS = 2 ** 17
+# up to this E the differences are filled one coordinate at a time, in
+# n-long subtractions (about 2x faster at E=2); the fill stores with stride
+# E, which from E=6 on makes it slower than the broadcast (2x at E=10), and
+# E=5 sits at the crossover
+_FILL_MAX_E = 4
 
 
 @dataclass(frozen=True)
@@ -100,10 +106,18 @@ def _pairwise_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
 
     Each entry depends only on its query and point, not on the shape of
     the block, so a block of rows or columns equals that part of the whole.
+    Both ways of filling the differences give the same array; a difference
+    that overflows is +inf, and so is its distance.
     """
-    diff = queries[:, None, :] - points[None, :, :]
-    out = np.einsum("mne,mne->mn", diff, diff)
-    return np.sqrt(out, out=out)
+    with np.errstate(over="ignore"):
+        if points.shape[1] <= _FILL_MAX_E:
+            diff = np.empty((queries.shape[0], *points.shape))
+            for e in range(points.shape[1]):
+                np.subtract(queries[:, e, None], points[None, :, e], out=diff[:, :, e])
+        else:
+            diff = queries[:, None, :] - points[None, :, :]
+        out = np.einsum("mne,mne->mn", diff, diff)
+        return np.sqrt(out, out=out)
 
 
 def _row_blocks(n_rows: int, n_cols: int, e_dim: int) -> list[slice]:

@@ -179,6 +179,16 @@ class TestSimplex:
             "data error: series 'X': no scanned dimension could be scored; "
             "E=1: need 2 neighbors but only 0 usable candidates for query row 0\n")
 
+    def test_overflowing_difference_prints_only_the_failure(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        values = np.tile([1e308, -1e308, 0.5, 0.25, 3.0], 20).tolist()
+        path.write_text("s\n" + "".join(f"{v!r}\n" for v in values))
+        rc = main(["simplex", "-i", str(path), "--col", "s", "--e-range", "1:2"])
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: correlation is not finite: the values are too "
+            "large for float64 sums; rescale them\n")
+
     def test_trailing_whitespace_line_is_ignored(self, tmp_path, capsys):
         p = tmp_path / "ws.csv"
         x = np.random.default_rng(1).random(40).tolist()

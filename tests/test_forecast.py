@@ -237,6 +237,12 @@ class TestSelectEmbeddingDimension:
         with pytest.raises(NumericalError, match="too large for float64 sums"):
             select_embedding_dimension(series, e_range=range(1, 3))
 
+    def test_overflowing_difference_is_a_numerical_error(self):
+        # 1e308 - (-1e308) overflows in the subtraction itself, not a warning
+        series = TimeSeries("s", np.tile([1e308, -1e308, 0.5, 0.25, 3.0], 20))
+        with pytest.raises(NumericalError, match="too large for float64 sums"):
+            select_embedding_dimension(series, e_range=range(1, 3))
+
     @pytest.mark.parametrize("fraction", [1.5, 1.0, 0.0])
     def test_split_fraction_checked_before_the_scan(self, fraction):
         # not one "too short" note per E: the fraction itself is the error
@@ -260,6 +266,46 @@ def tie_heavy_series(draw):
                          min_size=4, max_size=20))
     values = [round(v, decimals) for v, length in runs for _ in range(length)]
     return TimeSeries("x", values, origin_index=draw(st.integers(-3, 3)))
+
+
+def grid_series(seed, n=90):
+    """Values on a grid of 1, 0.1 or 0.01 with -0.0 among them, or
+    continuous; the grids make many distances tie exactly."""
+    rng = np.random.default_rng(seed)
+    step = [1.0, 0.1, 0.01, None][seed % 4]
+    if step is None:
+        values = rng.normal(size=n)
+    else:
+        values = np.round(rng.integers(-4, 5, size=n) * step, 2)
+        values[rng.random(n) < 0.2] = -0.0
+    return TimeSeries("x", values)
+
+
+@pytest.mark.parametrize("tau", [1, 2, 3])
+@pytest.mark.parametrize("e_dim", range(1, 13))
+def test_pairwise_distances_match_knn_oracle(e_dim, tau):
+    # both kernels, on either side of _FILL_MAX_E, in one block of all rows
+    # and in blocks of one row, against knn's own distances
+    for seed in range(4):
+        manifold = embed(grid_series(seed + e_dim), EmbeddingParams(e_dim, tau))
+        points, n = manifold.points, manifold.n_points
+        whole = _pairwise_distances(points, points)
+        for i in range(n):
+            ns = knn(manifold, points[i], n)
+            want = np.empty(n)
+            want[ns.indices] = ns.distances
+            assert whole[i].tobytes() == want.tobytes()
+            assert _pairwise_distances(points[i:i + 1], points)[0].tobytes() \
+                == want.tobytes()
+
+
+@pytest.mark.parametrize("e_dim", [2, 10])
+def test_overflowing_difference_is_an_infinite_distance(e_dim):
+    points = np.repeat([[1e308], [-1e308], [0.5]], e_dim, axis=1)
+    dist = _pairwise_distances(points, points)
+    assert dist.tolist() == [[0.0, np.inf, np.inf],
+                             [np.inf, 0.0, np.inf],
+                             [np.inf, np.inf, 0.0]]
 
 
 def dense_neighbors(cross_map, manifold, lib, tgt, columns):
@@ -325,7 +371,8 @@ class TestCrossMapEngine:
     @given(series=long_tie_heavy_series(), e_dim=st.integers(1, 10),
            shift=st.integers(-2, 2), split=st.booleans(),
            width=st.sampled_from([1, 2, 5, forecast._TABLE_WIDTH]),
-           cells=st.sampled_from([1, 97, forecast._BLOCK_CELLS]), data=st.data())
+           cells=st.sampled_from([1, 97, forecast._BLOCK_CELLS, 2 ** 21]),
+           data=st.data())
     def test_table_matches_dense_nearest_rows(self, series, e_dim, shift, split,
                                               width, cells, data):
         # the table's width and block size only move work between the walk,
