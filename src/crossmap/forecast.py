@@ -36,14 +36,19 @@ __all__ = [
 # each target's neighbor table holds this many library columns: wide
 # enough that draws of a few hundred columns rarely fall back to the points
 _TABLE_WIDTH = 64
-# the most differences one block of distances computes at once: 1 MiB of
+# the most numbers one block holds at once (a dense block's differences, or
+# a screen block's approximations and partition indices): 1 MiB of
 # float64, which stays in a 2 MiB L2 cache
 _BLOCK_CELLS = 2 ** 17
 # up to this E the differences are filled one coordinate at a time, in
-# n-long subtractions (about 2x faster at E=2); the fill stores with stride
-# E, which from E=6 on makes it slower than the broadcast (2x at E=10), and
-# E=5 sits at the crossover
+# subtractions along the columns (about 1.4x faster at E=2 on the table's
+# gathered (rows, W + 8, E) candidates, 2x on N-wide blocks); the fill
+# stores with stride E, which makes it no faster than the broadcast at E=5
+# and slower from E=6 on (1.7x at E=10)
 _FILL_MAX_E = 4
+# a screen's candidates are each row's first W + this many approximations,
+# so that the row's W-th distance usually lies below its certified bound
+_SCREEN_SLACK = 8
 
 
 @dataclass(frozen=True)
@@ -104,18 +109,21 @@ def simplex_weights(distances: Sequence[float],
 def _pairwise_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Euclidean distances, computed exactly like :func:`embedding.knn`.
 
-    Each entry depends only on its query and point, not on the shape of
-    the block, so a block of rows or columns equals that part of the whole.
-    Both ways of filling the differences give the same array; a difference
-    that overflows is +inf, and so is its distance.
+    ``points`` is either one (n, E) block that every query meets, or
+    (rows, m, E) columns gathered per query. Each entry depends only on
+    its query and point, not on the shape of the block, so a block of
+    rows or of gathered columns equals that part of the whole. Both ways
+    of filling the differences give the same array; a difference that
+    overflows is +inf, and so is its distance.
     """
+    cols = points if points.ndim == 3 else points[None]
     with np.errstate(over="ignore"):
-        if points.shape[1] <= _FILL_MAX_E:
-            diff = np.empty((queries.shape[0], *points.shape))
-            for e in range(points.shape[1]):
-                np.subtract(queries[:, e, None], points[None, :, e], out=diff[:, :, e])
+        if cols.shape[2] <= _FILL_MAX_E:
+            diff = np.empty((queries.shape[0], *cols.shape[1:]))
+            for e in range(cols.shape[2]):
+                np.subtract(queries[:, e, None], cols[:, :, e], out=diff[:, :, e])
         else:
-            diff = queries[:, None, :] - points[None, :, :]
+            diff = queries[:, None, :] - cols
         out = np.einsum("mne,mne->mn", diff, diff)
         return np.sqrt(out, out=out)
 
@@ -135,6 +143,49 @@ def _distances_but_own(queries: np.ndarray, points: np.ndarray,
     hit = np.flatnonzero(own >= 0)
     dist[hit, own[hit]] = np.inf
     return dist
+
+
+def _screen_inputs(target_points: np.ndarray, lib_points: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factors ``tgt`` and ``lib`` whose product is every approximate
+    squared distance, and each target's rounding bound on them (+inf
+    where the screen may overflow).
+
+    With q and p centred on the library mean, row i of ``tgt`` times
+    column j of ``lib`` is |q_i|^2 + |p_j|^2 - 2 q_i.p_j. Let u = 2^-53 and
+    R_i = |q_i| + max_j |p_j|. The norms (gamma_E) and the product of E + 2
+    terms (gamma_(E+2)) keep the approximation within (2E + 2) u R_i^2 of
+    the centred squared distance; centring moves that by at most
+    2 u R_i^2 from the true one, and the exact kernel's squared sum lies
+    within (E + 2) u R_i^2 of the true one. The bound doubles the sum,
+    (3E + 6) u R_i^2, for higher-order terms and for the rounding of the
+    bound itself, and adds one smallest normal number per operation for
+    underflow. Subtracting a common offset such as 1e12 while centring is
+    exact (Sterbenz's lemma), and the bound never depends on it.
+    """
+    e_dim, fp = lib_points.shape[1], np.finfo(float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centre = lib_points.mean(axis=0)
+        q, p = target_points - centre, lib_points - centre
+        q_sq, p_sq = np.einsum("me,me->m", q, q), np.einsum("ne,ne->n", p, p)
+        radius_sq = (np.sqrt(q_sq) + np.sqrt(p_sq.max())) ** 2
+        slack = 2 * (3 * e_dim + 6) * (fp.eps / 2 * radius_sq + fp.tiny)
+        slack[~np.isfinite(4 * radius_sq)] = np.inf
+        lib = np.vstack([-2 * p.T, p_sq, np.ones(p.shape[0])])
+    return np.column_stack([q, np.ones(q.shape[0]), q_sq]), lib, slack
+
+
+def _candidates(tgt: np.ndarray, lib: np.ndarray, own: np.ndarray,
+                m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's m columns of smallest approximation, ascending, its own
+    column (``own``, or -1) left out, and the row's (m+1)-th approximation.
+    The approximations are dropped on return, before any exact distance."""
+    approx = tgt @ lib
+    hit = np.flatnonzero(own >= 0)
+    approx[hit, own[hit]] = np.inf
+    part = np.argpartition(approx, m, axis=1)
+    return (np.sort(part[:, :m], axis=1),
+            np.take_along_axis(approx, part[:, m:m + 1], axis=1)[:, 0])
 
 
 def _first_columns(dist: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -168,10 +219,22 @@ class _NeighborTable:
     Row i of ``near`` holds target i (time ``target_times[i]``)'s first
     ``min(_TABLE_WIDTH, n)`` of the n library columns (times
     ``lib_times``) in (distance, column) order, and ``near_dist`` their
-    distances; its own column (``own``, or -1) is +inf. Only entries
-    strictly below the row's last distance are trusted, because a column
-    tied with the last entry may have an earlier twin outside the table.
-    Untrusted entries hold column n, which no library has.
+    exact distances; its own column (``own``, or -1) is +inf.
+
+    :meth:`build` screens, then verifies. One BLAS product per row block
+    gives every column's approximate squared distance, the row's first
+    m = W + ``_SCREEN_SLACK`` approximations are its candidates, and only
+    their distances are computed exactly, by :func:`_pairwise_distances`.
+    BLAS only screens: every number the table holds is exact. A rounding
+    bound (:func:`_screen_inputs`) turns the row's (m+1)-th approximation
+    into a distance that no column outside the candidates undercuts.
+    An entry is trusted only if it lies strictly below both that bound and
+    the row's last distance (a column tied with either may have an earlier
+    twin outside the table), so the trusted entries are a prefix of the
+    dense (distance, column) order, sometimes a shorter one. Untrusted
+    entries hold column n, which no library has. Rows whose screen could
+    overflow, and builds with n <= m, compute every distance
+    exactly instead (the bound is then +inf).
     """
 
     near: np.ndarray
@@ -186,15 +249,35 @@ class _NeighborTable:
     def build(cls, lib_times: np.ndarray, target_times: np.ndarray,
               target_points: np.ndarray, lib_points: np.ndarray,
               own: np.ndarray) -> "_NeighborTable":
-        n_targets, n = target_points.shape[0], lib_points.shape[0]
+        (n_targets, e_dim), n = target_points.shape, lib_points.shape[0]
         width = min(_TABLE_WIDTH, n)
+        m = width + _SCREEN_SLACK
         near = np.empty((n_targets, width), dtype=np.intp)
         near_dist = np.empty(near.shape)
-        # one block's distances live only inside this statement
-        for rows in _row_blocks(n_targets, n, lib_points.shape[1]):
-            near[rows], near_dist[rows] = _first_columns(_distances_but_own(
-                target_points[rows], lib_points, own[rows]), width)
-        near[near_dist >= near_dist[:, -1:]] = n
+        bound = np.full(n_targets, np.inf)
+        screened = np.zeros(n_targets, dtype=bool)
+        if n > m:
+            tgt, lib, slack = _screen_inputs(target_points, lib_points)
+            screened = np.isfinite(slack)
+            rows = np.flatnonzero(screened)
+            # a block's rows x n approximations and as many partition
+            # indices hold at most _BLOCK_CELLS numbers
+            for block in _row_blocks(rows.size, n, 2):
+                r = rows[block]
+                cand, cut = _candidates(tgt[r], lib, own[r], m)
+                bound[r] = np.sqrt(np.maximum(cut - slack[r], 0.0))
+                dist = _pairwise_distances(target_points[r],
+                                           np.take(lib_points, cand, axis=0))
+                # candidates ascend, so a stable sort breaks ties by column
+                order = np.argsort(dist, axis=1, kind="stable")[:, :width]
+                near[r] = np.take_along_axis(cand, order, axis=1)
+                near_dist[r] = np.take_along_axis(dist, order, axis=1)
+        rows = np.flatnonzero(~screened)
+        for block in _row_blocks(rows.size, n, e_dim):
+            r = rows[block]
+            near[r], near_dist[r] = _first_columns(_distances_but_own(
+                target_points[r], lib_points, own[r]), width)
+        near[(near_dist >= near_dist[:, -1:]) | (near_dist >= bound[:, None])] = n
         return cls(near=near, near_dist=near_dist, lib_times=lib_times,
                    target_times=target_times, target_points=target_points,
                    lib_points=lib_points, own=own)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crossmap
 from crossmap import CcmConfig, ccm_curve, read_series_csv
 from crossmap.cli import RunReport, main
 from crossmap.systems import gen_coupled_logistic
@@ -437,3 +442,28 @@ class TestDemo:
         assert main(["eccm", "-i", str(src), "--cause", "Y", "--effect", "X",
                      "--lags=-2:2", "--e", "2"]) == 0
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [
+    ["ccm", "--cause", "X", "--effect", "Y", "--e", "2", "--samples", "10",
+     "--both-directions"],
+    ["simplex", "--col", "Y", "--e-range", "1:10"],
+])
+def test_reports_do_not_depend_on_blas_threads(tmp_path, command):
+    # the neighbor table's BLAS screen may round differently on more
+    # threads; that can change which entries are trusted, never a number
+    x, y = gen_coupled_logistic(800)
+    path = tmp_path / "tied.csv"
+    path.write_text("X,Y\n" + "".join(f"{a:.2f},{b:.2f}\n" for a, b in
+                                        zip(x.values, y.values)))
+    src = str(Path(crossmap.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "crossmap.cli", command[0],
+                               "-i", str(path), *command[1:]],
+                              env=env, capture_output=True, timeout=300)
+        assert done.returncode == 0, done.stderr.decode()
+        reports.append(done.stdout)
+    assert reports[0] == reports[1]

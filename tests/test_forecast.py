@@ -284,8 +284,9 @@ def grid_series(seed, n=90):
 @pytest.mark.parametrize("tau", [1, 2, 3])
 @pytest.mark.parametrize("e_dim", range(1, 13))
 def test_pairwise_distances_match_knn_oracle(e_dim, tau):
-    # both kernels, on either side of _FILL_MAX_E, in one block of all rows
-    # and in blocks of one row, against knn's own distances
+    # both kernels, on either side of _FILL_MAX_E, in one block of all rows,
+    # in blocks of one row and on columns gathered per row, against knn's
+    # own distances
     for seed in range(4):
         manifold = embed(grid_series(seed + e_dim), EmbeddingParams(e_dim, tau))
         points, n = manifold.points, manifold.n_points
@@ -297,6 +298,9 @@ def test_pairwise_distances_match_knn_oracle(e_dim, tau):
             assert whole[i].tobytes() == want.tobytes()
             assert _pairwise_distances(points[i:i + 1], points)[0].tobytes() \
                 == want.tobytes()
+        cols = np.random.default_rng(seed).integers(0, n, size=(n, 9))
+        gathered = _pairwise_distances(points, np.take(points, cols, axis=0))
+        assert gathered.tobytes() == np.take_along_axis(whole, cols, axis=1).tobytes()
 
 
 @pytest.mark.parametrize("e_dim", [2, 10])
@@ -335,7 +339,103 @@ def long_tie_heavy_series(draw):
                       origin_index=draw(st.integers(-3, 3)))
 
 
+@st.composite
+def screened_series(draw):
+    """80 to 240 values, mostly past the screen's candidate count even at
+    the full table width: continuous or on a grid (tie-heavy), around an
+    offset of 0, 1e6 or 1e12. Some values, spread out or at the end (past
+    a split library), may be an outlier of 1e9 (the bound then clears
+    less), 1e300 (squares overflow) or -1e308 (differences overflow)."""
+    n = draw(st.integers(80, 240))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    step = draw(st.sampled_from([None, 1.0, 0.1, 0.01]))
+    values = rng.normal(size=n) if step is None \
+        else np.round(rng.integers(0, 12, size=n) * step, 2)
+    values = values + draw(st.sampled_from([0.0, 1e6, 1e12]))
+    where = draw(st.sampled_from(["none", "spread", "end"]))
+    if where != "none":
+        hit = rng.random(n) < 0.05 if where == "spread" \
+            else np.arange(n) >= n - draw(st.integers(1, n // 3))
+        values[hit] = draw(st.sampled_from([1e9, 1e300, -1e308]))
+    return TimeSeries("x", values)
+
+
+def assert_trusted_prefix(table, width):
+    """The table's trusted entries are a prefix of each row's dense
+    (distance, column) order, with the same distances, and never longer
+    than the prefix a table of every distance trusts."""
+    n = table.lib_times.size
+    dist = _pairwise_distances(table.target_points, table.lib_points)
+    hit = np.flatnonzero(table.own >= 0)
+    dist[hit, table.own[hit]] = np.inf
+    order = np.argsort(dist, axis=1, kind="stable")
+    dist = np.take_along_axis(dist, order, axis=1)
+    w = min(width, n)
+    trusted = table.near < n
+    n_trusted = trusted.sum(axis=1)
+    assert np.all(n_trusted <= (dist[:, :w] < dist[:, w - 1:w]).sum(axis=1))
+    assert np.array_equal(trusted, np.arange(w) < n_trusted[:, None])
+    for row, t in enumerate(n_trusted):
+        assert table.near[row, :t].tolist() == order[row, :t].tolist()
+        assert table.near_dist[row, :t].tobytes() == dist[row, :t].tobytes()
+
+
 class TestCrossMapEngine:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(series=screened_series(), e_dim=st.integers(1, 10),
+           width=st.sampled_from([1, 5, forecast._TABLE_WIDTH]),
+           data=st.data())
+    def test_trusted_entries_are_a_prefix_of_the_dense_order(self, series, e_dim,
+                                                             width, data):
+        manifold = embed(series, EmbeddingParams(e_dim))
+        times = manifold.times
+        cut = data.draw(st.one_of(st.none(), st.integers(1, times.size - 1)))
+        lib, tgt = (times, times) if cut is None else (times[:cut], times[cut:])
+        with mock.patch.object(forecast, "_TABLE_WIDTH", width):
+            assert_trusted_prefix(cross_estimates(
+                manifold.points, times, series, e_dim + 1,
+                lib_times=lib, target_times=tgt).table, width)
+
+    @pytest.mark.parametrize("e_dim", [1, 2, 3])
+    def test_an_outlier_loosens_the_bound_but_keeps_the_prefix(self, e_dim):
+        # a 1e9 outlier makes the screen's rounding larger than the
+        # distances between the other points, so the approximate order is
+        # noise there; the certificate must then clear less, not wrongly
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            values = np.round(rng.integers(0, 12, size=200) * 0.01, 2)
+            values[rng.random(200) < 0.05] = 1e9
+            series = TimeSeries("x", values)
+            manifold = embed(series, EmbeddingParams(e_dim))
+            with mock.patch.object(forecast, "_TABLE_WIDTH", 5):
+                assert_trusted_prefix(cross_estimates(
+                    manifold.points, manifold.times, series, e_dim + 1).table, 5)
+
+    @pytest.mark.parametrize("e_dim", [1, 2, 10])
+    def test_a_certificate_of_zero_trusts_nothing(self, e_dim):
+        # with the bound forced to 0 every row takes the exact fallback,
+        # and the neighbors stay the dense ones
+        screen = forecast._screen_inputs
+
+        def no_certificate(target_points, lib_points):
+            tgt, lib, slack = screen(target_points, lib_points)
+            return tgt, lib, np.where(np.isfinite(slack), np.finfo(float).max, slack)
+
+        series = logistic_series(300, x0=0.43)
+        manifold = embed(series, EmbeddingParams(e_dim))
+        times = manifold.times
+        with mock.patch.object(forecast, "_screen_inputs", no_certificate):
+            cross_map = cross_estimates(manifold.points, times, series,
+                                        e_dim + 1).shifted(1)
+        assert np.all(cross_map.table.near == times.size)
+        columns = np.sort(np.random.default_rng(e_dim).choice(
+            cross_map.lib_times.size, size=100, replace=False))
+        for cols in (None, columns):
+            got = cross_map.neighbors(cols)
+            want = dense_neighbors(cross_map, manifold, times, times, cols)
+            assert got[0].tolist() == want[0].tolist()
+            assert got[1].tobytes() == want[1].tobytes()
+
     @settings(max_examples=60, deadline=None, database=None)
     @given(series=tie_heavy_series(), e_dim=st.integers(1, 3),
            shift=st.integers(-2, 2), data=st.data())
