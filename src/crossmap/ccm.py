@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DataError, SkillStats, TimeSeries
+from .core import DataError, SkillStats, TimeSeries, require_integers
 from .embedding import EmbeddingParams, embed
 from .forecast import cross_estimates, select_embedding_dimension
 
@@ -69,6 +69,7 @@ class CcmConfig:
 
     def __post_init__(self) -> None:
         EmbeddingParams(e_dim=self.e_dim, tau=self.tau)
+        require_integers(self, "lag", "samples_per_size", "seed")
         if self.samples_per_size < 1:
             raise DataError(f"samples_per_size must be >= 1, got {self.samples_per_size}")
         if self.seed < 0:

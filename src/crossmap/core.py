@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,6 +52,13 @@ def _as_finite_array(values: Iterable[float], what: str) -> np.ndarray:
         bad = int(np.flatnonzero(~np.isfinite(arr))[0])
         raise DataError(f"{what} contains a non-finite value at position {bad}")
     return arr
+
+
+def require_integers(owner: object, *names: str) -> None:
+    """Raise :class:`DataError` unless each named attribute is an integer."""
+    for name in names:
+        if not isinstance(value := getattr(owner, name), Integral):
+            raise DataError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

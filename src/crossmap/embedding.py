@@ -16,7 +16,7 @@ from typing import Collection
 
 import numpy as np
 
-from .core import DataError, TimeSeries
+from .core import DataError, TimeSeries, require_integers
 
 __all__ = ["EmbeddingParams", "ShadowManifold", "NeighborSet", "embed", "knn"]
 
@@ -25,8 +25,8 @@ __all__ = ["EmbeddingParams", "ShadowManifold", "NeighborSet", "embed", "knn"]
 class EmbeddingParams:
     """Embedding dimension E, delay tau, and prediction horizon tp.
 
-    ``tp`` may be negative (reverse prediction for lag sweeps); E and tau
-    must be positive.
+    All three are integers. ``tp`` may be negative (reverse prediction for
+    lag sweeps); E and tau must be positive.
     """
 
     e_dim: int
@@ -34,6 +34,7 @@ class EmbeddingParams:
     tp: int = 1
 
     def __post_init__(self) -> None:
+        require_integers(self, "e_dim", "tau", "tp")
         if self.e_dim < 1:
             raise DataError(f"embedding dimension must be >= 1, got {self.e_dim}")
         if self.tau < 1:

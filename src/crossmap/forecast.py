@@ -42,13 +42,14 @@ _TABLE_WIDTH = 64
 _BLOCK_CELLS = 2 ** 17
 # up to this E the differences are filled one coordinate at a time, in
 # subtractions along the columns (about 1.4x faster at E=2 on the table's
-# gathered (rows, W + 8, E) candidates, 2x on N-wide blocks); the fill
+# gathered (rows, m, E) candidates, 2x on N-wide blocks); the fill
 # stores with stride E, which makes it no faster than the broadcast at E=5
 # and slower from E=6 on (1.7x at E=10)
 _FILL_MAX_E = 4
 # a screen's candidates are each row's first W + this many approximations,
-# so that the row's W-th distance usually lies below its certified bound
-_SCREEN_SLACK = 8
+# so that the row's W-th distance usually lies below its certified bound;
+# one of them is usually the row's own column, which the exact pass drops
+_SCREEN_SLACK = 9
 
 
 @dataclass(frozen=True)
@@ -135,16 +136,6 @@ def _row_blocks(n_rows: int, n_cols: int, e_dim: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
-def _distances_but_own(queries: np.ndarray, points: np.ndarray,
-                       own: np.ndarray) -> np.ndarray:
-    """:func:`_pairwise_distances` with each query's own point, at its
-    position ``own`` in ``points`` (or -1 for none), at +inf."""
-    dist = _pairwise_distances(queries, points)
-    hit = np.flatnonzero(own >= 0)
-    dist[hit, own[hit]] = np.inf
-    return dist
-
-
 def _screen_inputs(target_points: np.ndarray, lib_points: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factors ``tgt`` and ``lib`` whose product is every approximate
@@ -175,26 +166,15 @@ def _screen_inputs(target_points: np.ndarray, lib_points: np.ndarray
     return np.column_stack([q, np.ones(q.shape[0]), q_sq]), lib, slack
 
 
-def _candidates(tgt: np.ndarray, lib: np.ndarray, own: np.ndarray,
+def _candidates(tgt: np.ndarray, lib: np.ndarray,
                 m: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's m columns of smallest approximation, ascending, its own
-    column (``own``, or -1) left out, and the row's (m+1)-th approximation.
-    The approximations are dropped on return, before any exact distance."""
+    column not set aside, and its (m+1)-th approximation. The approximations
+    are dropped on return, before any exact distance."""
     approx = tgt @ lib
-    hit = np.flatnonzero(own >= 0)
-    approx[hit, own[hit]] = np.inf
     part = np.argpartition(approx, m, axis=1)
     return (np.sort(part[:, :m], axis=1),
             np.take_along_axis(approx, part[:, m:m + 1], axis=1)[:, 0])
-
-
-def _first_columns(dist: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's first ``width`` columns in (distance, column) order, and
-    their distances."""
-    cols = np.sort(np.argpartition(dist, width - 1, axis=1)[:, :width], axis=1)
-    kept = np.take_along_axis(dist, cols, axis=1)
-    order = np.argsort(kept, axis=1, kind="stable")
-    return np.take_along_axis(cols, order, axis=1), np.take_along_axis(kept, order, axis=1)
 
 
 def estimates_from_distances(dist: np.ndarray,
@@ -219,22 +199,23 @@ class _NeighborTable:
     Row i of ``near`` holds target i (time ``target_times[i]``)'s first
     ``min(_TABLE_WIDTH, n)`` of the n library columns (times
     ``lib_times``) in (distance, column) order, and ``near_dist`` their
-    exact distances; its own column (``own``, or -1) is +inf.
+    exact distances; the column at the target's own time, if any, is +inf.
 
-    :meth:`build` screens, then verifies. One BLAS product per row block
-    gives every column's approximate squared distance, the row's first
-    m = W + ``_SCREEN_SLACK`` approximations are its candidates, and only
-    their distances are computed exactly, by :func:`_pairwise_distances`.
-    BLAS only screens: every number the table holds is exact. A rounding
-    bound (:func:`_screen_inputs`) turns the row's (m+1)-th approximation
-    into a distance that no column outside the candidates undercuts.
-    An entry is trusted only if it lies strictly below both that bound and
-    the row's last distance (a column tied with either may have an earlier
-    twin outside the table), so the trusted entries are a prefix of the
-    dense (distance, column) order, sometimes a shorter one. Untrusted
-    entries hold column n, which no library has. Rows whose screen could
-    overflow, and builds with n <= m, compute every distance
-    exactly instead (the bound is then +inf).
+    :meth:`build` fills every row by one exact pass over its candidate
+    columns: :func:`_pairwise_distances`, the own time at +inf, a stable
+    sort, and the first W entries. A screen picks the candidates: one BLAS
+    product per row block gives every approximate squared distance, and
+    the row's first m = W + ``_SCREEN_SLACK`` approximations are its
+    candidates, so BLAS only screens and every number held is exact. A
+    rounding bound (:func:`_screen_inputs`) turns the row's (m+1)-th
+    approximation into a distance that no other column undercuts. Rows
+    whose screen could overflow, and builds with n <= m, take every column
+    instead, with the bound +inf. An entry is trusted only if it lies
+    strictly below both the bound and the row's last distance (a column
+    tied with either may have an earlier twin outside the table), so the
+    trusted entries are a prefix of the dense (distance, column) order,
+    sometimes a shorter one. Untrusted entries hold column n, which no
+    library has.
     """
 
     near: np.ndarray
@@ -243,44 +224,41 @@ class _NeighborTable:
     target_times: np.ndarray
     target_points: np.ndarray
     lib_points: np.ndarray
-    own: np.ndarray
 
     @classmethod
     def build(cls, lib_times: np.ndarray, target_times: np.ndarray,
-              target_points: np.ndarray, lib_points: np.ndarray,
-              own: np.ndarray) -> "_NeighborTable":
+              target_points: np.ndarray, lib_points: np.ndarray) -> "_NeighborTable":
         (n_targets, e_dim), n = target_points.shape, lib_points.shape[0]
         width = min(_TABLE_WIDTH, n)
         m = width + _SCREEN_SLACK
         near = np.empty((n_targets, width), dtype=np.intp)
         near_dist = np.empty(near.shape)
-        bound = np.full(n_targets, np.inf)
-        screened = np.zeros(n_targets, dtype=bool)
+        bound, slack = np.full(n_targets, np.inf), np.full(n_targets, np.inf)
         if n > m:
             tgt, lib, slack = _screen_inputs(target_points, lib_points)
-            screened = np.isfinite(slack)
-            rows = np.flatnonzero(screened)
-            # a block's rows x n approximations and as many partition
-            # indices hold at most _BLOCK_CELLS numbers
-            for block in _row_blocks(rows.size, n, 2):
-                r = rows[block]
-                cand, cut = _candidates(tgt[r], lib, own[r], m)
+        screened = np.isfinite(slack)
+        # a block holds at most _BLOCK_CELLS numbers: rows x n approximations
+        # and as many partition indices, or rows x n x E differences
+        rows, every = np.flatnonzero(screened), np.flatnonzero(~screened)
+        blocks = ([(rows[b], True) for b in _row_blocks(rows.size, n, 2)]
+                  + [(every[b], False) for b in _row_blocks(every.size, n, e_dim)])
+        for r, screen in blocks:
+            if screen:
+                cand, cut = _candidates(tgt[r], lib, m)
                 bound[r] = np.sqrt(np.maximum(cut - slack[r], 0.0))
-                dist = _pairwise_distances(target_points[r],
-                                           np.take(lib_points, cand, axis=0))
-                # candidates ascend, so a stable sort breaks ties by column
-                order = np.argsort(dist, axis=1, kind="stable")[:, :width]
-                near[r] = np.take_along_axis(cand, order, axis=1)
-                near_dist[r] = np.take_along_axis(dist, order, axis=1)
-        rows = np.flatnonzero(~screened)
-        for block in _row_blocks(rows.size, n, e_dim):
-            r = rows[block]
-            near[r], near_dist[r] = _first_columns(_distances_but_own(
-                target_points[r], lib_points, own[r]), width)
+                points = np.take(lib_points, cand, axis=0)
+            else:
+                cand, points = np.broadcast_to(np.arange(n), (r.size, n)), lib_points
+            dist = _pairwise_distances(target_points[r], points)
+            dist[lib_times[cand] == target_times[r, None]] = np.inf
+            # candidates ascend, so a stable sort breaks ties by column
+            order = np.argsort(dist, axis=1, kind="stable")[:, :width]
+            near[r] = np.take_along_axis(cand, order, axis=1)
+            near_dist[r] = np.take_along_axis(dist, order, axis=1)
         near[(near_dist >= near_dist[:, -1:]) | (near_dist >= bound[:, None])] = n
         return cls(near=near, near_dist=near_dist, lib_times=lib_times,
                    target_times=target_times, target_points=target_points,
-                   lib_points=lib_points, own=own)
+                   lib_points=lib_points)
 
     def nearest(self, rows: slice, member: np.ndarray,
                 k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +269,8 @@ class _NeighborTable:
 
         A row with at least k trusted members takes the first k of them,
         in k rounds that each take the row's first remaining member; the
-        rest are computed from the points, in blocks.
+        rest are computed from the points, in blocks, with the own time at
+        +inf as in :meth:`build`.
         """
         near, near_dist = self.near[rows], self.near_dist[rows]
         ok = member[near]
@@ -308,14 +287,21 @@ class _NeighborTable:
         short = np.flatnonzero(~walked) + rows.start
         if short.size:
             members = np.flatnonzero(member)
-            own = self.own[short]
-            own = np.where(np.isin(own, members), np.searchsorted(members, own), -1)
-            lib = self.lib_points[members]
+            lib, lib_times = self.lib_points[members], self.lib_times[members]
             for block in _row_blocks(short.size, members.size, lib.shape[1]):
-                idx, nd = nearest_rows(_distances_but_own(
-                    self.target_points[short[block]], lib, own[block]), k)
-                cols[short[block] - rows.start] = members[idx]
-                dist[short[block] - rows.start] = nd
+                r = short[block]
+                block_dist = _pairwise_distances(self.target_points[r], lib)
+                block_dist[lib_times == self.target_times[r, None]] = np.inf
+                try:
+                    idx, nd = nearest_rows(block_dist, k)
+                except DataError:
+                    n_fin = np.isfinite(block_dist).sum(axis=1)
+                    bad = np.flatnonzero(n_fin < k)[0]
+                    raise DataError(f"need {k} neighbors but only {n_fin[bad]} usable "
+                                    f"candidates for the target at time "
+                                    f"{self.target_times[r[bad]]}") from None
+                cols[r - rows.start] = members[idx]
+                dist[r - rows.start] = nd
         return cols, dist
 
 
@@ -402,7 +388,7 @@ def cross_estimates(points: np.ndarray,
     """Cross map from state points onto ``values``, built at shift 0.
 
     ``times`` are the consecutive times of ``points``; library and target
-    times must be subsets of them. Under a shift (see
+    times must be subsets of them, without repeats. Under a shift (see
     :meth:`_CrossMap.shifted`), every target time t with a known
     observation at t + shift is estimated by its k nearest library states,
     its own time excluded, voting for the value at their own time + shift;
@@ -413,9 +399,12 @@ def cross_estimates(points: np.ndarray,
         raise DataError("library times must be admissible embedding times")
     tgt = np.sort(np.asarray(target_times, dtype=int)) \
         if target_times is not None else times
-    own = np.where(np.isin(tgt, lib), np.searchsorted(lib, tgt), -1)
+    for what, chosen in (("library", lib), ("target", tgt)):
+        if (repeated := chosen[:-1][np.diff(chosen) == 0]).size:
+            raise DataError(f"{what} times must not repeat: time {repeated[0]} "
+                            f"appears more than once")
     table = _NeighborTable.build(lib, tgt, points[tgt - times[0]],
-                                 points[lib - times[0]], own)
+                                 points[lib - times[0]])
     return _CrossMap(table=table, rows=slice(0, tgt.size), cols=slice(0, lib.size),
                      values=values, shift=0, k=k)
 

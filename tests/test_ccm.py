@@ -60,6 +60,27 @@ class TestConfig:
         with pytest.raises(DataError, match="E\\+2"):
             CcmConfig(e_dim=2, lib_sizes=(3, 10))
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda: EmbeddingParams(2.0), "e_dim"),
+        (lambda: EmbeddingParams(2, tau=1.5), "tau"),
+        (lambda: EmbeddingParams(2, tp=1.0), "tp"),
+        (lambda: CcmConfig(e_dim=2.0), "e_dim"),
+        (lambda: CcmConfig(e_dim=2, tau=2.0), "tau"),
+        (lambda: CcmConfig(e_dim=2, lag=0.5), "lag"),
+        (lambda: CcmConfig(e_dim=2, samples_per_size=2.5), "samples_per_size"),
+        (lambda: CcmConfig(e_dim=2, seed=1.0), "seed"),
+        (lambda: CcmConfig(e_dim=2, lag="1"), "lag"),
+    ])
+    def test_counts_and_offsets_must_be_integers(self, make, name):
+        with pytest.raises(DataError, match=f"^{name} must be an integer, got "):
+            make()
+
+    def test_numpy_integers_are_accepted(self):
+        config = CcmConfig(e_dim=np.int64(2), tau=np.int32(1), lag=np.int64(-1),
+                           samples_per_size=np.uint8(5), seed=np.int64(3))
+        assert config == CcmConfig(e_dim=2, tau=1, lag=-1, samples_per_size=5, seed=3)
+        assert EmbeddingParams(np.int64(3), tp=np.int16(-2)).span == 2
+
     def test_default_library_sizes(self):
         sizes = default_library_sizes(4, 996)
         assert sizes[0] == 4 and sizes[-1] == 996
@@ -99,6 +120,17 @@ class TestCrossMapSkill:
         x, y = coupled
         with pytest.raises(DataError, match="admissible"):
             cross_map_skill(x, y, CFG, library_times=[0, 2, 3, 4, 5])
+
+    def test_repeated_library_times_are_rejected(self):
+        # a repeated time would leave the target's own state among its
+        # neighbors at distance 0, and rho would read 1.0
+        x, y = gen_coupled_logistic(300, burn_in=849)
+        lib = np.arange(1, 300)
+        config = CcmConfig(e_dim=2)
+        assert cross_map_skill(x, y, config, library_times=lib).rho < 0.7
+        with pytest.raises(DataError, match="^library times must not repeat: "
+                                            "time 1 appears more than once$"):
+            cross_map_skill(x, y, config, library_times=np.r_[lib, lib])
 
     def test_self_beats_cross(self, coupled):
         x, y = coupled

@@ -182,7 +182,8 @@ class TestSimplex:
         assert rc == 3
         assert capsys.readouterr().err == (
             "data error: series 'X': no scanned dimension could be scored; "
-            "E=1: need 2 neighbors but only 0 usable candidates for query row 0\n")
+            "E=1: need 2 neighbors but only 0 usable candidates for the target "
+            "at time 0\n")
 
     def test_overflowing_difference_prints_only_the_failure(self, tmp_path, capsys):
         path = tmp_path / "huge.csv"

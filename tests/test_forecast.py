@@ -230,7 +230,7 @@ class TestSelectEmbeddingDimension:
                                        e_range=range(1, 4))
         assert str(info.value) == ("series 'X': no scanned dimension could be "
                                    "scored; E=1: need 2 neighbors but only 0 "
-                                   "usable candidates for query row 0")
+                                   "usable candidates for the target at time 0")
 
     def test_overflowing_correlation_is_a_numerical_error(self):
         series = TimeSeries("v", np.linspace(0.0, 1.0, 200) * 1e154)
@@ -366,8 +366,7 @@ def assert_trusted_prefix(table, width):
     than the prefix a table of every distance trusts."""
     n = table.lib_times.size
     dist = _pairwise_distances(table.target_points, table.lib_points)
-    hit = np.flatnonzero(table.own >= 0)
-    dist[hit, table.own[hit]] = np.inf
+    dist[table.lib_times == table.target_times[:, None]] = np.inf
     order = np.argsort(dist, axis=1, kind="stable")
     dist = np.take_along_axis(dist, order, axis=1)
     w = min(width, n)
@@ -538,6 +537,50 @@ class TestCrossMapEngine:
             assert view.target_times.tolist() == once.target_times.tolist()
             assert view.skill() == once.skill()
 
+    @pytest.mark.parametrize("layout", ["loo", "split", "outside"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_rows_switch_to_the_screen_past_m_columns(self, layout, offset):
+        # with W = 6 a library of n <= m = W + _SCREEN_SLACK columns takes
+        # every column as a candidate, and a library of m + 1 is screened;
+        # either way the neighbors are the oracle's, own time excluded,
+        # whether a row walks its trusted entries or falls back to the points
+        width, e_dim = 6, 1
+        n, k = width + forecast._SCREEN_SLACK + offset, e_dim + 1
+        values = np.round(logistic_series(2 * n + 30, x0=0.37).values * 64) / 64
+        series = TimeSeries("x", values, origin_index=5)
+        manifold = embed(series, EmbeddingParams(e_dim))
+        times = manifold.times
+        lib, tgt = {"loo": (times[:n], times[:n]),
+                    "split": (times[:n], times[n:n + 20]),
+                    "outside": (times[:2 * n:2], times[:2 * n + 4])}[layout]
+        with mock.patch.object(forecast, "_TABLE_WIDTH", width), \
+                mock.patch.object(forecast, "_screen_inputs",
+                                  wraps=forecast._screen_inputs) as screen:
+            cross_map = cross_estimates(manifold.points, times, series, k,
+                                        lib_times=lib, target_times=tgt)
+            assert screen.called == (n > width + forecast._SCREEN_SLACK)
+            assert np.any((cross_map.table.near < n).sum(axis=1) >= k + 2)
+            drawn = np.sort(np.random.default_rng(n).choice(n, k + 2, replace=False))
+            for columns in (None, drawn):
+                neighbor_times, neighbor_dist = cross_map.neighbors(columns)
+                member = lib if columns is None else lib[columns]
+                for row, t in enumerate(tgt):
+                    ns = knn(manifold, manifold.points[t - times[0]], k,
+                             excluded_times=set(times) - set(member) | {int(t)})
+                    assert neighbor_times[row].tolist() == times[ns.indices].tolist()
+                    assert neighbor_dist[row].tobytes() == ns.distances.tobytes()
+
+    @pytest.mark.parametrize("which", ["lib_times", "target_times"])
+    def test_repeated_times_are_rejected(self, which):
+        series = logistic_series(40)
+        manifold = embed(series, EmbeddingParams(2))
+        times = manifold.times
+        what = {"lib_times": "library", "target_times": "target"}[which]
+        with pytest.raises(DataError, match=f"^{what} times must not repeat: "
+                                            f"time 7 appears more than once$"):
+            cross_estimates(manifold.points, times, series, 3,
+                            **{which: np.r_[times[:20], 7]})
+
     def test_row_short_of_finite_distances_raises(self):
         # distances between 0 and 1e300 overflow to +inf, so target 0 has
         # one finite candidate; the table must not trust its +inf entries
@@ -546,5 +589,17 @@ class TestCrossMapEngine:
         cross_map = cross_estimates(manifold.points, manifold.times, series,
                                     2).shifted(0)
         with pytest.raises(DataError, match="^need 2 neighbors but only 1 usable "
-                                            "candidates for query row 0$"):
+                                            "candidates for the target at time 0$"):
+            cross_map.neighbors()
+
+    def test_the_failing_target_is_named_by_its_time(self):
+        # targets 0-2 find their 3 neighbors among the zeros; target 3 is
+        # the first short row of the fallback, and only the other 1e300
+        # lies at a finite distance from it
+        series = TimeSeries("x", [0, 0, 0, 1e300, 1e300, -1e300, 0, 0])
+        manifold = embed(series, EmbeddingParams(1))
+        cross_map = cross_estimates(manifold.points, manifold.times, series,
+                                    3).shifted(0)
+        with pytest.raises(DataError, match="^need 3 neighbors but only 1 usable "
+                                            "candidates for the target at time 3$"):
             cross_map.neighbors()
