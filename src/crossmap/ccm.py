@@ -15,9 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DataError, SkillStats, TimeSeries, require_integers
+from .core import (DataError, SkillStats, TimeSeries, integer_values,
+                   require_integers)
 from .embedding import EmbeddingParams, embed
-from .forecast import cross_estimates, select_embedding_dimension
+from .forecast import _VIEW_SLACK, cross_estimates, select_embedding_dimension
 
 __all__ = [
     "CcmConfig",
@@ -75,7 +76,7 @@ class CcmConfig:
         if self.seed < 0:
             raise DataError(f"seed must be non-negative, got {self.seed}")
         if self.lib_sizes is not None:
-            sizes = tuple(int(s) for s in self.lib_sizes)
+            sizes = tuple(integer_values("lib_sizes", self.lib_sizes))
             if len(sizes) == 0:
                 raise DataError("lib_sizes must not be empty")
             if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -216,14 +217,17 @@ def _effect_warnings(cause: TimeSeries, effect: TimeSeries, n_degenerate: int,
 
 
 def _effect_cross_map(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
-                      library_times: Sequence[int] | np.ndarray | None = None):
+                      library_times: Sequence[int] | np.ndarray | None = None,
+                      views_only: bool = False):
     """Check the pair, embed the effect and build its cross map onto the
-    cause at lag 0; every lag is a view of it, ``full.shifted(lag)``."""
+    cause at lag 0; every lag is a view of it, ``full.shifted(lag)``. A
+    build that ``views_only`` reads needs no columns for library draws."""
     _check_pair(cause, effect)
     manifold = embed(effect, EmbeddingParams(e_dim=config.e_dim, tau=config.tau))
     lib = np.asarray(library_times, dtype=int) if library_times is not None else None
-    return cross_estimates(manifold.points, manifold.times, cause,
-                           config.e_dim + 1, lib_times=lib)
+    k = config.e_dim + 1
+    return cross_estimates(manifold.points, manifold.times, cause, k, lib_times=lib,
+                           width=k + _VIEW_SLACK if views_only else None)
 
 
 def cross_map_skill(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
@@ -236,8 +240,8 @@ def cross_map_skill(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
     cause(t + lag) as the weighted average of cause at the neighbors'
     times + lag. High convergent skill supports the claim cause => effect.
     """
-    return _effect_cross_map(cause, effect, config,
-                             library_times).shifted(config.lag).skill()
+    return _effect_cross_map(cause, effect, config, library_times,
+                             views_only=True).shifted(config.lag).skill()
 
 
 def convergence_test(rows: Sequence[CurveRow]) -> ConvergenceDecision:
@@ -351,8 +355,9 @@ def pai_cross_map(x: TimeSeries, y: TimeSeries, config: CcmConfig) -> SkillStats
     manifold = embed(x, EmbeddingParams(e_dim=config.e_dim, tau=config.tau))
     y_at_times = y.values[manifold.times - y.origin_index]
     joint = np.hstack([manifold.points, y_at_times[:, None]])
-    return cross_estimates(joint, manifold.times, x,
-                           config.e_dim + 1).shifted(config.lag).skill()
+    k = config.e_dim + 1
+    return cross_estimates(joint, manifold.times, x, k,
+                           width=k + _VIEW_SLACK).shifted(config.lag).skill()
 
 
 def eccm_profile(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
@@ -364,19 +369,25 @@ def eccm_profile(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
     a true, possibly delayed, causal direction; non-negative best lags in
     both directions flag driver-response synchronization instead.
     """
-    return _eccm_profiles(_effect_cross_map(cause, effect, config), (cause,),
-                          effect, config, lag_range)[0]
+    lags = _sweep_lags("lag_range", lag_range)
+    return _eccm_profiles(_effect_cross_map(cause, effect, config, views_only=True),
+                          (cause,), effect, config, lags)[0]
+
+
+def _sweep_lags(name: str, lag_range: Sequence[int]) -> list[int]:
+    """The distinct lags of a sweep, ascending; checked before any build."""
+    lags = sorted(set(integer_values(name, lag_range)))
+    if not lags:
+        raise DataError("empty lag range")
+    return lags
 
 
 def _eccm_profiles(full, causes: Sequence[TimeSeries], effect: TimeSeries,
-                   config: CcmConfig, lag_range: Sequence[int]) -> list[EccmProfile]:
+                   config: CcmConfig, lags: list[int]) -> list[EccmProfile]:
     """:func:`eccm_profile` of each cause on the effect's lag-0 build
-    ``full``: each lag's neighbors are selected once on a view of it and
-    serve every cause, on the effect's axis as both callers check. A lag
-    with too few usable points gets a note."""
-    lags = sorted(set(int(v) for v in lag_range))
-    if not lags:
-        raise DataError("empty lag range")
+    ``full``, at the ascending ``lags``: each lag's neighbors are selected
+    once on a view of it and serve every cause, on the effect's axis as
+    both callers check. A lag with too few usable points gets a note."""
     rows = []  # one list per lag, one (row, degenerate) pair per cause
     for ell in lags:
         try:
@@ -404,7 +415,8 @@ def causal_summary(series: Sequence[TimeSeries], config: CcmConfig,
 
     Every series must share the first one's length and origin: the first
     that differs raises "series lengths differ" or "series must share a
-    time origin" before any embedding. Each ordered pair gets one edge
+    time origin" before any embedding, as do lags that are not integers
+    and an empty lag range. Each ordered pair gets one edge
     with its convergence verdict; no transitive closure is inferred. The
     warnings are each edge's curve warnings in edge order, then, when lag
     sweeps run, a synchronization warning for each pair whose two
@@ -415,6 +427,7 @@ def causal_summary(series: Sequence[TimeSeries], config: CcmConfig,
         raise DataError(f"series names must be unique, got {names}")
     for other in series[1:]:
         _check_pair(series[0], other)
+    lags = None if eccm_lags is None else _sweep_lags("eccm_lags", eccm_lags)
     # on one shared axis every effect fails alike or not at all; effects
     # outer, so that one effect manifold's distances are alive at a time
     by_pair: dict[tuple[str, str], tuple[CausalEdge, tuple[str, ...]]] = {}
@@ -424,8 +437,8 @@ def causal_summary(series: Sequence[TimeSeries], config: CcmConfig,
             continue
         full = _effect_cross_map(causes[0], effect, config)
         curves = _ccm_curves(full, causes, effect, config)
-        best_lags = [None] * len(causes) if eccm_lags is None else [
-            p.best_lag for p in _eccm_profiles(full, causes, effect, config, eccm_lags)]
+        best_lags = [None] * len(causes) if lags is None else [
+            p.best_lag for p in _eccm_profiles(full, causes, effect, config, lags)]
         for cause, curve, best_lag in zip(causes, curves, best_lags):
             by_pair[(cause.name, effect.name)] = (CausalEdge(
                 cause=cause.name, effect=effect.name, final_rho=curve.final_rho,

@@ -61,6 +61,17 @@ def require_integers(owner: object, *names: str) -> None:
             raise DataError(f"{name} must be an integer, got {value!r}")
 
 
+def integer_values(name: str, values: Iterable) -> list[int]:
+    """``values`` as ints; :class:`DataError` names the first that is not
+    an integer (numpy integers are), where ``int()`` would truncate or
+    parse it."""
+    values = list(values)
+    for value in values:
+        if not isinstance(value, Integral):
+            raise DataError(f"{name} must hold integers, got {value!r}")
+    return [int(v) for v in values]
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """A named, uniformly sampled sequence of finite real observations.

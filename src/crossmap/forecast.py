@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import DataError, SkillStats, TimeSeries, skill_stats
+from .core import DataError, SkillStats, TimeSeries, integer_values, skill_stats
 from .embedding import EmbeddingParams, ShadowManifold, embed, knn, nearest_rows
 
 __all__ = [
@@ -33,12 +33,17 @@ __all__ = [
     "select_embedding_dimension",
 ]
 
-# each target's neighbor table holds this many library columns: wide
+# library columns per target in a build whose readers draw libraries: wide
 # enough that draws of a few hundred columns rarely fall back to the points
 _TABLE_WIDTH = 64
+# a build read only through whole-library views keeps k + this many
+# columns: one slot for the strict last-distance trust rule, one for a
+# library column that the view's shift drops
+_VIEW_SLACK = 2
 # the most numbers one block holds at once (a dense block's differences, or
 # a screen block's approximations and partition indices): 1 MiB of
-# float64, which stays in a 2 MiB L2 cache
+# float64, which stays in a 2 MiB L2 cache; a build computes every screen
+# block's approximations into one buffer of its own
 _BLOCK_CELLS = 2 ** 17
 # up to this E the differences are filled one coordinate at a time, in
 # subtractions along the columns (about 1.4x faster at E=2 on the table's
@@ -166,12 +171,13 @@ def _screen_inputs(target_points: np.ndarray, lib_points: np.ndarray
     return np.column_stack([q, np.ones(q.shape[0]), q_sq]), lib, slack
 
 
-def _candidates(tgt: np.ndarray, lib: np.ndarray,
-                m: int) -> tuple[np.ndarray, np.ndarray]:
+def _candidates(tgt: np.ndarray, lib: np.ndarray, m: int,
+                approx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's m columns of smallest approximation, ascending, its own
     column not set aside, and its (m+1)-th approximation. The approximations
-    are dropped on return, before any exact distance."""
-    approx = tgt @ lib
+    go into ``approx``, the build's buffer, which the next block overwrites:
+    no exact distance depends on them."""
+    np.matmul(tgt, lib, out=approx)
     part = np.argpartition(approx, m, axis=1)
     return (np.sort(part[:, :m], axis=1),
             np.take_along_axis(approx, part[:, m:m + 1], axis=1)[:, 0])
@@ -197,16 +203,18 @@ class _NeighborTable:
     """Each target's nearest library columns, without the full matrix.
 
     Row i of ``near`` holds target i (time ``target_times[i]``)'s first
-    ``min(_TABLE_WIDTH, n)`` of the n library columns (times
-    ``lib_times``) in (distance, column) order, and ``near_dist`` their
-    exact distances; the column at the target's own time, if any, is +inf.
+    W = ``min(width, n)`` of the n library columns (times ``lib_times``)
+    in (distance, column) order, and ``near_dist`` their exact distances;
+    the column at the target's own time, if any, is +inf. The readers set
+    ``width`` (see :func:`cross_estimates`).
 
     :meth:`build` fills every row by one exact pass over its candidate
     columns: :func:`_pairwise_distances`, the own time at +inf, a stable
     sort, and the first W entries. A screen picks the candidates: one BLAS
-    product per row block gives every approximate squared distance, and
-    the row's first m = W + ``_SCREEN_SLACK`` approximations are its
-    candidates, so BLAS only screens and every number held is exact. A
+    product per row block, into one buffer per build, gives every
+    approximate squared distance, and the row's first m = W +
+    ``_SCREEN_SLACK`` approximations are its candidates, so BLAS only
+    screens and every number held is exact. A
     rounding bound (:func:`_screen_inputs`) turns the row's (m+1)-th
     approximation into a distance that no other column undercuts. Rows
     whose screen could overflow, and builds with n <= m, take every column
@@ -227,9 +235,10 @@ class _NeighborTable:
 
     @classmethod
     def build(cls, lib_times: np.ndarray, target_times: np.ndarray,
-              target_points: np.ndarray, lib_points: np.ndarray) -> "_NeighborTable":
+              target_points: np.ndarray, lib_points: np.ndarray,
+              width: int) -> "_NeighborTable":
         (n_targets, e_dim), n = target_points.shape, lib_points.shape[0]
-        width = min(_TABLE_WIDTH, n)
+        width = min(width, n)
         m = width + _SCREEN_SLACK
         near = np.empty((n_targets, width), dtype=np.intp)
         near_dist = np.empty(near.shape)
@@ -240,11 +249,15 @@ class _NeighborTable:
         # a block holds at most _BLOCK_CELLS numbers: rows x n approximations
         # and as many partition indices, or rows x n x E differences
         rows, every = np.flatnonzero(screened), np.flatnonzero(~screened)
-        blocks = ([(rows[b], True) for b in _row_blocks(rows.size, n, 2)]
+        screens = _row_blocks(rows.size, n, 2)
+        blocks = ([(rows[b], True) for b in screens]
                   + [(every[b], False) for b in _row_blocks(every.size, n, e_dim)])
+        # one buffer for every block's approximations: a fresh one per block
+        # can cost a fresh process an mmap and a trim of it per block
+        approx = np.empty((rows[screens[0]].size, n)) if screens else None
         for r, screen in blocks:
             if screen:
-                cand, cut = _candidates(tgt[r], lib, m)
+                cand, cut = _candidates(tgt[r], lib, m, approx[:r.size])
                 bound[r] = np.sqrt(np.maximum(cut - slack[r], 0.0))
                 points = np.take(lib_points, cand, axis=0)
             else:
@@ -384,7 +397,8 @@ def cross_estimates(points: np.ndarray,
                     values: TimeSeries,
                     k: int,
                     lib_times: np.ndarray | None = None,
-                    target_times: np.ndarray | None = None) -> _CrossMap:
+                    target_times: np.ndarray | None = None,
+                    width: int | None = None) -> _CrossMap:
     """Cross map from state points onto ``values``, built at shift 0.
 
     ``times`` are the consecutive times of ``points``; library and target
@@ -393,6 +407,11 @@ def cross_estimates(points: np.ndarray,
     observation at t + shift is estimated by its k nearest library states,
     its own time excluded, voting for the value at their own time + shift;
     library times without a value at time + shift are dropped.
+
+    ``width`` is the table's width: ``_TABLE_WIDTH`` (read at each call)
+    when None, for builds whose readers draw libraries, and k +
+    ``_VIEW_SLACK`` for builds read only through whole-library views. It
+    moves work between the table and the points, never a number.
     """
     lib = np.sort(np.asarray(lib_times, dtype=int)) if lib_times is not None else times
     if not np.all(np.isin(lib, times)):
@@ -404,7 +423,8 @@ def cross_estimates(points: np.ndarray,
             raise DataError(f"{what} times must not repeat: time {repeated[0]} "
                             f"appears more than once")
     table = _NeighborTable.build(lib, tgt, points[tgt - times[0]],
-                                 points[lib - times[0]])
+                                 points[lib - times[0]],
+                                 width=_TABLE_WIDTH if width is None else width)
     return _CrossMap(table=table, rows=slice(0, tgt.size), cols=slice(0, lib.size),
                      values=values, shift=0, k=k)
 
@@ -444,8 +464,9 @@ def loo_skill(series: TimeSeries, params: EmbeddingParams) -> SkillStats:
     predicted) pairs are aggregated into one :class:`SkillStats`.
     """
     manifold = embed(series, params)
-    return cross_estimates(manifold.points, manifold.times, series,
-                           params.e_dim + 1).shifted(params.tp).skill()
+    k = params.e_dim + 1
+    return cross_estimates(manifold.points, manifold.times, series, k,
+                           width=k + _VIEW_SLACK).shifted(params.tp).skill()
 
 
 def train_test_skill(series: TimeSeries, params: EmbeddingParams,
@@ -458,11 +479,11 @@ def train_test_skill(series: TimeSeries, params: EmbeddingParams,
     n_train = ceil(train_fraction * manifold.n_points)
     if n_train >= manifold.n_points:
         raise DataError("split leaves no prediction targets")
-    return cross_estimates(manifold.points, manifold.times, series,
-                           params.e_dim + 1,
+    k = params.e_dim + 1
+    return cross_estimates(manifold.points, manifold.times, series, k,
                            lib_times=manifold.times[:n_train],
-                           target_times=manifold.times[n_train:]
-                           ).shifted(params.tp).skill()
+                           target_times=manifold.times[n_train:],
+                           width=k + _VIEW_SLACK).shifted(params.tp).skill()
 
 
 def select_embedding_dimension(series: TimeSeries,
@@ -478,7 +499,7 @@ def select_embedding_dimension(series: TimeSeries,
     distances) are kept in the scan with a note instead of stats; a
     zero-variance row (rho reported as 0) adds a warning.
     """
-    e_values = sorted(set(int(e) for e in e_range))
+    e_values = sorted(set(integer_values("e_range", e_range)))
     if not e_values:
         raise DataError("empty embedding-dimension range")
     if split_fraction is not None and not 0.0 < split_fraction < 1.0:

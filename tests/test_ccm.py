@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import tracemalloc
 from dataclasses import replace
 from itertools import permutations
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ import crossmap.ccm
 from crossmap import (CcmConfig, CurveRow, DataError, TimeSeries,
                       causal_summary, ccm_curve, convergence_test,
                       cross_map_skill, default_library_sizes, eccm_profile,
-                      pai_cross_map, shared_embedding_dimension)
+                      forecast, loo_skill, pai_cross_map,
+                      select_embedding_dimension, shared_embedding_dimension,
+                      train_test_skill)
 from crossmap.embedding import EmbeddingParams, embed
 from crossmap.systems import (gen_coupled_logistic, gen_lagged_logistic,
                               gen_moran_fork, gen_unidirectional_logistic)
@@ -77,9 +81,19 @@ class TestConfig:
 
     def test_numpy_integers_are_accepted(self):
         config = CcmConfig(e_dim=np.int64(2), tau=np.int32(1), lag=np.int64(-1),
-                           samples_per_size=np.uint8(5), seed=np.int64(3))
-        assert config == CcmConfig(e_dim=2, tau=1, lag=-1, samples_per_size=5, seed=3)
+                           samples_per_size=np.uint8(5), seed=np.int64(3),
+                           lib_sizes=np.array([10, 20], dtype=np.int32))
+        assert config == CcmConfig(e_dim=2, tau=1, lag=-1, samples_per_size=5, seed=3,
+                                   lib_sizes=(10, 20))
         assert EmbeddingParams(np.int64(3), tp=np.int16(-2)).span == 2
+
+    @pytest.mark.parametrize("sizes, bad", [
+        ((10.7, 20.9, "30"), "10.7"), ((10, 20.0), "20.0"), ((10, "30"), "'30'")])
+    def test_library_sizes_must_be_integers(self, sizes, bad):
+        # int() would give (10, 20, 30) for (10.7, 20.9, '30')
+        with pytest.raises(DataError,
+                           match=f"^lib_sizes must hold integers, got {bad}$"):
+            CcmConfig(e_dim=2, lib_sizes=sizes)
 
     def test_default_library_sizes(self):
         sizes = default_library_sizes(4, 996)
@@ -335,6 +349,15 @@ class TestEccm:
         cfg = CcmConfig(e_dim=2, seed=0)
         assert eccm_profile(x, y, cfg, range(-8, 9)).best_lag == -2
         assert eccm_profile(y, x, cfg, range(-8, 9)).best_lag >= 0
+
+    @pytest.mark.parametrize("lags, bad", [
+        ([-1.7, 0.5, "2"], "-1.7"), ([0, 1.0], "1.0"), ([0, "2"], "'2'")])
+    def test_lags_must_be_integers(self, coupled, lags, bad):
+        # int() would sweep lags -1, 0, 2 for [-1.7, 0.5, '2']
+        x, y = coupled
+        with pytest.raises(DataError,
+                           match=f"^lag_range must hold integers, got {bad}$"):
+            eccm_profile(x, y, CFG, lags)
 
     def test_unavailable_lags_marked(self, coupled):
         x, y = coupled
@@ -627,6 +650,24 @@ class TestSharedDistances:
             assert str(info.value) == "series lengths differ: 'X' has 800, 'Z' has 790"
             assert builds == []
 
+    @pytest.mark.parametrize("eccm_lags, error", [
+        ([0, 0.5], "must hold integers, got 0.5"), ([], "empty lag range")])
+    def test_bad_lags_raise_before_any_build(self, coupled, builds, eccm_lags, error):
+        x, y = coupled
+        for run, name in ((lambda: eccm_profile(x, y, CFG, eccm_lags), "lag_range"),
+                          (lambda: causal_summary([x, y], CFG, eccm_lags), "eccm_lags")):
+            with pytest.raises(DataError) as info:
+                run()
+            assert str(info.value) == (f"{name} {error}" if eccm_lags else error)
+        assert builds == []
+
+    def test_lags_may_come_from_a_one_pass_iterator(self):
+        # each effect sweeps the same lags, not what the first one left
+        z, a, b = gen_moran_fork(200)
+        cfg = CcmConfig(e_dim=2, seed=0, samples_per_size=3)
+        assert causal_summary([z, a, b], cfg, iter(range(-3, 4))) \
+            == causal_summary([z, a, b], cfg, range(-3, 4))
+
     def test_network_builds_once_per_effect(self, builds):
         z, a, b = gen_moran_fork(200)
         cfg = CcmConfig(e_dim=2, seed=0, samples_per_size=3)
@@ -635,6 +676,59 @@ class TestSharedDistances:
             builds.clear()
             causal_summary([z, a, b], cfg, eccm_lags=eccm_lags)
             assert builds == [199, 199, 199]
+
+
+class TestTableWidth:
+    """Builds read only through whole-library views keep k + _VIEW_SLACK
+    columns; builds whose libraries are drawn keep _TABLE_WIDTH."""
+
+    @pytest.fixture()
+    def widths(self, monkeypatch):
+        # the width asked of each neighbor-table build, in call order
+        calls = []
+        build = forecast._NeighborTable.build
+        signature = inspect.signature(build)
+
+        def recording(cls, *args, **kwargs):
+            calls.append(signature.bind(*args, **kwargs).arguments["width"])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(forecast._NeighborTable, "build", classmethod(recording))
+        return calls
+
+    @pytest.mark.parametrize("run, n_builds", [
+        (lambda x, y: loo_skill(x, EmbeddingParams(3)), 1),
+        (lambda x, y: train_test_skill(x, EmbeddingParams(3)), 1),
+        (lambda x, y: select_embedding_dimension(x, e_range=[3, 3]), 1),
+        (lambda x, y: cross_map_skill(x, y, CcmConfig(e_dim=3)), 1),
+        (lambda x, y: cross_map_skill(x, y, CcmConfig(e_dim=3),
+                                      library_times=np.arange(2, 300, 3)), 1),
+        (lambda x, y: pai_cross_map(x, y, CcmConfig(e_dim=3)), 1),
+        (lambda x, y: eccm_profile(x, y, CcmConfig(e_dim=3), range(-3, 4)), 1),
+        (lambda x, y: shared_embedding_dimension(x, y, e_range=[3]), 2),
+    ])
+    def test_view_only_builds_are_narrow(self, coupled, widths, run, n_builds):
+        run(*coupled)
+        assert widths == [3 + 1 + forecast._VIEW_SLACK] * n_builds
+
+    def test_the_scan_builds_each_e_narrow(self, coupled, widths):
+        select_embedding_dimension(coupled[0], e_range=range(1, 5), split_fraction=0.7)
+        assert widths == [e + 1 + forecast._VIEW_SLACK for e in range(1, 5)]
+
+    @pytest.mark.parametrize("table_width", [None, 7])
+    def test_builds_that_draw_libraries_are_full_width(self, widths, table_width):
+        # the width is read at call time, so a mocked _TABLE_WIDTH holds
+        z, a, b = gen_moran_fork(200)
+        cfg = CcmConfig(e_dim=2, seed=0, samples_per_size=3)
+        with mock.patch.object(forecast, "_TABLE_WIDTH",
+                               table_width or forecast._TABLE_WIDTH):
+            width = forecast._TABLE_WIDTH
+            ccm_curve(z, a, cfg)
+            assert widths == [width]
+            for eccm_lags in (None, range(-3, 4)):
+                widths.clear()
+                causal_summary([z, a, b], cfg, eccm_lags=eccm_lags)
+                assert widths == [width] * 3
 
 
 class TestDrawOrder:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from crossmap import (DataError, EmbeddingParams, NumericalError, TimeSeries,
-                      embed, knn, loo_skill, select_embedding_dimension,
+from crossmap import (CrossmapError, DataError, EmbeddingParams, NumericalError,
+                      TimeSeries, embed, knn, loo_skill, select_embedding_dimension,
                       simplex_forecast, simplex_weights, train_test_skill)
 from crossmap import forecast
 from crossmap.embedding import nearest_rows
@@ -220,6 +220,18 @@ class TestSelectEmbeddingDimension:
     def test_empty_range(self):
         with pytest.raises(DataError):
             select_embedding_dimension(logistic_series(100), e_range=[])
+
+    @pytest.mark.parametrize("e_range, bad", [
+        ([1.5, 2.9, "3"], "1.5"), ([1, 2.0], "2.0"), ([1, "3"], "'3'")])
+    def test_dimensions_must_be_integers(self, e_range, bad):
+        # int() would scan E = 1, 2, 3 for [1.5, 2.9, '3']
+        with pytest.raises(DataError, match=f"^e_range must hold integers, got {bad}$"):
+            select_embedding_dimension(logistic_series(100), e_range=e_range)
+
+    def test_numpy_dimensions_are_accepted(self):
+        scan = select_embedding_dimension(logistic_series(100),
+                                          e_range=np.arange(1, 4, dtype=np.int32))
+        assert [r.e_dim for r in scan.rows] == [1, 2, 3]
 
     def test_no_scored_row_quotes_the_first_note(self):
         # squared distances of values near 1e160 overflow to +inf, so no
@@ -603,3 +615,81 @@ class TestCrossMapEngine:
         with pytest.raises(DataError, match="^need 3 neighbors but only 1 usable "
                                             "candidates for the target at time 3$"):
             cross_map.neighbors()
+
+
+def outcome(call):
+    """What ``call`` returns, or the text of the crossmap error it raises."""
+    try:
+        return call()
+    except CrossmapError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def neighbors_outcome(cross_map):
+    """A view's whole-library neighbor times and distance bytes, or its error."""
+    got = outcome(cross_map.neighbors)
+    return got if isinstance(got, str) else (got[0].tolist(), got[1].tobytes())
+
+
+class TestViewWidth:
+    """A build read only through whole-library views keeps k + _VIEW_SLACK
+    columns; its views give exactly what the views of a full-width build
+    and the dense matrix give."""
+
+    def views(self, manifold, series, shift, lib, tgt):
+        k = manifold.e_dim + 1
+        builds = [cross_estimates(manifold.points, manifold.times, series, k,
+                                  lib_times=lib, target_times=tgt, width=width)
+                  for width in (k + forecast._VIEW_SLACK, forecast._TABLE_WIDTH)]
+        assert builds[0].table.near.shape[1] == min(k + forecast._VIEW_SLACK, lib.size)
+        return [build.shifted(shift) for build in builds]
+
+    def assert_narrow_is_wide_and_dense(self, manifold, narrow, wide, lib, tgt):
+        got = neighbors_outcome(narrow)
+        assert got == neighbors_outcome(wide)
+        assert outcome(narrow.skill) == outcome(wide.skill)
+        if isinstance(got, str):
+            with pytest.raises(DataError):
+                dense_neighbors(narrow, manifold, lib, tgt, None)
+        else:
+            want = dense_neighbors(narrow, manifold, lib, tgt, None)
+            assert got == (want[0].tolist(), want[1].tobytes())
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(series=st.one_of(long_tie_heavy_series(), screened_series()),
+           e_dim=st.integers(1, 6), shift=st.integers(-8, 8), tp=st.integers(0, 2),
+           split=st.booleans(), data=st.data())
+    def test_a_narrow_build_views_like_a_wide_one(self, series, e_dim, shift, tp,
+                                                  split, data):
+        manifold = embed(series, EmbeddingParams(e_dim))
+        times = manifold.times
+        if times.size < e_dim + 3:
+            reject()
+        cut = data.draw(st.integers(1, times.size - 1)) if split else times.size
+        lib, tgt = times[:cut], (times[cut:] if split else times)
+        try:
+            narrow, wide = self.views(manifold, series, shift, lib, tgt)
+        except DataError:
+            reject()
+        self.assert_narrow_is_wide_and_dense(manifold, narrow, wide, lib, tgt)
+        if not split:
+            # loo_skill builds narrow; its skill is the wide build's at tp
+            assert outcome(lambda: loo_skill(series, EmbeddingParams(e_dim, tp=tp))) \
+                == outcome(lambda: wide.shifted(tp).skill())
+
+    @pytest.mark.parametrize("shift", [2, 5, 8])
+    @pytest.mark.parametrize("values", ["line", "two_decimals"])
+    def test_rows_the_view_leaves_short_fall_back_to_the_points(self, values, shift):
+        # on a line the last usable target's nearest columns follow it, and
+        # the shift drops them from the view's library; on a 2-decimal
+        # logistic series many rows tie at the narrow table's last distance
+        series = TimeSeries("x", np.arange(120.0) if values == "line"
+                            else np.round(logistic_series(300).values, 2))
+        manifold = embed(series, EmbeddingParams(1 if values == "line" else 2))
+        times = manifold.times
+        narrow, wide = self.views(manifold, series, shift, times, times)
+        with mock.patch.object(forecast, "nearest_rows",
+                               wraps=nearest_rows) as fallback:
+            narrow.neighbors()
+        assert fallback.called
+        self.assert_narrow_is_wide_and_dense(manifold, narrow, wide, times, times)
