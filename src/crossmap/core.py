@@ -177,9 +177,14 @@ def skill_stats(observed: Sequence[float], predicted: Sequence[float]) -> SkillS
     if obs.size < 2:
         raise DataError("skill statistics need at least 2 pairs")
     rho, degenerate = _pearson_raw(obs, pred)
-    err = obs - pred
-    mae = float(np.mean(np.abs(err)))
-    rmse = float(np.sqrt(np.mean(err * err)))
+    with np.errstate(over="ignore"):
+        err = obs - pred
+        mae = float(np.mean(np.abs(err)))
+        rmse = float(np.sqrt(np.mean(err * err)))
+    # a finite rmse means every squared error, and so the mae, is finite
+    if not np.isfinite(rmse):
+        raise NumericalError("prediction errors are not finite: the values are "
+                             "too large for float64 squares; rescale them")
     return SkillStats(rho=rho, mae=mae, rmse=rmse, n_pairs=int(obs.size),
                       degenerate=degenerate)
 

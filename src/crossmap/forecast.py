@@ -14,7 +14,7 @@ zero for the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import ceil
+from math import ceil, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,9 +41,10 @@ _TABLE_WIDTH = 64
 # library column that the view's shift drops
 _VIEW_SLACK = 2
 # the most numbers one block holds at once (a dense block's differences, or
-# a screen block's approximations and partition indices): 1 MiB of
-# float64, which stays in a 2 MiB L2 cache; a build computes every screen
-# block's approximations into one buffer of its own
+# a screen block's approximations and partition indices over its window,
+# which is at most the whole library): 1 MiB of float64, which stays in a
+# 2 MiB L2 cache; a build computes every window's approximations into one
+# buffer of its own
 _BLOCK_CELLS = 2 ** 17
 # up to this E the differences are filled one coordinate at a time, in
 # subtractions along the columns (about 1.4x faster at E=2 on the table's
@@ -142,45 +143,69 @@ def _row_blocks(n_rows: int, n_cols: int, e_dim: int) -> list[slice]:
 
 
 def _screen_inputs(target_points: np.ndarray, lib_points: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Factors ``tgt`` and ``lib`` whose product is every approximate
-    squared distance, and each target's rounding bound on them (+inf
-    where the screen may overflow).
+    squared distance.
 
-    With q and p centred on the library mean, row i of ``tgt`` times
-    column j of ``lib`` is |q_i|^2 + |p_j|^2 - 2 q_i.p_j. Let u = 2^-53 and
-    R_i = |q_i| + max_j |p_j|. The norms (gamma_E) and the product of E + 2
-    terms (gamma_(E+2)) keep the approximation within (2E + 2) u R_i^2 of
-    the centred squared distance; centring moves that by at most
-    2 u R_i^2 from the true one, and the exact kernel's squared sum lies
-    within (E + 2) u R_i^2 of the true one. The bound doubles the sum,
-    (3E + 6) u R_i^2, for higher-order terms and for the rounding of the
-    bound itself, and adds one smallest normal number per operation for
-    underflow. Subtracting a common offset such as 1e12 while centring is
-    exact (Sterbenz's lemma), and the bound never depends on it.
+    With q and p centred on the library mean, row i of ``tgt`` = [q_i, 1,
+    |q_i|^2] times column j of ``lib`` = [-2 p_j; |p_j|^2; 1] is |q_i|^2 +
+    |p_j|^2 - 2 q_i.p_j. Subtracting a common offset such as 1e12 while
+    centring is exact (Sterbenz's lemma), so the offset never swamps the
+    screen; :func:`_rounding_bound` reads the norms back from the factors.
     """
-    e_dim, fp = lib_points.shape[1], np.finfo(float)
     with np.errstate(over="ignore", invalid="ignore"):
         centre = lib_points.mean(axis=0)
         q, p = target_points - centre, lib_points - centre
         q_sq, p_sq = np.einsum("me,me->m", q, q), np.einsum("ne,ne->n", p, p)
-        radius_sq = (np.sqrt(q_sq) + np.sqrt(p_sq.max())) ** 2
-        slack = 2 * (3 * e_dim + 6) * (fp.eps / 2 * radius_sq + fp.tiny)
-        slack[~np.isfinite(4 * radius_sq)] = np.inf
         lib = np.vstack([-2 * p.T, p_sq, np.ones(p.shape[0])])
-    return np.column_stack([q, np.ones(q.shape[0]), q_sq]), lib, slack
+    return np.column_stack([q, np.ones(q.shape[0]), q_sq]), lib
 
 
-def _candidates(tgt: np.ndarray, lib: np.ndarray, m: int,
-                approx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's m columns of smallest approximation, ascending, its own
-    column not set aside, and its (m+1)-th approximation. The approximations
-    go into ``approx``, the build's buffer, which the next block overwrites:
-    no exact distance depends on them."""
+def _rounding_bound(tgt: np.ndarray, lib: np.ndarray) -> np.ndarray:
+    """Each row of ``tgt``'s rounding bound on its approximations to the
+    columns of ``lib`` (factors from :func:`_screen_inputs`), +inf where
+    the screen may overflow.
+
+    Let u = 2^-53 and R_i = |q_i| + max_j |p_j| over the columns given.
+    The norms (gamma_E) and the product of E + 2 terms (gamma_(E+2)) keep
+    the approximation within (2E + 2) u R_i^2 of the centred squared
+    distance; centring moves that by at most 2 u R_i^2 from the true one,
+    and the exact kernel's squared sum lies within (E + 2) u R_i^2 of the
+    true one. The bound doubles the sum, (3E + 6) u R_i^2, for
+    higher-order terms and for the rounding of the bound itself, and adds
+    one smallest normal number per operation for underflow. Only the
+    columns given enter R_i, so a far outlier loosens the bound only of
+    the windows that hold it.
+    """
+    scale, fp = 2 * (3 * (lib.shape[0] - 2) + 6), np.finfo(float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        radius_sq = (np.sqrt(tgt[:, -1]) + sqrt(lib[-2].max())) ** 2
+        return np.where(radius_sq <= fp.max / 4,
+                        scale * (fp.eps / 2 * radius_sq + fp.tiny), np.inf)
+
+
+def _candidates(tgt: np.ndarray, lib: np.ndarray, cols: np.ndarray, m: int,
+                buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The screen of one row block over one window of more than m library
+    columns: ``lib`` holds the window's factors and ``cols`` its library
+    columns.
+
+    Returns each row's m columns of smallest approximation, ascending, its
+    own column not set aside, and two radii from its (m+1)-th
+    approximation a and its rounding bound delta over the window: no other
+    column of the window lies nearer than sqrt(max(a - delta, 0)), and
+    sqrt(a + delta) is a radius that holds about m + 1 of them. The
+    approximations go into ``buf``, the build's buffer, as one contiguous
+    (rows, window) array that the next block overwrites: no exact distance
+    depends on them.
+    """
+    approx = buf[:tgt.shape[0] * lib.shape[1]].reshape(tgt.shape[0], -1)
     np.matmul(tgt, lib, out=approx)
     part = np.argpartition(approx, m, axis=1)
-    return (np.sort(part[:, :m], axis=1),
-            np.take_along_axis(approx, part[:, m:m + 1], axis=1)[:, 0])
+    cut = approx[np.arange(approx.shape[0]), part[:, m]]
+    slack = _rounding_bound(tgt, lib)
+    return (np.sort(cols[part[:, :m]], axis=1),
+            np.sqrt(np.maximum(cut - slack, 0.0)), np.sqrt(cut + slack))
 
 
 def estimates_from_distances(dist: np.ndarray,
@@ -211,19 +236,40 @@ class _NeighborTable:
     :meth:`build` fills every row by one exact pass over its candidate
     columns: :func:`_pairwise_distances`, the own time at +inf, a stable
     sort, and the first W entries. A screen picks the candidates: one BLAS
-    product per row block, into one buffer per build, gives every
-    approximate squared distance, and the row's first m = W +
-    ``_SCREEN_SLACK`` approximations are its candidates, so BLAS only
-    screens and every number held is exact. A
-    rounding bound (:func:`_screen_inputs`) turns the row's (m+1)-th
-    approximation into a distance that no other column undercuts. Rows
-    whose screen could overflow, and builds with n <= m, take every column
-    instead, with the bound +inf. An entry is trusted only if it lies
-    strictly below both the bound and the row's last distance (a column
-    tied with either may have an earlier twin outside the table), so the
-    trusted entries are a prefix of the dense (distance, column) order,
-    sometimes a shorter one. Untrusted entries hold column n, which no
-    library has.
+    product per row block, into one buffer per build, gives approximate
+    squared distances, and the row's first m = W + ``_SCREEN_SLACK``
+    approximations are its candidates, so BLAS only screens and every
+    number held is exact. A rounding bound (:func:`_rounding_bound`) turns
+    the row's (m+1)-th approximation into a distance that no other
+    screened column undercuts. Rows whose screen could overflow, and
+    builds with n <= m, take every column instead, with the bound +inf.
+
+    The screen reads only a window of the library. The targets are taken
+    in the order of their first coordinate x0, and the library is sorted
+    by x0 once, so each row block's window is one slice of it: the columns
+    within rho of the block's x0 range, where rho is the largest
+    sqrt(a + delta) of the previous block's rows (a their (m+1)-th
+    approximation, delta their rounding bound); the first block, and a
+    window of at most m columns, take the whole library. Columns outside
+    the window are certified by their x0 alone. Let e = fl(x0_i - x0_l),
+    with l the window's left neighbour in x0 order. A column p left of the
+    window has q0 - p0 >= x0_i - x0_l > 0 exactly, and rounding is
+    monotone, so its kernel difference fl(q0 - p0) >= e, its square is at
+    least fl(e * e), and adding the other non-negative squares, in any
+    order, never makes a rounded sum smaller: its exact distance is at
+    least the edge bound fl(sqrt(fl(e * e))), with no margin. The right
+    side is the mirror image. A row whose edge bound lies below its screen
+    bound and at or below its W-th distance may miss a column beyond the
+    edge, and is screened again over the whole library. Every other row
+    has its edge bound at or above its screen bound, or above its W-th
+    distance, so the screen bound alone certifies what it trusts, and it
+    trusts at least as much as a screen of the whole library would.
+
+    An entry is trusted only if it lies strictly below both the bound and
+    the row's last distance (a column tied with either may have an
+    earlier twin outside the table), so the trusted entries are a prefix
+    of the dense (distance, column) order, sometimes a shorter one.
+    Untrusted entries hold column n, which no library has.
     """
 
     near: np.ndarray
@@ -242,32 +288,66 @@ class _NeighborTable:
         m = width + _SCREEN_SLACK
         near = np.empty((n_targets, width), dtype=np.intp)
         near_dist = np.empty(near.shape)
-        bound, slack = np.full(n_targets, np.inf), np.full(n_targets, np.inf)
-        if n > m:
-            tgt, lib, slack = _screen_inputs(target_points, lib_points)
-        screened = np.isfinite(slack)
-        # a block holds at most _BLOCK_CELLS numbers: rows x n approximations
-        # and as many partition indices, or rows x n x E differences
-        rows, every = np.flatnonzero(screened), np.flatnonzero(~screened)
-        screens = _row_blocks(rows.size, n, 2)
-        blocks = ([(rows[b], True) for b in screens]
-                  + [(every[b], False) for b in _row_blocks(every.size, n, e_dim)])
-        # one buffer for every block's approximations: a fresh one per block
-        # can cost a fresh process an mmap and a trim of it per block
-        approx = np.empty((rows[screens[0]].size, n)) if screens else None
-        for r, screen in blocks:
-            if screen:
-                cand, cut = _candidates(tgt[r], lib, m, approx[:r.size])
-                bound[r] = np.sqrt(np.maximum(cut - slack[r], 0.0))
-                points = np.take(lib_points, cand, axis=0)
-            else:
-                cand, points = np.broadcast_to(np.arange(n), (r.size, n)), lib_points
+        bound = np.full(n_targets, np.inf)
+
+        def exact(r: np.ndarray, cand: np.ndarray, points: np.ndarray) -> None:
             dist = _pairwise_distances(target_points[r], points)
             dist[lib_times[cand] == target_times[r, None]] = np.inf
             # candidates ascend, so a stable sort breaks ties by column
             order = np.argsort(dist, axis=1, kind="stable")[:, :width]
             near[r] = np.take_along_axis(cand, order, axis=1)
             near_dist[r] = np.take_along_axis(dist, order, axis=1)
+
+        screened = np.zeros(n_targets, dtype=bool)
+        if n > m:
+            tgt, lib = _screen_inputs(target_points, lib_points)
+            screened = np.isfinite(_rounding_bound(tgt, lib))
+        # a block holds at most _BLOCK_CELLS numbers: rows x n x E differences
+        # here, rows x n approximations and as many partition indices below
+        every = np.flatnonzero(~screened)
+        for block in _row_blocks(every.size, n, e_dim):
+            r = every[block]
+            exact(r, np.broadcast_to(np.arange(n), (r.size, n)), lib_points)
+        rows = np.flatnonzero(screened)
+        if rows.size:
+            # targets and library in first-coordinate (x0) order: a block's
+            # window is one slice of the permuted library
+            rows = rows[np.argsort(target_points[rows, 0], kind="stable")]
+            x0_rows = target_points[rows, 0]
+            by_x0 = np.argsort(lib_points[:, 0], kind="stable")
+            lib = lib[:, by_x0]
+            x0 = np.concatenate([[-np.inf], lib_points[by_x0, 0], [np.inf]])
+            screens = _row_blocks(rows.size, n, 2)
+            # one buffer for every window's approximations: a fresh one per
+            # block can cost a fresh process an mmap and a trim of it per block
+            buf = np.empty(rows[screens[0]].size * n)
+
+            def screen(r: np.ndarray, lo: int, hi: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+                cand, low, radii = _candidates(tgt[r], lib[:, lo:hi], by_x0[lo:hi],
+                                               m, buf)
+                exact(r, cand, np.take(lib_points, cand, axis=0))
+                return low, radii
+
+            radius = np.inf
+            for block in screens:
+                r, t0 = rows[block], x0_rows[block]
+                lo, hi = np.searchsorted(x0[1:-1], (t0[0] - radius, t0[-1] + radius))
+                if hi - lo <= m:
+                    lo, hi = 0, n
+                low, radii = screen(r, lo, hi)
+                if hi - lo < n:
+                    # x0 is padded, so the window's neighbours are x0[lo] and
+                    # x0[hi + 1]; no column beyond them lies nearer than edge
+                    with np.errstate(over="ignore"):
+                        gap = np.minimum(t0 - x0[lo], x0[hi + 1] - t0)
+                        edge = np.sqrt(gap * gap)
+                    # rows whose table the edge cuts into take the whole library
+                    redo = (edge < low) & (edge <= near_dist[r, -1])
+                    if redo.any():
+                        low[redo], radii[redo] = screen(r[redo], 0, n)
+                bound[r] = low
+                radius = radii.max()
         near[(near_dist >= near_dist[:, -1:]) | (near_dist >= bound[:, None])] = n
         return cls(near=near, near_dist=near_dist, lib_times=lib_times,
                    target_times=target_times, target_points=target_points,

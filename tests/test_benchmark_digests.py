@@ -10,6 +10,7 @@ import json
 import sys
 import types
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -38,3 +39,41 @@ def test_workload_payload_matches_its_recorded_digest(name, tmp_path):
     payload = workload.run(workload.setup(0, tmp_path))
     assert workload.verdicts(payload) == []
     assert workloads.digest(payload) == DIGESTS[name]["0"]
+
+
+# at seed 0: rows that fall back to the points (rows passed to
+# nearest_rows) may not rise, and entries the tables trust may not fall
+TRUST_FLOOR = {
+    "lag-sweep": {"fallback_rows": 0, "trusted": 15_992},
+    "tied-large": {"fallback_rows": 129_604, "trusted": 156_629},
+    "fork-network": {"fallback_rows": 305_641, "trusted": 412_551},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRUST_FLOOR))
+def test_tables_trust_no_less_than_recorded(name, tmp_path):
+    # a table that trusts less sends more rows to the points; no digest
+    # changes, so only these counts can see it
+    from crossmap import forecast
+
+    counts = {"fallback_rows": 0, "trusted": 0}
+    build, nearest_rows = forecast._NeighborTable.build.__func__, forecast.nearest_rows
+
+    def counting_build(cls, lib_times, *args, **kwargs):
+        table = build(cls, lib_times, *args, **kwargs)
+        counts["trusted"] += int((table.near < lib_times.size).sum())
+        return table
+
+    def counting_nearest_rows(dist, k):
+        counts["fallback_rows"] += dist.shape[0]
+        return nearest_rows(dist, k)
+
+    workload = workloads.WORKLOADS[name]
+    inputs = workload.setup(0, tmp_path)
+    with mock.patch.object(forecast._NeighborTable, "build",
+                           classmethod(counting_build)), \
+            mock.patch.object(forecast, "nearest_rows", counting_nearest_rows):
+        payload = workload.run(inputs)
+    assert workloads.digest(payload) == DIGESTS[name]["0"]
+    assert counts["fallback_rows"] <= TRUST_FLOOR[name]["fallback_rows"]
+    assert counts["trusted"] >= TRUST_FLOOR[name]["trusted"]

@@ -121,6 +121,14 @@ class TestSkillStats:
         # rescaled, the same values score
         assert skill_stats(v / 1e160, v / 1e160).rho == 1.0
 
+    def test_overflowing_errors_raise_instead_of_an_infinite_rmse(self):
+        # a constant observed side scores rho 0 without an overflowing sum,
+        # but the squares of its errors overflow
+        with pytest.raises(NumericalError, match="too large for float64 "
+                                                 "squares; rescale them"):
+            skill_stats([1e300] * 3, [5e299] * 3)
+        assert skill_stats([1e150] * 3, [5e149] * 3).rmse == 5e149
+
     def test_self_skill_nonconstant(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

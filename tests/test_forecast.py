@@ -426,16 +426,16 @@ class TestCrossMapEngine:
     def test_a_certificate_of_zero_trusts_nothing(self, e_dim):
         # with the bound forced to 0 every row takes the exact fallback,
         # and the neighbors stay the dense ones
-        screen = forecast._screen_inputs
+        rounding_bound = forecast._rounding_bound
 
-        def no_certificate(target_points, lib_points):
-            tgt, lib, slack = screen(target_points, lib_points)
-            return tgt, lib, np.where(np.isfinite(slack), np.finfo(float).max, slack)
+        def no_certificate(tgt, lib):
+            slack = rounding_bound(tgt, lib)
+            return np.where(np.isfinite(slack), np.finfo(float).max, slack)
 
         series = logistic_series(300, x0=0.43)
         manifold = embed(series, EmbeddingParams(e_dim))
         times = manifold.times
-        with mock.patch.object(forecast, "_screen_inputs", no_certificate):
+        with mock.patch.object(forecast, "_rounding_bound", no_certificate):
             cross_map = cross_estimates(manifold.points, times, series,
                                         e_dim + 1).shifted(1)
         assert np.all(cross_map.table.near == times.size)
@@ -615,6 +615,145 @@ class TestCrossMapEngine:
         with pytest.raises(DataError, match="^need 3 neighbors but only 1 usable "
                                             "candidates for the target at time 3$"):
             cross_map.neighbors()
+
+
+def whole_library_trust(table, dense, width):
+    """Trusted entries per row under a screen of the whole library (one
+    block), from the dense build's distances. Its (m+1)-th approximation
+    a may round differently from a block's or a window's, by at most the
+    rounding bound delta, so the bound taken is sqrt(max(a - 2 delta, 0)),
+    which every screen that sees the whole library, or a window of it,
+    reaches."""
+    n, w = table.lib_times.size, min(width, table.lib_times.size)
+    m = w + forecast._SCREEN_SLACK
+    bound = np.full(table.target_times.size, np.inf)
+    if n > m:
+        tgt, lib = forecast._screen_inputs(table.target_points, table.lib_points)
+        slack = forecast._rounding_bound(tgt, lib)
+        with np.errstate(all="ignore"):
+            cut = np.partition(tgt @ lib, m, axis=1)[:, m]
+            screened = np.isfinite(slack)
+            bound[screened] = np.sqrt(np.maximum(cut - 2 * slack, 0.0))[screened]
+    d = dense.near_dist
+    return ((d < bound[:, None]) & (d < d[:, -1:])).sum(axis=1)
+
+
+def assert_windowed_table(table, dense, width):
+    """The windowed table's trusted entries are a prefix of the dense
+    build's, with the same distances, and no shorter than a screen of the
+    whole library trusts."""
+    n = table.lib_times.size
+    n_trusted = (table.near < n).sum(axis=1)
+    assert np.array_equal(table.near < n, np.arange(table.near.shape[1]) < n_trusted[:, None])
+    assert np.all(n_trusted <= (dense.near < n).sum(axis=1))
+    for row, t in enumerate(n_trusted):
+        assert table.near[row, :t].tolist() == dense.near[row, :t].tolist()
+        assert table.near_dist[row, :t].tobytes() == dense.near_dist[row, :t].tobytes()
+    assert np.all(n_trusted >= whole_library_trust(table, dense, width))
+
+
+def windowed_and_dense(build):
+    """``build()`` with the screen's windows recorded as (rows, columns,
+    radii) per screen, and again with every column a candidate."""
+    screens = []
+    candidates = forecast._candidates
+
+    def recording(tgt, lib, cols, m, buf):
+        cand, low, radii = candidates(tgt, lib, cols, m, buf)
+        screens.append((tgt.shape[0], lib.shape[1], radii.copy()))
+        return cand, low, radii
+
+    with mock.patch.object(forecast, "_candidates", recording):
+        table = build()
+    with mock.patch.object(forecast, "_SCREEN_SLACK", 10 ** 9):
+        dense = build()
+    return table, dense, screens
+
+
+class TestWindowedScreen:
+    """Each row block screens only the library columns within its window
+    of first coordinates; columns beyond it are certified by the edge."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(series=st.one_of(long_tie_heavy_series(), screened_series()),
+           e_dim=st.integers(1, 6), layout=st.sampled_from(["loo", "split", "outside"]),
+           narrow=st.booleans(), cells=st.sampled_from([1, 2 ** 10, 2 ** 12]),
+           data=st.data())
+    def test_trusted_entries_are_a_dense_prefix_no_shorter_than_unwindowed(
+            self, series, e_dim, layout, narrow, cells, data):
+        manifold = embed(series, EmbeddingParams(e_dim))
+        times = manifold.times
+        if times.size < 4:
+            reject()
+        cut = data.draw(st.integers(1, times.size - 1))
+        lib, tgt = {"loo": (times, times), "split": (times[:cut], times[cut:]),
+                    "outside": (times[::2], times)}[layout]
+        width = e_dim + 1 + forecast._VIEW_SLACK if narrow else forecast._TABLE_WIDTH
+        with mock.patch.object(forecast, "_BLOCK_CELLS", cells):
+            table, dense, _ = windowed_and_dense(lambda: cross_estimates(
+                manifold.points, times, series, e_dim + 1, lib_times=lib,
+                target_times=tgt, width=width).table)
+        assert_windowed_table(table, dense, width)
+
+    def build_rows_one_by_one(self, lib_points, target_points, width=4):
+        lib_times = np.arange(len(lib_points))
+        target_times = 1000 + np.arange(len(target_points))
+        with mock.patch.object(forecast, "_BLOCK_CELLS", 1):
+            table, dense, screens = windowed_and_dense(lambda: forecast._NeighborTable.build(
+                lib_times, target_times, np.asarray(target_points, dtype=float),
+                np.asarray(lib_points, dtype=float), width))
+        assert_windowed_table(table, dense, width)
+        return table, screens
+
+    def test_a_window_of_one_column_takes_the_whole_library(self):
+        # a library on the line 0..99 (E=1); the target at 49.5 holds its
+        # m + 1 = 14 nearest columns within about 6.5, so the target at 105
+        # is given the window [98.5, 111.5]: column 99 alone
+        line = np.arange(100.0)[:, None]
+        table, screens = self.build_rows_one_by_one(line, [[49.5], [105.0]])
+        (_, first, radii), (_, second, _) = screens
+        assert first == second == 100
+        assert np.sum(np.abs(line[:, 0] - 105.0) <= radii.max()) == 1
+        assert table.near[1, :3].tolist() == [99, 98, 97]
+
+    def test_a_constant_first_coordinate_puts_every_column_in_the_window(self):
+        rng = np.random.default_rng(7)
+        points = np.column_stack([np.full(120, 0.5), np.round(rng.random(120), 2)])
+        times = np.arange(120)
+        with mock.patch.object(forecast, "_BLOCK_CELLS", 2 ** 10):
+            table, dense, screens = windowed_and_dense(
+                lambda: forecast._NeighborTable.build(times, times, points, points, 5))
+        assert_windowed_table(table, dense, 5)
+        # 4 rows per block, every one screened once over all 120 columns
+        assert [(rows, cols) for rows, cols, _ in screens] == [(4, 120)] * 30
+
+    def test_a_row_whose_table_the_edge_cuts_is_screened_again(self):
+        # 30 columns at x0 = 5, one at (1, 10) and 29 far to the left; the
+        # target (5, 0.15) keeps the next window at x0 = 5, where the
+        # target (5, 10) finds only columns 10 away, but (1, 10), 4 away,
+        # lies just past the window's edge
+        x1 = np.arange(30) / 100
+        lib = np.vstack([np.column_stack([np.full(30, 5.0), x1]), [[1.0, 10.0]],
+                         np.column_stack([-100.0 - np.arange(29), np.zeros(29)])])
+        table, screens = self.build_rows_one_by_one(lib, [[5.0, 0.15], [5.0, 10.0]])
+        assert [(rows, cols) for rows, cols, _ in screens] == [(1, 60), (1, 30), (1, 60)]
+        assert table.near[1, 0] == 30 and table.near_dist[1, 0] == 4.0
+
+    def test_a_far_outlier_loosens_only_the_windows_that_hold_it(self):
+        # with R_i taken over the whole library, 997 of 999 rows trusted
+        # fewer than k = 3 entries
+        x, _ = gen_coupled_logistic(1000)
+        values = x.values.copy()
+        values[500] = 1e6
+        series = TimeSeries("x", values)
+        manifold = embed(series, EmbeddingParams(2))
+        times = manifold.times
+        cross_map = cross_estimates(manifold.points, times, series, 3, width=5)
+        assert ((cross_map.table.near < times.size).sum(axis=1) < 3).sum() <= 250
+        view = cross_map.shifted(1)
+        got, want = view.neighbors(), dense_neighbors(view, manifold, times, times, None)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 def outcome(call):
