@@ -18,7 +18,7 @@ import numpy as np
 from .core import (DataError, SkillStats, TimeSeries, integer_values,
                    require_integers)
 from .embedding import EmbeddingParams, embed
-from .forecast import _VIEW_SLACK, cross_estimates, select_embedding_dimension
+from .forecast import cross_estimates, select_embedding_dimension
 
 __all__ = [
     "CcmConfig",
@@ -218,16 +218,16 @@ def _effect_warnings(cause: TimeSeries, effect: TimeSeries, n_degenerate: int,
 
 def _effect_cross_map(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
                       library_times: Sequence[int] | np.ndarray | None = None,
-                      views_only: bool = False):
+                      draws: bool = False):
     """Check the pair, embed the effect and build its cross map onto the
-    cause at lag 0; every lag is a view of it, ``full.shifted(lag)``. A
-    build that ``views_only`` reads needs no columns for library draws."""
+    cause at lag 0; every lag is a view of it, ``full.shifted(lag)``.
+    ``draws`` says whether library draws will read it (see
+    :func:`cross_estimates`)."""
     _check_pair(cause, effect)
     manifold = embed(effect, EmbeddingParams(e_dim=config.e_dim, tau=config.tau))
     lib = np.asarray(library_times, dtype=int) if library_times is not None else None
-    k = config.e_dim + 1
-    return cross_estimates(manifold.points, manifold.times, cause, k, lib_times=lib,
-                           width=k + _VIEW_SLACK if views_only else None)
+    return cross_estimates(manifold.points, manifold.times, cause, config.e_dim + 1,
+                           lib_times=lib, draws=draws)
 
 
 def cross_map_skill(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
@@ -240,8 +240,8 @@ def cross_map_skill(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
     cause(t + lag) as the weighted average of cause at the neighbors'
     times + lag. High convergent skill supports the claim cause => effect.
     """
-    return _effect_cross_map(cause, effect, config, library_times,
-                             views_only=True).shifted(config.lag).skill()
+    return _effect_cross_map(cause, effect, config,
+                             library_times).shifted(config.lag).skill()
 
 
 def convergence_test(rows: Sequence[CurveRow]) -> ConvergenceDecision:
@@ -280,7 +280,7 @@ def ccm_curve(cause: TimeSeries, effect: TimeSeries, config: CcmConfig) -> CcmCu
     single full-library evaluation. Identical inputs and seed reproduce
     the curve bit for bit.
     """
-    return _ccm_curves(_effect_cross_map(cause, effect, config), (cause,),
+    return _ccm_curves(_effect_cross_map(cause, effect, config, draws=True), (cause,),
                        effect, config)[0]
 
 
@@ -355,9 +355,8 @@ def pai_cross_map(x: TimeSeries, y: TimeSeries, config: CcmConfig) -> SkillStats
     manifold = embed(x, EmbeddingParams(e_dim=config.e_dim, tau=config.tau))
     y_at_times = y.values[manifold.times - y.origin_index]
     joint = np.hstack([manifold.points, y_at_times[:, None]])
-    k = config.e_dim + 1
-    return cross_estimates(joint, manifold.times, x, k,
-                           width=k + _VIEW_SLACK).shifted(config.lag).skill()
+    return cross_estimates(joint, manifold.times, x,
+                           config.e_dim + 1).shifted(config.lag).skill()
 
 
 def eccm_profile(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
@@ -370,7 +369,7 @@ def eccm_profile(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
     both directions flag driver-response synchronization instead.
     """
     lags = _sweep_lags("lag_range", lag_range)
-    return _eccm_profiles(_effect_cross_map(cause, effect, config, views_only=True),
+    return _eccm_profiles(_effect_cross_map(cause, effect, config),
                           (cause,), effect, config, lags)[0]
 
 
@@ -435,7 +434,7 @@ def causal_summary(series: Sequence[TimeSeries], config: CcmConfig,
         causes = [cause for cause in series if cause.name != effect.name]
         if not causes:
             continue
-        full = _effect_cross_map(causes[0], effect, config)
+        full = _effect_cross_map(causes[0], effect, config, draws=True)
         curves = _ccm_curves(full, causes, effect, config)
         best_lags = [None] * len(causes) if lags is None else [
             p.best_lag for p in _eccm_profiles(full, causes, effect, config, lags)]

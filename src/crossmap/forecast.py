@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import DataError, SkillStats, TimeSeries, integer_values, skill_stats
-from .embedding import EmbeddingParams, ShadowManifold, embed, knn, nearest_rows
+from .embedding import EmbeddingParams, ShadowManifold, embed, nearest_rows
 
 __all__ = [
     "SimplexWeights",
@@ -37,9 +37,8 @@ __all__ = [
 # enough that draws of a few hundred columns rarely fall back to the points
 _TABLE_WIDTH = 64
 # a build read only through whole-library views keeps k + this many
-# columns: one slot for the strict last-distance trust rule, one for a
-# library column that the view's shift drops
-_VIEW_SLACK = 2
+# columns: one slot for a library column that the view's shift drops
+_VIEW_SLACK = 1
 # the most numbers one block holds at once (a dense block's differences, or
 # a screen block's approximations and partition indices over its window,
 # which is at most the whole library): 1 MiB of float64, which stays in a
@@ -83,11 +82,8 @@ class EDimScan:
 
 
 def weight_rows(dist: np.ndarray) -> np.ndarray:
-    """Simplex weights for each row of sorted non-decreasing distances."""
-    if dist.ndim != 2 or dist.shape[1] < 1:
-        raise DataError("distance rows must be a non-empty 2-D array")
-    if np.any(dist < 0):
-        raise DataError("distances must be non-negative")
+    """Simplex weights for each row of a (rows, k) array of non-negative,
+    non-decreasing distances, k >= 1; the input is not checked."""
     d1 = dist[:, :1]
     zero_rows = d1[:, 0] == 0.0
     with np.errstate(over="ignore"):
@@ -100,12 +96,16 @@ def weight_rows(dist: np.ndarray) -> np.ndarray:
 def simplex_weights(distances: Sequence[float],
                     neighbor_times: Sequence[int] | None = None) -> SimplexWeights:
     """Weights for one sorted neighbor-distance list (typically E+1 long)."""
-    d = np.asarray(distances, dtype=float).reshape(1, -1)
+    d = np.asarray(distances, dtype=float)
+    if d.ndim != 1:
+        raise DataError(f"distances must be one list, got an array of shape {d.shape}")
     if d.size == 0:
         raise DataError("no distances given")
-    if np.any(np.diff(d[0]) < 0):
+    if np.any(np.diff(d) < 0):
         raise DataError("distances must be sorted non-decreasing")
-    w = weight_rows(d)[0]
+    if np.any(d < 0):
+        raise DataError("distances must be non-negative")
+    w = weight_rows(d[None])[0]
     times = (np.asarray(neighbor_times, dtype=int)
              if neighbor_times is not None else np.empty(0, dtype=int))
     if times.size and times.size != w.size:
@@ -265,11 +265,19 @@ class _NeighborTable:
     distance, so the screen bound alone certifies what it trusts, and it
     trusts at least as much as a screen of the whole library would.
 
-    An entry is trusted only if it lies strictly below both the bound and
-    the row's last distance (a column tied with either may have an
-    earlier twin outside the table), so the trusted entries are a prefix
-    of the dense (distance, column) order, sometimes a shorter one.
-    Untrusted entries hold column n, which no library has.
+    An entry is trusted only if it lies strictly below the bound (a
+    column tied with the bound may have an earlier twin outside the
+    table); untrusted entries hold column n, which no library has. The
+    trusted entries are a prefix of the dense (distance, column) order,
+    sometimes a shorter one. Take a trusted entry (d, j) and a column c
+    outside the table at distance d_c. If c is a candidate, the stable
+    sort put it after the W-th entry in (distance, column) order, so
+    after (d, j) too. If c is a screened column that is not a candidate,
+    d_c is at least the bound, which is above d. If c lies beyond the
+    window's edge, d_c is at least the edge bound, which is at least the
+    screen bound or above the W-th distance, and so above d either way.
+    So no column outside the table precedes a trusted entry, and no
+    second condition on the row's last distance is needed.
     """
 
     near: np.ndarray
@@ -348,7 +356,7 @@ class _NeighborTable:
                         low[redo], radii[redo] = screen(r[redo], 0, n)
                 bound[r] = low
                 radius = radii.max()
-        near[(near_dist >= near_dist[:, -1:]) | (near_dist >= bound[:, None])] = n
+        near[near_dist >= bound[:, None]] = n
         return cls(near=near, near_dist=near_dist, lib_times=lib_times,
                    target_times=target_times, target_points=target_points,
                    lib_points=lib_points)
@@ -478,7 +486,7 @@ def cross_estimates(points: np.ndarray,
                     k: int,
                     lib_times: np.ndarray | None = None,
                     target_times: np.ndarray | None = None,
-                    width: int | None = None) -> _CrossMap:
+                    draws: bool = False) -> _CrossMap:
     """Cross map from state points onto ``values``, built at shift 0.
 
     ``times`` are the consecutive times of ``points``; library and target
@@ -488,9 +496,9 @@ def cross_estimates(points: np.ndarray,
     its own time excluded, voting for the value at their own time + shift;
     library times without a value at time + shift are dropped.
 
-    ``width`` is the table's width: ``_TABLE_WIDTH`` (read at each call)
-    when None, for builds whose readers draw libraries, and k +
-    ``_VIEW_SLACK`` for builds read only through whole-library views. It
+    ``draws`` says whether the readers draw libraries (column subsets):
+    then the table keeps ``_TABLE_WIDTH`` columns (read at each call),
+    else k + ``_VIEW_SLACK`` for views of the whole library. The width
     moves work between the table and the points, never a number.
     """
     lib = np.sort(np.asarray(lib_times, dtype=int)) if lib_times is not None else times
@@ -504,7 +512,7 @@ def cross_estimates(points: np.ndarray,
                             f"appears more than once")
     table = _NeighborTable.build(lib, tgt, points[tgt - times[0]],
                                  points[lib - times[0]],
-                                 width=_TABLE_WIDTH if width is None else width)
+                                 width=_TABLE_WIDTH if draws else k + _VIEW_SLACK)
     return _CrossMap(table=table, rows=slice(0, tgt.size), cols=slice(0, lib.size),
                      values=values, shift=0, k=k)
 
@@ -518,22 +526,39 @@ def simplex_forecast(library: ShadowManifold,
 
     Library points whose time + tp falls outside ``future`` are skipped
     before the E+1 neighbors are selected; ``target_time``, when given,
-    is excluded from the candidates (leave-one-out).
+    is excluded from the candidates (leave-one-out). The neighbors and
+    the estimate are those of a one-row neighbor table, so a forecast at
+    a library state equals :func:`loo_skill`'s estimate there.
     """
     k = library.e_dim + 1
-    unusable = [int(t) for t in library.times
-                if not future.has_time(int(t) + tp)]
+    query = np.asarray(target_point, dtype=float).reshape(-1)
+    if query.size != library.e_dim:
+        raise DataError(f"fewer than E+1={k} usable neighbors: query has dimension "
+                        f"{query.size}, manifold has E={library.e_dim}")
+    if not np.all(np.isfinite(query)):
+        raise DataError(f"fewer than E+1={k} usable neighbors: the query state "
+                        f"is not finite")
+    times = library.times
+    usable = (times + tp >= future.origin_index) & (times + tp <= future.end_index)
     if target_time is not None:
-        unusable.append(int(target_time))
+        usable &= times != target_time
+    if (n_usable := int(usable.sum())) < k:
+        raise DataError(f"fewer than E+1={k} usable neighbors: need {k} neighbors "
+                        f"but only {n_usable} admissible points remain after "
+                        f"exclusions")
+    lib_times = times[usable]
+    # the query's row has a time no library has, so no column is its own
+    table = _NeighborTable.build(lib_times, times[-1:] + 1, query[None],
+                                 library.points[usable], width=k + _VIEW_SLACK)
+    member = np.ones(lib_times.size + 1, dtype=bool)
+    member[-1] = False
     try:
-        neigh = knn(library, np.asarray(target_point, dtype=float), k,
-                    excluded_times=unusable)
-    except DataError as err:
-        raise DataError(f"fewer than E+1={k} usable neighbors: {err}") from None
-    sw = simplex_weights(neigh.distances,
-                         neighbor_times=library.times[neigh.indices])
-    futures = np.array([future.value_at(int(t) + tp) for t in sw.neighbor_times])
-    return float(np.dot(sw.weights, futures))
+        cols, dist = table.nearest(slice(0, 1), member, k)
+    except DataError:
+        raise DataError(f"fewer than E+1={k} usable neighbors: fewer than {k} usable "
+                        f"library states lie at a finite distance from the "
+                        f"query") from None
+    return float(estimates_from_distances(dist, lib_times[cols] + tp, (future,))[0][0])
 
 
 def loo_skill(series: TimeSeries, params: EmbeddingParams) -> SkillStats:
@@ -544,9 +569,8 @@ def loo_skill(series: TimeSeries, params: EmbeddingParams) -> SkillStats:
     predicted) pairs are aggregated into one :class:`SkillStats`.
     """
     manifold = embed(series, params)
-    k = params.e_dim + 1
-    return cross_estimates(manifold.points, manifold.times, series, k,
-                           width=k + _VIEW_SLACK).shifted(params.tp).skill()
+    return cross_estimates(manifold.points, manifold.times, series,
+                           params.e_dim + 1).shifted(params.tp).skill()
 
 
 def train_test_skill(series: TimeSeries, params: EmbeddingParams,
@@ -559,11 +583,10 @@ def train_test_skill(series: TimeSeries, params: EmbeddingParams,
     n_train = ceil(train_fraction * manifold.n_points)
     if n_train >= manifold.n_points:
         raise DataError("split leaves no prediction targets")
-    k = params.e_dim + 1
-    return cross_estimates(manifold.points, manifold.times, series, k,
+    return cross_estimates(manifold.points, manifold.times, series, params.e_dim + 1,
                            lib_times=manifold.times[:n_train],
-                           target_times=manifold.times[n_train:],
-                           width=k + _VIEW_SLACK).shifted(params.tp).skill()
+                           target_times=manifold.times[n_train:]
+                           ).shifted(params.tp).skill()
 
 
 def select_embedding_dimension(series: TimeSeries,

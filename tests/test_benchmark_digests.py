@@ -45,8 +45,8 @@ def test_workload_payload_matches_its_recorded_digest(name, tmp_path):
 # nearest_rows) may not rise, and entries the tables trust may not fall
 TRUST_FLOOR = {
     "lag-sweep": {"fallback_rows": 0, "trusted": 15_992},
-    "tied-large": {"fallback_rows": 129_604, "trusted": 156_629},
-    "fork-network": {"fallback_rows": 305_641, "trusted": 412_551},
+    "tied-large": {"fallback_rows": 125_067, "trusted": 177_425},
+    "fork-network": {"fallback_rows": 303_798, "trusted": 415_548},
 }
 
 

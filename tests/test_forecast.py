@@ -69,6 +69,10 @@ class TestSimplexWeights:
         with pytest.raises(DataError):
             simplex_weights([])
 
+    def test_rejects_more_than_one_list(self):
+        with pytest.raises(DataError, match="one list"):
+            simplex_weights([[1.0, 2.0], [1.0, 3.0]])
+
     def test_neighbor_times_carried(self):
         sw = simplex_weights([1.0, 2.0], neighbor_times=[5, 9])
         assert sw.neighbor_times.tolist() == [5, 9]
@@ -76,7 +80,68 @@ class TestSimplexWeights:
             simplex_weights([1.0, 2.0], neighbor_times=[5])
 
 
+def knn_forecast(library, target_point, future, tp=1, target_time=None):
+    """``simplex_forecast`` by the reference route: the brute-force
+    :func:`knn` scan and :func:`simplex_weights`."""
+    k = library.e_dim + 1
+    unusable = [int(t) for t in library.times
+                if not future.has_time(int(t) + tp)]
+    if target_time is not None:
+        unusable.append(int(target_time))
+    try:
+        neigh = knn(library, np.asarray(target_point, dtype=float), k,
+                    excluded_times=unusable)
+    except DataError as err:
+        raise DataError(f"fewer than E+1={k} usable neighbors: {err}") from None
+    sw = simplex_weights(neigh.distances,
+                         neighbor_times=library.times[neigh.indices])
+    futures = np.array([future.value_at(int(t) + tp) for t in sw.neighbor_times])
+    return float(np.dot(sw.weights, futures))
+
+
 class TestSimplexForecast:
+    def test_the_module_no_longer_binds_knn(self):
+        assert not hasattr(forecast, "knn")
+
+    def test_matches_the_knn_oracle(self):
+        # random series, some rounded to one decimal (tie-heavy), shifted
+        # origins, forward and backward tp, leave-one-out and free queries
+        rng = np.random.default_rng(2012)
+        n_raised = 0
+        for case in range(600):
+            n, e_dim = int(rng.integers(5, 301)), int(rng.integers(1, 6))
+            values = rng.normal(size=n)
+            if case % 3 == 0:
+                values = np.round(values, 1)
+            series = TimeSeries("s", values, origin_index=int(rng.integers(-5, 6)))
+            library = embed(series, EmbeddingParams(e_dim))
+            tp = int(rng.integers(-3, 4))
+            if rng.random() < 0.5:
+                row = int(rng.integers(library.n_points))
+                query, target_time = library.points[row], int(library.times[row])
+            else:
+                query, target_time = np.round(rng.normal(size=e_dim), 1), None
+            got, want = (outcome(lambda: route(library, query, series, tp=tp,
+                                               target_time=target_time))
+                         for route in (simplex_forecast, knn_forecast))
+            if isinstance(want, str):
+                n_raised += 1
+                assert got == want, case
+            else:
+                assert abs(got - want) <= 1e-12, case
+        assert n_raised > 0
+
+    @pytest.mark.parametrize("query", [[np.nan, 0.1], [np.inf, 0.1], [1e200, 1e200],
+                                       [0.1]])
+    def test_a_query_without_a_forecast_raises(self, query):
+        series = logistic_series(40)
+        lib = embed(series, EmbeddingParams(2))
+        with pytest.raises(DataError, match="^fewer than E\\+1=3 usable neighbors: ") \
+                as err:
+            simplex_forecast(lib, query, series, tp=1)
+        # the query's stand-in time in the engine is no time of the caller's
+        assert "time" not in str(err.value)
+
     def test_constant_series(self):
         series = TimeSeries("c", np.full(20, 0.7))
         lib = embed(series, EmbeddingParams(2))
@@ -152,11 +217,8 @@ class TestLooSkill:
                                         tp=params.tp, target_time=t))
             obs.append(series.value_at(t + params.tp))
         from crossmap import skill_stats
-        want = skill_stats(obs, est)
-        got = loo_skill(series, params)
-        assert got.rho == pytest.approx(want.rho, abs=1e-12)
-        assert got.mae == pytest.approx(want.mae, abs=1e-12)
-        assert got.n_pairs == want.n_pairs
+        # both routes select on one neighbor table and weigh by one kernel
+        assert loo_skill(series, params) == skill_stats(obs, est)
 
     def test_offset_invariance(self):
         series = logistic_series(300, x0=0.62)
@@ -374,8 +436,9 @@ def screened_series(draw):
 
 def assert_trusted_prefix(table, width):
     """The table's trusted entries are a prefix of each row's dense
-    (distance, column) order, with the same distances, and never longer
-    than the prefix a table of every distance trusts."""
+    (distance, column) order, with the same distances; a library of at
+    most W + _SCREEN_SLACK columns is not screened, so there every finite
+    entry is trusted."""
     n = table.lib_times.size
     dist = _pairwise_distances(table.target_points, table.lib_points)
     dist[table.lib_times == table.target_times[:, None]] = np.inf
@@ -384,7 +447,8 @@ def assert_trusted_prefix(table, width):
     w = min(width, n)
     trusted = table.near < n
     n_trusted = trusted.sum(axis=1)
-    assert np.all(n_trusted <= (dist[:, :w] < dist[:, w - 1:w]).sum(axis=1))
+    if n <= w + forecast._SCREEN_SLACK:
+        assert np.array_equal(trusted, np.isfinite(dist[:, :w]))
     assert np.array_equal(trusted, np.arange(w) < n_trusted[:, None])
     for row, t in enumerate(n_trusted):
         assert table.near[row, :t].tolist() == order[row, :t].tolist()
@@ -405,7 +469,7 @@ class TestCrossMapEngine:
         with mock.patch.object(forecast, "_TABLE_WIDTH", width):
             assert_trusted_prefix(cross_estimates(
                 manifold.points, times, series, e_dim + 1,
-                lib_times=lib, target_times=tgt).table, width)
+                lib_times=lib, target_times=tgt, draws=True).table, width)
 
     @pytest.mark.parametrize("e_dim", [1, 2, 3])
     def test_an_outlier_loosens_the_bound_but_keeps_the_prefix(self, e_dim):
@@ -420,7 +484,8 @@ class TestCrossMapEngine:
             manifold = embed(series, EmbeddingParams(e_dim))
             with mock.patch.object(forecast, "_TABLE_WIDTH", 5):
                 assert_trusted_prefix(cross_estimates(
-                    manifold.points, manifold.times, series, e_dim + 1).table, 5)
+                    manifold.points, manifold.times, series, e_dim + 1,
+                    draws=True).table, 5)
 
     @pytest.mark.parametrize("e_dim", [1, 2, 10])
     def test_a_certificate_of_zero_trusts_nothing(self, e_dim):
@@ -437,7 +502,7 @@ class TestCrossMapEngine:
         times = manifold.times
         with mock.patch.object(forecast, "_rounding_bound", no_certificate):
             cross_map = cross_estimates(manifold.points, times, series,
-                                        e_dim + 1).shifted(1)
+                                        e_dim + 1, draws=True).shifted(1)
         assert np.all(cross_map.table.near == times.size)
         columns = np.sort(np.random.default_rng(e_dim).choice(
             cross_map.lib_times.size, size=100, replace=False))
@@ -460,8 +525,8 @@ class TestCrossMapEngine:
         lib, tgt = (times, times) if n is None else (times[:n], times[n:])
         try:
             cross_map = cross_estimates(manifold.points, times, series, k,
-                                        lib_times=lib, target_times=tgt
-                                        ).shifted(shift)
+                                        lib_times=lib, target_times=tgt,
+                                        draws=True).shifted(shift)
         except DataError:
             reject()
         lib_times = cross_map.lib_times
@@ -498,8 +563,8 @@ class TestCrossMapEngine:
                 mock.patch.object(forecast, "_BLOCK_CELLS", cells):
             try:
                 cross_map = cross_estimates(manifold.points, times, series, k,
-                                            lib_times=lib, target_times=tgt
-                                            ).shifted(shift)
+                                            lib_times=lib, target_times=tgt,
+                                            draws=True).shifted(shift)
             except DataError:
                 reject()
             size = cross_map.lib_times.size
@@ -525,7 +590,7 @@ class TestCrossMapEngine:
         manifold = embed(series, EmbeddingParams(e_dim))
         times = manifold.times
         cross_map = cross_estimates(manifold.points, times, series,
-                                    e_dim + 1).shifted(1)
+                                    e_dim + 1, draws=True).shifted(1)
         size = cross_map.lib_times.size
         rng = np.random.default_rng(e_dim)
         for draw_size in range(e_dim + 2, size + 1):
@@ -569,7 +634,7 @@ class TestCrossMapEngine:
                 mock.patch.object(forecast, "_screen_inputs",
                                   wraps=forecast._screen_inputs) as screen:
             cross_map = cross_estimates(manifold.points, times, series, k,
-                                        lib_times=lib, target_times=tgt)
+                                        lib_times=lib, target_times=tgt, draws=True)
             assert screen.called == (n > width + forecast._SCREEN_SLACK)
             assert np.any((cross_map.table.near < n).sum(axis=1) >= k + 2)
             drawn = np.sort(np.random.default_rng(n).choice(n, k + 2, replace=False))
@@ -634,8 +699,7 @@ def whole_library_trust(table, dense, width):
             cut = np.partition(tgt @ lib, m, axis=1)[:, m]
             screened = np.isfinite(slack)
             bound[screened] = np.sqrt(np.maximum(cut - 2 * slack, 0.0))[screened]
-    d = dense.near_dist
-    return ((d < bound[:, None]) & (d < d[:, -1:])).sum(axis=1)
+    return (dense.near_dist < bound[:, None]).sum(axis=1)
 
 
 def assert_windowed_table(table, dense, width):
@@ -692,7 +756,7 @@ class TestWindowedScreen:
         with mock.patch.object(forecast, "_BLOCK_CELLS", cells):
             table, dense, _ = windowed_and_dense(lambda: cross_estimates(
                 manifold.points, times, series, e_dim + 1, lib_times=lib,
-                target_times=tgt, width=width).table)
+                target_times=tgt, draws=not narrow).table)
         assert_windowed_table(table, dense, width)
 
     def build_rows_one_by_one(self, lib_points, target_points, width=4):
@@ -748,7 +812,8 @@ class TestWindowedScreen:
         series = TimeSeries("x", values)
         manifold = embed(series, EmbeddingParams(2))
         times = manifold.times
-        cross_map = cross_estimates(manifold.points, times, series, 3, width=5)
+        with mock.patch.object(forecast, "_TABLE_WIDTH", 5):
+            cross_map = cross_estimates(manifold.points, times, series, 3, draws=True)
         assert ((cross_map.table.near < times.size).sum(axis=1) < 3).sum() <= 250
         view = cross_map.shifted(1)
         got, want = view.neighbors(), dense_neighbors(view, manifold, times, times, None)
@@ -778,8 +843,8 @@ class TestViewWidth:
     def views(self, manifold, series, shift, lib, tgt):
         k = manifold.e_dim + 1
         builds = [cross_estimates(manifold.points, manifold.times, series, k,
-                                  lib_times=lib, target_times=tgt, width=width)
-                  for width in (k + forecast._VIEW_SLACK, forecast._TABLE_WIDTH)]
+                                  lib_times=lib, target_times=tgt, draws=draws)
+                  for draws in (False, True)]
         assert builds[0].table.near.shape[1] == min(k + forecast._VIEW_SLACK, lib.size)
         return [build.shifted(shift) for build in builds]
 
@@ -817,14 +882,15 @@ class TestViewWidth:
                 == outcome(lambda: wide.shifted(tp).skill())
 
     @pytest.mark.parametrize("shift", [2, 5, 8])
-    @pytest.mark.parametrize("values", ["line", "two_decimals"])
+    @pytest.mark.parametrize("values", ["sqrt", "two_decimals"])
     def test_rows_the_view_leaves_short_fall_back_to_the_points(self, values, shift):
-        # on a line the last usable target's nearest columns follow it, and
-        # the shift drops them from the view's library; on a 2-decimal
-        # logistic series many rows tie at the narrow table's last distance
-        series = TimeSeries("x", np.arange(120.0) if values == "line"
+        # on sqrt(t) the points crowd together as t grows, so the last
+        # usable target's two nearest columns both follow it, and the shift
+        # drops them from the view's library; on a 2-decimal logistic
+        # series many rows tie at the narrow table's bound
+        series = TimeSeries("x", np.sqrt(np.arange(120.0)) if values == "sqrt"
                             else np.round(logistic_series(300).values, 2))
-        manifold = embed(series, EmbeddingParams(1 if values == "line" else 2))
+        manifold = embed(series, EmbeddingParams(1 if values == "sqrt" else 2))
         times = manifold.times
         narrow, wide = self.views(manifold, series, shift, times, times)
         with mock.patch.object(forecast, "nearest_rows",
