@@ -168,6 +168,7 @@ class CausalNetwork:
 
 def default_library_sizes(min_size: int, max_size: int) -> tuple[int, ...]:
     """Up to ``DEFAULT_LIB_SIZE_COUNT`` geometric sizes from min_size to max_size."""
+    min_size, max_size = integer_values("min_size and max_size", [min_size, max_size])
     if min_size > max_size:
         raise DataError(
             f"not enough admissible points: need at least {min_size}, have {max_size}")
@@ -225,7 +226,8 @@ def _effect_cross_map(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
     :func:`cross_estimates`)."""
     _check_pair(cause, effect)
     manifold = embed(effect, EmbeddingParams(e_dim=config.e_dim, tau=config.tau))
-    lib = np.asarray(library_times, dtype=int) if library_times is not None else None
+    lib = (np.asarray(integer_values("library_times", library_times), dtype=int)
+           if library_times is not None else None)
     return cross_estimates(manifold.points, manifold.times, cause, config.e_dim + 1,
                            lib_times=lib, draws=draws)
 
@@ -258,6 +260,10 @@ def convergence_test(rows: Sequence[CurveRow]) -> ConvergenceDecision:
     sizes = [r.lib_size for r in rows]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise DataError("curve rows must be sorted by increasing library size")
+    for r in rows:
+        if not np.isfinite(r.mean_rho):
+            raise DataError(f"mean_rho must be finite, got {r.mean_rho} at library "
+                            f"size {r.lib_size}")
     rhos = [r.mean_rho for r in rows]
     final = rhos[-1]
     gain = final - rhos[0]

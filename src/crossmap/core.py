@@ -89,6 +89,7 @@ class TimeSeries:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+        require_integers(self, "origin_index")
         object.__setattr__(self, "origin_index", int(self.origin_index))
 
     def __len__(self) -> int:
@@ -196,6 +197,7 @@ def windowed_pearson(x: TimeSeries, y: TimeSeries, start: int, end: int) -> floa
     initial condition for generated systems). Both series must have the
     same length and the window must contain at least two points.
     """
+    start, end = integer_values("start and end", [start, end])
     if len(x) != len(y):
         raise DataError(f"series lengths differ: {len(x)} vs {len(y)}")
     if not (0 <= start < end < len(x)):

@@ -16,7 +16,7 @@ from typing import Collection
 
 import numpy as np
 
-from .core import DataError, TimeSeries, require_integers
+from .core import DataError, TimeSeries, integer_values, require_integers
 
 __all__ = ["EmbeddingParams", "ShadowManifold", "NeighborSet", "embed", "knn"]
 
@@ -115,6 +115,9 @@ def knn(manifold: ShadowManifold,
     if q.size != manifold.e_dim:
         raise DataError(
             f"query has dimension {q.size}, manifold has E={manifold.e_dim}")
+    if not np.all(np.isfinite(q)):
+        raise DataError("query must be finite")
+    k, = integer_values("k", [k])
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
 
@@ -123,7 +126,8 @@ def knn(manifold: ShadowManifold,
 
     admissible = np.ones(manifold.n_points, dtype=bool)
     if len(excluded_times) > 0:
-        excluded = np.asarray(sorted(excluded_times), dtype=int)
+        excluded = np.asarray(sorted(integer_values("excluded_times",
+                                                    excluded_times)), dtype=int)
         admissible &= ~np.isin(manifold.times, excluded)
 
     n_ok = int(admissible.sum())

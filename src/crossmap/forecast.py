@@ -101,13 +101,13 @@ def simplex_weights(distances: Sequence[float],
         raise DataError(f"distances must be one list, got an array of shape {d.shape}")
     if d.size == 0:
         raise DataError("no distances given")
+    if not np.all(np.isfinite(d) & (d >= 0)):
+        raise DataError("distances must be finite and non-negative")
     if np.any(np.diff(d) < 0):
         raise DataError("distances must be sorted non-decreasing")
-    if np.any(d < 0):
-        raise DataError("distances must be non-negative")
     w = weight_rows(d[None])[0]
-    times = (np.asarray(neighbor_times, dtype=int)
-             if neighbor_times is not None else np.empty(0, dtype=int))
+    times = np.asarray(integer_values("neighbor_times", neighbor_times)
+                       if neighbor_times is not None else [], dtype=int)
     if times.size and times.size != w.size:
         raise DataError(f"{times.size} neighbor times for {w.size} weights")
     return SimplexWeights(weights=w, neighbor_times=times)
@@ -361,35 +361,38 @@ class _NeighborTable:
                    target_times=target_times, target_points=target_points,
                    lib_points=lib_points)
 
-    def nearest(self, rows: slice, member: np.ndarray,
+    def nearest(self, rows: slice, columns: np.ndarray,
                 k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Columns and distances of the k nearest ``member`` columns of each
-        target in ``rows``, ties to the lower column, exactly as
-        :func:`nearest_rows` on the dense block; ``member`` is a mask over
-        the n library columns and column n, which is False.
+        """Library times and distances of each target in ``rows``'s k
+        nearest of ``columns`` (ascending library columns), ties to the
+        lower column, exactly as :func:`nearest_rows` on the dense block.
 
-        A row with at least k trusted members takes the first k of them,
-        in k rounds that each take the row's first remaining member; the
-        rest are computed from the points, in blocks, with the own time at
-        +inf as in :meth:`build`.
+        A row with k trusted entries among ``columns`` takes the first k,
+        in k rounds that each take the row's first remaining one; the rest
+        are computed from the points of ``columns``, in blocks, with the
+        own time at +inf as in :meth:`build`.
         """
         near, near_dist = self.near[rows], self.near_dist[rows]
+        # column n, which marks an untrusted entry, stays False
+        member = np.zeros(self.lib_times.size + 1, dtype=bool)
+        member[columns] = True
         ok = member[near]
         at = np.arange(near.shape[0])
         picked = np.empty((near.shape[0], k), dtype=np.intp)
-        walked = np.ones(near.shape[0], dtype=bool)
-        for j in range(k):
+        for j in range(k - 1):
             # argmax returns a row's first True, or 0 when it has none left
             picked[:, j] = ok.argmax(axis=1)
-            walked &= ok[at, picked[:, j]]
             ok[at, picked[:, j]] = False
+        # each round takes the row's first remaining member, so the k-th
+        # finds one exactly when the row has k of them
+        picked[:, -1] = ok.argmax(axis=1)
+        walked = ok[at, picked[:, -1]]
         cols = np.take_along_axis(near, picked, axis=1)
         dist = np.take_along_axis(near_dist, picked, axis=1)
         short = np.flatnonzero(~walked) + rows.start
         if short.size:
-            members = np.flatnonzero(member)
-            lib, lib_times = self.lib_points[members], self.lib_times[members]
-            for block in _row_blocks(short.size, members.size, lib.shape[1]):
+            lib, lib_times = self.lib_points[columns], self.lib_times[columns]
+            for block in _row_blocks(short.size, columns.size, lib.shape[1]):
                 r = short[block]
                 block_dist = _pairwise_distances(self.target_points[r], lib)
                 block_dist[lib_times == self.target_times[r, None]] = np.inf
@@ -401,9 +404,9 @@ class _NeighborTable:
                     raise DataError(f"need {k} neighbors but only {n_fin[bad]} usable "
                                     f"candidates for the target at time "
                                     f"{self.target_times[r[bad]]}") from None
-                cols[r - rows.start] = members[idx]
+                cols[r - rows.start] = columns[idx]
                 dist[r - rows.start] = nd
-        return cols, dist
+        return self.lib_times[cols], dist
 
 
 @dataclass(frozen=True)
@@ -437,14 +440,11 @@ class _CrossMap:
         """Each target's k nearest library times and their distances, its
         own time excluded and ties to the earliest time, among the whole
         library or the columns given (ascending positions into
-        ``lib_times``)."""
-        member = np.zeros(self.table.lib_times.size + 1, dtype=bool)
-        if columns is None:
-            member[self.cols] = True
-        else:
-            member[self.cols.start + np.asarray(columns, dtype=int)] = True
-        cols, dist = self.table.nearest(self.rows, member, self.k)
-        return self.table.lib_times[cols], dist
+        ``lib_times``), as :meth:`_NeighborTable.nearest` finds them."""
+        start = self.cols.start
+        columns = (np.arange(start, self.cols.stop) if columns is None
+                   else start + np.asarray(columns, dtype=int))
+        return self.table.nearest(self.rows, columns, self.k)
 
     def skills(self, series: Sequence[TimeSeries],
                columns: np.ndarray | None = None) -> list[SkillStats]:
@@ -530,6 +530,7 @@ def simplex_forecast(library: ShadowManifold,
     the estimate are those of a one-row neighbor table, so a forecast at
     a library state equals :func:`loo_skill`'s estimate there.
     """
+    tp, = integer_values("tp", [tp])
     k = library.e_dim + 1
     query = np.asarray(target_point, dtype=float).reshape(-1)
     if query.size != library.e_dim:
@@ -541,7 +542,7 @@ def simplex_forecast(library: ShadowManifold,
     times = library.times
     usable = (times + tp >= future.origin_index) & (times + tp <= future.end_index)
     if target_time is not None:
-        usable &= times != target_time
+        usable &= times != integer_values("target_time", [target_time])[0]
     if (n_usable := int(usable.sum())) < k:
         raise DataError(f"fewer than E+1={k} usable neighbors: need {k} neighbors "
                         f"but only {n_usable} admissible points remain after "
@@ -550,15 +551,13 @@ def simplex_forecast(library: ShadowManifold,
     # the query's row has a time no library has, so no column is its own
     table = _NeighborTable.build(lib_times, times[-1:] + 1, query[None],
                                  library.points[usable], width=k + _VIEW_SLACK)
-    member = np.ones(lib_times.size + 1, dtype=bool)
-    member[-1] = False
     try:
-        cols, dist = table.nearest(slice(0, 1), member, k)
+        neighbor_times, dist = table.nearest(slice(0, 1), np.arange(lib_times.size), k)
     except DataError:
         raise DataError(f"fewer than E+1={k} usable neighbors: fewer than {k} usable "
                         f"library states lie at a finite distance from the "
                         f"query") from None
-    return float(estimates_from_distances(dist, lib_times[cols] + tp, (future,))[0][0])
+    return float(estimates_from_distances(dist, neighbor_times + tp, (future,))[0][0])
 
 
 def loo_skill(series: TimeSeries, params: EmbeddingParams) -> SkillStats:

@@ -105,6 +105,20 @@ class TestConfig:
             default_library_sizes(10, 9)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda x, y: cross_map_skill(x, y, CFG, library_times=np.arange(10, 400) + 0.5),
+     "library_times"),
+    (lambda x, y: cross_map_skill(x, y, CFG, library_times=[10.0, 11, 12, 13, 14]),
+     "library_times"),
+    (lambda x, y: default_library_sizes(3.5, 100), "min_size and max_size"),
+    (lambda x, y: default_library_sizes(4, 100.0), "min_size and max_size"),
+], ids=["library-times-x.5", "library-time-10.0", "min-size-3.5", "max-size-100.0"])
+def test_non_integer_times_and_sizes_are_rejected(coupled, make, name):
+    # int() would truncate 10.5 to 10 and 3.5 to 3, below the minimum size
+    with pytest.raises(DataError, match=f"^{name} must hold integers, got "):
+        make(*coupled)
+
+
 class TestCrossMapSkill:
     def test_self_estimation(self, coupled):
         x, _ = coupled
@@ -202,6 +216,14 @@ class TestConvergenceTest:
         rows = [CurveRow(30, 0.1, 0.0, 5), CurveRow(10, 0.2, 0.0, 5),
                 CurveRow(20, 0.3, 0.0, 5)]
         with pytest.raises(DataError, match="sorted"):
+            convergence_test(rows)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_skill_is_rejected(self, bad):
+        rows = [CurveRow(10, 0.1, 0.0, 5), CurveRow(20, bad, 0.0, 5),
+                CurveRow(30, 0.5, 0.0, 5)]
+        with pytest.raises(DataError, match="^mean_rho must be finite, got .* at "
+                                            "library size 20$"):
             convergence_test(rows)
 
     @settings(max_examples=300, deadline=None, database=None)

@@ -139,6 +139,22 @@ class TestSkillStats:
             assert st.mae == 0.0 and st.rho == 1.0
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: TimeSeries("x", [1, 2, 3], origin_index=1.5), "origin_index"),
+    (lambda: TimeSeries("x", [1, 2, 3], origin_index=2.0), "origin_index"),
+    (lambda: windowed_pearson(TimeSeries("x", np.arange(10.0)),
+                              TimeSeries("y", np.arange(10.0) ** 2), 0.5, 5),
+     "start and end"),
+    (lambda: windowed_pearson(TimeSeries("x", np.arange(10.0)),
+                              TimeSeries("y", np.arange(10.0) ** 2), 0, 5.0),
+     "start and end"),
+], ids=["origin-1.5", "origin-2.0", "start-0.5", "end-5.0"])
+def test_non_integer_times_are_rejected(make, name):
+    # int() would truncate 1.5 to 1; a float bound would fail the slice
+    with pytest.raises(DataError, match=f"^{name} must "):
+        make()
+
+
 class TestWindowedPearson:
     def test_equals_sliced_pearson(self):
         rng = np.random.default_rng(4)

@@ -113,6 +113,21 @@ class TestKnn:
         with pytest.raises(DataError, match="dimension"):
             knn(m, [0.5], 1)
 
+    @pytest.mark.parametrize("k, excluded, name", [
+        (2.5, (), "k"), (2.0, (), "k"), (2, {2.5}, "excluded_times")],
+        ids=["k-2.5", "k-2.0", "excluded-2.5"])
+    def test_non_integer_arguments_are_rejected(self, k, excluded, name):
+        # k of 2.5 fails the slice; an excluded 2.5 would exclude time 2
+        m = embed(TimeSeries("s", np.arange(8.0)), EmbeddingParams(2))
+        with pytest.raises(DataError, match=f"^{name} must hold integers, got "):
+            knn(m, [0.1, 0.2], k, excluded_times=excluded)
+
+    @pytest.mark.parametrize("query", [[np.nan, 0.1], [np.inf, 0.1], [0.1, -np.inf]])
+    def test_rejects_a_non_finite_query(self, query):
+        m = embed(TimeSeries("s", np.arange(8.0)), EmbeddingParams(2))
+        with pytest.raises(DataError, match="^query must be finite$"):
+            knn(m, query, 3)
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(12)
         for _ in range(40):

@@ -73,6 +73,13 @@ class TestSimplexWeights:
         with pytest.raises(DataError, match="one list"):
             simplex_weights([[1.0, 2.0], [1.0, 3.0]])
 
+    @pytest.mark.parametrize("distances", [[np.nan, 1.0], [np.inf, np.inf],
+                                           [0.5, np.nan]])
+    def test_rejects_non_finite(self, distances):
+        with pytest.raises(DataError,
+                           match="^distances must be finite and non-negative$"):
+            simplex_weights(distances)
+
     def test_neighbor_times_carried(self):
         sw = simplex_weights([1.0, 2.0], neighbor_times=[5, 9])
         assert sw.neighbor_times.tolist() == [5, 9]
@@ -97,6 +104,22 @@ def knn_forecast(library, target_point, future, tp=1, target_time=None):
                          neighbor_times=library.times[neigh.indices])
     futures = np.array([future.value_at(int(t) + tp) for t in sw.neighbor_times])
     return float(np.dot(sw.weights, futures))
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda lib, s: simplex_weights([0.1, 0.2], neighbor_times=[1.5, 2.7]),
+     "neighbor_times"),
+    (lambda lib, s: simplex_forecast(lib, lib.points[5], s, tp=1.5), "tp"),
+    (lambda lib, s: simplex_forecast(lib, lib.points[5], s, tp=1.0), "tp"),
+    (lambda lib, s: simplex_forecast(lib, lib.points[5], s, target_time=3.5),
+     "target_time"),
+], ids=["neighbor-times", "tp-1.5", "tp-1.0", "target-time-3.5"])
+def test_non_integer_times_are_rejected(make, name):
+    # int() would truncate the times; a float tp would fail an index, and
+    # target_time 3.5 would exclude nothing
+    series = logistic_series(40)
+    with pytest.raises(DataError, match=f"^{name} must hold integers, got "):
+        make(embed(series, EmbeddingParams(2)), series)
 
 
 class TestSimplexForecast:
