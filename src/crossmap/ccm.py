@@ -169,6 +169,8 @@ class CausalNetwork:
 def default_library_sizes(min_size: int, max_size: int) -> tuple[int, ...]:
     """Up to ``DEFAULT_LIB_SIZE_COUNT`` geometric sizes from min_size to max_size."""
     min_size, max_size = integer_values("min_size and max_size", [min_size, max_size])
+    if min_size < 1:
+        raise DataError(f"library sizes must be at least 1, got min_size {min_size}")
     if min_size > max_size:
         raise DataError(
             f"not enough admissible points: need at least {min_size}, have {max_size}")

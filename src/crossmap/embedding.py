@@ -108,8 +108,8 @@ def knn(manifold: ShadowManifold,
     """k nearest manifold points to a query state, by Euclidean distance.
 
     Reference brute-force implementation: a full linear scan with ties
-    broken by ascending time index. Times in ``excluded_times`` are never
-    returned.
+    broken by ascending time index. Times in ``excluded_times``, and points
+    whose distance overflows to +inf, are never returned.
     """
     q = np.asarray(query, dtype=float).reshape(-1)
     if q.size != manifold.e_dim:
@@ -121,8 +121,9 @@ def knn(manifold: ShadowManifold,
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
 
-    diff = manifold.points - q[None, :]
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    with np.errstate(over="ignore"):
+        diff = manifold.points - q[None, :]
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
     admissible = np.ones(manifold.n_points, dtype=bool)
     if len(excluded_times) > 0:
@@ -136,7 +137,9 @@ def knn(manifold: ShadowManifold,
             f"need {k} neighbors but only {n_ok} admissible points remain "
             f"after exclusions")
 
-    rows = np.flatnonzero(admissible)
+    if (rows := np.flatnonzero(admissible & np.isfinite(dist))).size < k:
+        raise DataError(f"need {k} neighbors but only {rows.size} admissible points "
+                        f"lie at a finite distance from the query")
     # stable sort on distance keeps the original (time-ascending) order on ties
     order = rows[np.argsort(dist[rows], kind="stable")][:k]
     return NeighborSet(indices=order, distances=dist[order])

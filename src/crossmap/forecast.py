@@ -260,10 +260,10 @@ class _NeighborTable:
     least the edge bound fl(sqrt(fl(e * e))), with no margin. The right
     side is the mirror image. A row whose edge bound lies below its screen
     bound and at or below its W-th distance may miss a column beyond the
-    edge, and is screened again over the whole library. Every other row
-    has its edge bound at or above its screen bound, or above its W-th
-    distance, so the screen bound alone certifies what it trusts, and it
-    trusts at least as much as a screen of the whole library would.
+    edge, and takes every column. Every other row has its edge bound at or
+    above its screen bound, or above its W-th distance, so the screen bound
+    alone certifies what it trusts, and it trusts at least as much as a
+    screen of the whole library would.
 
     An entry is trusted only if it lies strictly below the bound (a
     column tied with the bound may have an earlier twin outside the
@@ -310,12 +310,6 @@ class _NeighborTable:
         if n > m:
             tgt, lib = _screen_inputs(target_points, lib_points)
             screened = np.isfinite(_rounding_bound(tgt, lib))
-        # a block holds at most _BLOCK_CELLS numbers: rows x n x E differences
-        # here, rows x n approximations and as many partition indices below
-        every = np.flatnonzero(~screened)
-        for block in _row_blocks(every.size, n, e_dim):
-            r = every[block]
-            exact(r, np.broadcast_to(np.arange(n), (r.size, n)), lib_points)
         rows = np.flatnonzero(screened)
         if rows.size:
             # targets and library in first-coordinate (x0) order: a block's
@@ -329,33 +323,32 @@ class _NeighborTable:
             # one buffer for every window's approximations: a fresh one per
             # block can cost a fresh process an mmap and a trim of it per block
             buf = np.empty(rows[screens[0]].size * n)
-
-            def screen(r: np.ndarray, lo: int, hi: int
-                       ) -> tuple[np.ndarray, np.ndarray]:
-                cand, low, radii = _candidates(tgt[r], lib[:, lo:hi], by_x0[lo:hi],
-                                               m, buf)
-                exact(r, cand, np.take(lib_points, cand, axis=0))
-                return low, radii
-
             radius = np.inf
             for block in screens:
                 r, t0 = rows[block], x0_rows[block]
                 lo, hi = np.searchsorted(x0[1:-1], (t0[0] - radius, t0[-1] + radius))
                 if hi - lo <= m:
                     lo, hi = 0, n
-                low, radii = screen(r, lo, hi)
+                cand, low, radii = _candidates(tgt[r], lib[:, lo:hi], by_x0[lo:hi],
+                                               m, buf)
+                exact(r, cand, np.take(lib_points, cand, axis=0))
                 if hi - lo < n:
                     # x0 is padded, so the window's neighbours are x0[lo] and
                     # x0[hi + 1]; no column beyond them lies nearer than edge
                     with np.errstate(over="ignore"):
                         gap = np.minimum(t0 - x0[lo], x0[hi + 1] - t0)
                         edge = np.sqrt(gap * gap)
-                    # rows whose table the edge cuts into take the whole library
-                    redo = (edge < low) & (edge <= near_dist[r, -1])
-                    if redo.any():
-                        low[redo], radii[redo] = screen(r[redo], 0, n)
+                    # rows whose table the edge cuts into take every column
+                    screened[r[(edge < low) & (edge <= near_dist[r, -1])]] = False
                 bound[r] = low
                 radius = radii.max()
+        # a block holds at most _BLOCK_CELLS numbers: rows x n x E differences
+        # here, rows x n approximations and as many partition indices above
+        every = np.flatnonzero(~screened)
+        bound[every] = np.inf
+        for block in _row_blocks(every.size, n, e_dim):
+            r = every[block]
+            exact(r, np.broadcast_to(np.arange(n), (r.size, n)), lib_points)
         near[near_dist >= bound[:, None]] = n
         return cls(near=near, near_dist=near_dist, lib_times=lib_times,
                    target_times=target_times, target_points=target_points,

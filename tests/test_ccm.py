@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from itertools import permutations
 from pathlib import Path
@@ -103,6 +104,15 @@ class TestConfig:
         assert default_library_sizes(5, 5) == (5,)
         with pytest.raises(DataError):
             default_library_sizes(10, 9)
+
+    @pytest.mark.parametrize("min_size", [0, -3])
+    def test_default_library_sizes_start_at_one(self, min_size):
+        # np.geomspace raised a bare ValueError at 0 and log10 warned below
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"^library sizes must be at least 1, "
+                                                f"got min_size {min_size}$"):
+                default_library_sizes(min_size, 100)
 
 
 @pytest.mark.parametrize("make, name", [

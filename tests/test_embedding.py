@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,6 +129,25 @@ class TestKnn:
         m = embed(TimeSeries("s", np.arange(8.0)), EmbeddingParams(2))
         with pytest.raises(DataError, match="^query must be finite$"):
             knn(m, query, 3)
+
+    @pytest.mark.parametrize("values, query, k, n_fin", [
+        (range(8), [1e200, 1e200], 3, 0),
+        (range(8), [1e154, 1e154], 1, 0),
+        ([0, 1, 2, 3, 4, 5, 1e308, 1e308], [-1e308, 0.0], 1, 0),
+        ([0, 1, 2, 3, 4, 5, 1e200, 1e200], [1e200, 0.0], 2, 1)],
+        ids=["square-overflows", "sum-overflows", "difference-overflows",
+             "one-finite"])
+    def test_rejects_a_query_with_fewer_than_k_finite_distances(self, values, query,
+                                                                k, n_fin):
+        # a difference, square or sum that overflows is a +inf distance,
+        # which may not stand in for a neighbor, and no warning leaks
+        m = embed(TimeSeries("s", values), EmbeddingParams(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"^need {k} neighbors but only {n_fin} "
+                                                f"admissible points lie at a finite "
+                                                f"distance from the query$"):
+                knn(m, query, k)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(12)

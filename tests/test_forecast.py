@@ -814,17 +814,50 @@ class TestWindowedScreen:
         # 4 rows per block, every one screened once over all 120 columns
         assert [(rows, cols) for rows, cols, _ in screens] == [(4, 120)] * 30
 
-    def test_a_row_whose_table_the_edge_cuts_is_screened_again(self):
-        # 30 columns at x0 = 5, one at (1, 10) and 29 far to the left; the
-        # target (5, 0.15) keeps the next window at x0 = 5, where the
-        # target (5, 10) finds only columns 10 away, but (1, 10), 4 away,
-        # lies just past the window's edge
-        x1 = np.arange(30) / 100
-        lib = np.vstack([np.column_stack([np.full(30, 5.0), x1]), [[1.0, 10.0]],
-                         np.column_stack([-100.0 - np.arange(29), np.zeros(29)])])
+    # 30 columns at x0 = 5, one at (1, 10) and 29 far to the left; the
+    # target (5, 0.15) keeps the next window at x0 = 5, where the target
+    # (5, 10) finds only columns 10 away, but (1, 10), 4 away, lies just
+    # past the window's edge
+    EDGE_CUT_LIBRARY = np.vstack([
+        np.column_stack([np.full(30, 5.0), np.arange(30) / 100]), [[1.0, 10.0]],
+        np.column_stack([-100.0 - np.arange(29), np.zeros(29)])])
+
+    def test_a_row_whose_table_the_edge_cuts_takes_every_column(self):
+        lib = self.EDGE_CUT_LIBRARY
         table, screens = self.build_rows_one_by_one(lib, [[5.0, 0.15], [5.0, 10.0]])
-        assert [(rows, cols) for rows, cols, _ in screens] == [(1, 60), (1, 30), (1, 60)]
+        assert [(rows, cols) for rows, cols, _ in screens] == [(1, 60), (1, 30)]
+        # no screen bound limits the row: every finite entry is trusted
+        assert np.isfinite(table.near_dist[1]).all() and np.all(table.near[1] < len(lib))
         assert table.near[1, 0] == 30 and table.near_dist[1, 0] == 4.0
+
+    def test_rows_the_screen_cannot_certify_share_the_pass_over_every_column(self):
+        # beside the edge-cut row, a target whose rounding bound overflows
+        # (|q|^2 about 1e308 > max/4) while its distances stay finite: the
+        # two go through the one pass over every column, row by row, after
+        # the windows, and equal the dense build byte for byte
+        lib = self.EDGE_CUT_LIBRARY
+        targets = np.array([[5.0, 0.15], [5.0, 10.0], [1e154, 0.0]])
+        passes, pairwise = [], forecast._pairwise_distances
+
+        def recording(queries, points):
+            if points.ndim == 2:
+                passes.append(queries.tolist())
+            return pairwise(queries, points)
+
+        def build():
+            return forecast._NeighborTable.build(np.arange(len(lib)), 1000 + np.arange(3),
+                                                 targets, lib, 4)
+
+        with mock.patch.object(forecast, "_BLOCK_CELLS", 1):
+            with mock.patch.object(forecast, "_pairwise_distances", recording):
+                table = build()
+            with mock.patch.object(forecast, "_SCREEN_SLACK", 10 ** 9):
+                dense = build()
+        assert passes == [targets[1:2].tolist(), targets[2:].tolist()]
+        assert_windowed_table(table, dense, 4)
+        assert np.isfinite(table.near_dist[2]).all()
+        assert table.near[1:].tolist() == dense.near[1:].tolist()
+        assert table.near_dist[1:].tobytes() == dense.near_dist[1:].tobytes()
 
     def test_a_far_outlier_loosens_only_the_windows_that_hold_it(self):
         # with R_i taken over the whole library, 997 of 999 rows trusted
