@@ -34,7 +34,8 @@ __all__ = [
 ]
 
 # library columns per target in a build whose readers draw libraries: wide
-# enough that draws of a few hundred columns rarely fall back to the points
+# enough that draws of a few hundred columns rarely fall back to the points;
+# a draw of L of n columns with L * W < k * n skips the table altogether
 _TABLE_WIDTH = 64
 # a build read only through whole-library views keeps k + this many
 # columns: one slot for a library column that the view's shift drops
@@ -45,11 +46,11 @@ _VIEW_SLACK = 1
 # 2 MiB L2 cache; a build computes every window's approximations into one
 # buffer of its own
 _BLOCK_CELLS = 2 ** 17
-# up to this E the differences are filled one coordinate at a time, in
-# subtractions along the columns (about 1.4x faster at E=2 on the table's
-# gathered (rows, m, E) candidates, 2x on N-wide blocks); the fill
-# stores with stride E, which makes it no faster than the broadcast at E=5
-# and slower from E=6 on (1.7x at E=10)
+# from E=3 up to this E the differences are filled one coordinate at a
+# time, in subtractions along the columns, instead of by a broadcast whose
+# inner loop is only E long (E <= 2 adds its squares in place instead);
+# the fill stores with stride E, which makes it no faster than the
+# broadcast at E=5 and slower from E=6 on (1.7x at E=10)
 _FILL_MAX_E = 4
 # a screen's candidates are each row's first W + this many approximations,
 # so that the row's W-th distance usually lies below its certified bound;
@@ -119,12 +120,26 @@ def _pairwise_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     ``points`` is either one (n, E) block that every query meets, or
     (rows, m, E) columns gathered per query. Each entry depends only on
     its query and point, not on the shape of the block, so a block of
-    rows or of gathered columns equals that part of the whole. Both ways
-    of filling the differences give the same array; a difference that
-    overflows is +inf, and so is its distance.
+    rows or of gathered columns equals that part of the whole.
+
+    For E <= 2 each square is added into the output in place, one
+    addition per entry at most; IEEE addition is commutative, so there is
+    no order of summation in which ``einsum`` could differ (a test checks
+    that it does not contract into a fused multiply-add). From E = 3 on
+    the differences are filled one coordinate at a time up to
+    ``_FILL_MAX_E`` and by a broadcast above it, and ``einsum`` sums them;
+    both give the same array. A difference that overflows is +inf, and so
+    is its distance.
     """
     cols = points if points.ndim == 3 else points[None]
     with np.errstate(over="ignore"):
+        if cols.shape[2] <= 2:
+            out = np.subtract(queries[:, 0, None], cols[:, :, 0])
+            np.multiply(out, out, out=out)
+            if cols.shape[2] == 2:
+                sq = np.subtract(queries[:, 1, None], cols[:, :, 1])
+                out += np.multiply(sq, sq, out=sq)
+            return np.sqrt(out, out=out)
         if cols.shape[2] <= _FILL_MAX_E:
             diff = np.empty((queries.shape[0], *cols.shape[1:]))
             for e in range(cols.shape[2]):
@@ -363,32 +378,46 @@ class _NeighborTable:
         A row with k trusted entries among ``columns`` takes the first k,
         in k rounds that each take the row's first remaining one; the rest
         are computed from the points of ``columns``, in blocks, with the
-        own time at +inf as in :meth:`build`.
+        own time at +inf as in :meth:`build`. A draw of L of the n library
+        columns puts about W L / n of them in a row's W table columns, so
+        when L W < k n every row is computed from the points, without the
+        walk: the rows that need the points get the same answer either
+        way, and so do the few that the walk would have settled.
         """
         near, near_dist = self.near[rows], self.near_dist[rows]
-        # column n, which marks an untrusted entry, stays False
-        member = np.zeros(self.lib_times.size + 1, dtype=bool)
-        member[columns] = True
-        ok = member[near]
         at = np.arange(near.shape[0])
-        picked = np.empty((near.shape[0], k), dtype=np.intp)
-        for j in range(k - 1):
-            # argmax returns a row's first True, or 0 when it has none left
-            picked[:, j] = ok.argmax(axis=1)
-            ok[at, picked[:, j]] = False
-        # each round takes the row's first remaining member, so the k-th
-        # finds one exactly when the row has k of them
-        picked[:, -1] = ok.argmax(axis=1)
-        walked = ok[at, picked[:, -1]]
-        cols = np.take_along_axis(near, picked, axis=1)
-        dist = np.take_along_axis(near_dist, picked, axis=1)
-        short = np.flatnonzero(~walked) + rows.start
+        if columns.size * near.shape[1] < k * self.lib_times.size:
+            cols = np.empty((at.size, k), dtype=np.intp)
+            dist = np.empty(cols.shape)
+            short = at + rows.start
+        else:
+            # column n, which marks an untrusted entry, stays False
+            member = np.zeros(self.lib_times.size + 1, dtype=bool)
+            member[columns] = True
+            ok = member[near]
+            picked = np.empty((at.size, k), dtype=np.intp)
+            for j in range(k - 1):
+                # argmax returns a row's first True, or 0 when it has none left
+                picked[:, j] = ok.argmax(axis=1)
+                ok[at, picked[:, j]] = False
+            # each round takes the row's first remaining member, so the k-th
+            # finds one exactly when the row has k of them
+            picked[:, -1] = ok.argmax(axis=1)
+            walked = ok[at, picked[:, -1]]
+            cols = np.take_along_axis(near, picked, axis=1)
+            dist = np.take_along_axis(near_dist, picked, axis=1)
+            short = np.flatnonzero(~walked) + rows.start
         if short.size:
             lib, lib_times = self.lib_points[columns], self.lib_times[columns]
             for block in _row_blocks(short.size, columns.size, lib.shape[1]):
                 r = short[block]
                 block_dist = _pairwise_distances(self.target_points[r], lib)
-                block_dist[lib_times == self.target_times[r, None]] = np.inf
+                # library times ascend and hold each time once, so a row's
+                # own time can only be at its search position
+                own = np.searchsorted(lib_times, self.target_times[r])
+                hit = np.flatnonzero(lib_times[np.minimum(own, lib_times.size - 1)]
+                                     == self.target_times[r])
+                block_dist[hit, own[hit]] = np.inf
                 try:
                     idx, nd = nearest_rows(block_dist, k)
                 except DataError:

@@ -12,6 +12,7 @@ import types
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -41,11 +42,12 @@ def test_workload_payload_matches_its_recorded_digest(name, tmp_path):
     assert workloads.digest(payload) == DIGESTS[name]["0"]
 
 
-# at seed 0: rows that fall back to the points (rows passed to
-# nearest_rows) may not rise, and entries the tables trust may not fall
+# at seed 0: rows whose trusted entries hold fewer than k of the reader's
+# columns, which the table cannot settle and which fall back to the points,
+# may not rise, and entries the tables trust may not fall
 TRUST_FLOOR = {
     "lag-sweep": {"fallback_rows": 0, "trusted": 15_992},
-    "tied-large": {"fallback_rows": 125_067, "trusted": 177_425},
+    "tied-large": {"fallback_rows": 125_061, "trusted": 177_449},
     "fork-network": {"fallback_rows": 303_798, "trusted": 415_548},
 }
 
@@ -53,26 +55,31 @@ TRUST_FLOOR = {
 @pytest.mark.parametrize("name", sorted(TRUST_FLOOR))
 def test_tables_trust_no_less_than_recorded(name, tmp_path):
     # a table that trusts less sends more rows to the points; no digest
-    # changes, so only these counts can see it
+    # changes, so only these counts can see it. The rows are counted from
+    # the table, not from nearest_rows: a draw too small for the walk sends
+    # every row there, the ones the table could settle too
     from crossmap import forecast
 
     counts = {"fallback_rows": 0, "trusted": 0}
-    build, nearest_rows = forecast._NeighborTable.build.__func__, forecast.nearest_rows
+    build, nearest = forecast._NeighborTable.build.__func__, forecast._NeighborTable.nearest
 
     def counting_build(cls, lib_times, *args, **kwargs):
         table = build(cls, lib_times, *args, **kwargs)
         counts["trusted"] += int((table.near < lib_times.size).sum())
         return table
 
-    def counting_nearest_rows(dist, k):
-        counts["fallback_rows"] += dist.shape[0]
-        return nearest_rows(dist, k)
+    def counting_nearest(table, rows, columns, k):
+        # column n, which marks an untrusted entry, is no member
+        member = np.zeros(table.lib_times.size + 1, dtype=bool)
+        member[columns] = True
+        counts["fallback_rows"] += int((member[table.near[rows]].sum(axis=1) < k).sum())
+        return nearest(table, rows, columns, k)
 
     workload = workloads.WORKLOADS[name]
     inputs = workload.setup(0, tmp_path)
     with mock.patch.object(forecast._NeighborTable, "build",
                            classmethod(counting_build)), \
-            mock.patch.object(forecast, "nearest_rows", counting_nearest_rows):
+            mock.patch.object(forecast._NeighborTable, "nearest", counting_nearest):
         payload = workload.run(inputs)
     assert workloads.digest(payload) == DIGESTS[name]["0"]
     assert counts["fallback_rows"] <= TRUST_FLOOR[name]["fallback_rows"]

@@ -8,7 +8,7 @@ from crossmap import (CrossmapError, DataError, EmbeddingParams, NumericalError,
                       TimeSeries, embed, knn, loo_skill, select_embedding_dimension,
                       simplex_forecast, simplex_weights, train_test_skill)
 from crossmap import forecast
-from crossmap.embedding import nearest_rows
+from crossmap.embedding import ShadowManifold, nearest_rows
 from crossmap.forecast import _pairwise_distances, cross_estimates
 from crossmap.systems import gen_coupled_logistic
 
@@ -409,15 +409,71 @@ def test_overflowing_difference_is_an_infinite_distance(e_dim):
                              [np.inf, np.inf, 0.0]]
 
 
-def dense_neighbors(cross_map, manifold, lib, tgt, columns):
-    """The map's neighbor times and distances from the whole target x
-    library matrix, sliced to its view and columns, by :func:`nearest_rows`."""
+TINY = np.finfo(float).tiny
+
+
+@st.composite
+def small_e_points(draw):
+    """(n, E) points at E = 1 or 2 whose coordinates are 2-decimal values
+    (distances tie), values of either sign near 1e154-1e200 (squares and
+    differences overflow), subnormals or signed zeros."""
+    e_dim, n = draw(st.integers(1, 2)), draw(st.integers(1, 12))
+    value = st.one_of(st.integers(-300, 300).map(lambda v: v / 100),
+                      st.floats(1e154, 1e200) | st.floats(-1e200, -1e154),
+                      st.floats(-TINY, TINY),
+                      st.sampled_from([0.0, -0.0]))
+    return np.array(draw(st.lists(value, min_size=n * e_dim,
+                                  max_size=n * e_dim))).reshape(n, e_dim)
+
+
+def einsum_distances(queries, cols):
+    """The broadcast-plus-einsum formula on (n, E) or gathered (rows, m, E)
+    points, as for E >= 5."""
+    with np.errstate(over="ignore"):
+        diff = queries[:, None, :] - cols
+        out = np.einsum("mne,mne->mn", diff, diff)
+        return np.sqrt(out, out=out)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(points=small_e_points(), data=st.data())
+def test_small_e_kernel_is_the_einsum_formula_bit_for_bit(points, data):
+    # at E <= 2 the kernel adds its squares in place instead of calling
+    # einsum; the bits agree unless einsum contracts into a fused
+    # multiply-add. Overflow gives +inf and no warning, which the test
+    # settings would turn into an error
+    n, e_dim = points.shape
+    whole = _pairwise_distances(points, points)
+    assert whole.tobytes() == einsum_distances(points, points).tobytes()
+    manifold = ShadowManifold(points, np.arange(n), EmbeddingParams(e_dim), "x")
+    for i in range(n):
+        finite = np.flatnonzero(np.isfinite(whole[i]))
+        ns = knn(manifold, points[i], finite.size)
+        assert sorted(ns.indices.tolist()) == finite.tolist()
+        assert whole[i, ns.indices].tobytes() == ns.distances.tobytes()
+    cols = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=n * 3,
+                                       max_size=n * 3))).reshape(n, 3)
+    gathered = np.take(points, cols, axis=0)
+    got = _pairwise_distances(points, gathered)
+    assert got.tobytes() == einsum_distances(points, gathered).tobytes()
+    assert got.tobytes() == np.take_along_axis(whole, cols, axis=1).tobytes()
+
+
+def dense_distances(cross_map, manifold, lib, tgt):
+    """The whole target x library matrix, own times at +inf, sliced to the
+    map's view."""
     times = manifold.times
     dist = _pairwise_distances(manifold.points[tgt - times[0]],
                                manifold.points[lib - times[0]])
     own = np.flatnonzero(np.isin(tgt, lib))
     dist[own, np.searchsorted(lib, tgt[own])] = np.inf
-    dist = dist[cross_map.rows, cross_map.cols]
+    return dist[cross_map.rows, cross_map.cols]
+
+
+def dense_neighbors(cross_map, manifold, lib, tgt, columns):
+    """The map's neighbor times and distances from the whole target x
+    library matrix, sliced to its view and columns, by :func:`nearest_rows`."""
+    dist = dense_distances(cross_map, manifold, lib, tgt)
     lib_times = cross_map.lib_times
     if columns is not None:
         dist, lib_times = dist[:, columns], lib_times[columns]
@@ -622,6 +678,56 @@ class TestCrossMapEngine:
             want = dense_neighbors(cross_map, manifold, times, times, columns)
             assert got[0].tolist() == want[0].tolist(), draw_size
             assert got[1].tolist() == want[1].tolist(), draw_size
+
+    @pytest.mark.parametrize("contiguous", [False, True])
+    @pytest.mark.parametrize("shift", [0, 3])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_draws_below_the_walk_boundary_take_the_points(self, offset, shift,
+                                                           contiguous):
+        # a draw of L of the table's n columns skips the walk exactly when
+        # L W < k n; n is picked so that L W = k n + offset for a whole L.
+        # Below the boundary every row of the view is computed from the
+        # points, at and above it only the rows whose trusted entries hold
+        # fewer than k of the draw's columns
+        width, e_dim = 5, 2
+        k = e_dim + 1
+        n = next(n for n in range(60, 60 + width) if (k * n + offset) % width == 0)
+        size = (k * n + offset) // width
+        values = np.round(logistic_series(n + e_dim - 1, x0=0.37).values * 30) / 30
+        series = TimeSeries("x", values, origin_index=2)
+        manifold = embed(series, EmbeddingParams(e_dim))
+        times = manifold.times
+        with mock.patch.object(forecast, "_TABLE_WIDTH", width):
+            cross_map = cross_estimates(manifold.points, times, series, k,
+                                        draws=True).shifted(shift)
+        table = cross_map.table
+        assert table.lib_times.size * k + offset == table.near.shape[1] * size
+        usable = cross_map.lib_times.size
+        rng = np.random.default_rng(n)
+        if contiguous:
+            start = int(rng.integers(0, usable - size + 1))
+            columns = np.arange(start, start + size)
+        else:
+            columns = np.sort(rng.choice(usable, size=size, replace=False))
+        blocks = []
+
+        def recording(dist, k):
+            blocks.append(dist.copy())
+            return nearest_rows(dist, k)
+
+        with mock.patch.object(forecast, "nearest_rows", recording):
+            got = cross_map.neighbors(columns)
+        want = dense_neighbors(cross_map, manifold, times, times, columns)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tobytes() == want[1].tobytes()
+        member = np.zeros(n + 1, dtype=bool)
+        member[cross_map.cols.start + columns] = True
+        unsettled = member[table.near[cross_map.rows]].sum(axis=1) < k
+        # the table could settle some rows, so the two sides differ
+        assert 0 < unsettled.sum() < unsettled.size
+        short = np.ones_like(unsettled) if offset < 0 else unsettled
+        dense = dense_distances(cross_map, manifold, times, times)[:, columns]
+        assert np.vstack(blocks).tobytes() == dense[short].tobytes()
 
     @pytest.mark.parametrize("split", [False, True])
     def test_a_view_shifted_again_is_the_build_shifted_once(self, split):
