@@ -299,7 +299,9 @@ def _ccm_curves(full, causes: Sequence[TimeSeries], effect: TimeSeries,
     Every cause shares the effect's length and origin, as both callers
     check. So the usable library, the seeded draws and each draw's
     neighbors do not depend on the cause: each draw's neighbors are
-    selected once, and every cause is estimated from them.
+    selected once, and every cause is estimated from them. A size's draws
+    are scored in groups of at most ``group_size``, each drawn when it is
+    scored, so memory does not grow with ``samples_per_size``.
     """
     cross_map = full.shifted(config.lag)
     n_usable = int(cross_map.lib_times.size)
@@ -309,23 +311,26 @@ def _ccm_curves(full, causes: Sequence[TimeSeries], effect: TimeSeries,
             f"largest library size {sizes[-1]} exceeds the {n_usable} "
             f"admissible points")
 
+    def draw(size: int, j: int) -> np.ndarray:
+        rng = np.random.default_rng([config.seed, size, j])
+        if config.contiguous_draws:
+            start = int(rng.integers(0, n_usable - size + 1))
+            return np.arange(start, start + size)
+        return np.sort(rng.choice(n_usable, size=size, replace=False))
+
     rows: list[list[CurveRow]] = [[] for _ in causes]
     for size in sizes:
         n_draws = 1 if size == n_usable else config.samples_per_size
         rhos = np.empty((len(causes), n_draws))
         n_degenerate = [0] * len(causes)
-        for j in range(n_draws):
-            rng = np.random.default_rng([config.seed, size, j])
-            if size == n_usable:
-                positions = None
-            elif config.contiguous_draws:
-                start = int(rng.integers(0, n_usable - size + 1))
-                positions = np.arange(start, start + size)
-            else:
-                positions = np.sort(rng.choice(n_usable, size=size, replace=False))
-            for i, stats in enumerate(cross_map.skills(causes, positions)):
-                rhos[i, j] = stats.rho
-                n_degenerate[i] += int(stats.degenerate)
+        for first in range(0, n_draws, cross_map.group_size):
+            group = range(first, min(first + cross_map.group_size, n_draws))
+            draws = (None if size == n_usable
+                     else np.array([draw(size, j) for j in group]))
+            for j, draw_stats in zip(group, cross_map.skills(causes, draws)):
+                for i, stats in enumerate(draw_stats):
+                    rhos[i, j] = stats.rho
+                    n_degenerate[i] += int(stats.degenerate)
         for cause_rows, cause_rhos, n_deg in zip(rows, rhos, n_degenerate):
             cause_rows.append(CurveRow(lib_size=size,
                                        mean_rho=float(cause_rhos.mean()),
@@ -399,7 +404,7 @@ def _eccm_profiles(full, causes: Sequence[TimeSeries], effect: TimeSeries,
     for ell in lags:
         try:
             rows.append([(EccmRow(lag=ell, rho=s.rho), s.degenerate)
-                         for s in full.shifted(ell).skills(causes)])
+                         for s in full.shifted(ell).skills(causes)[0]])
         except DataError as err:
             rows.append([(EccmRow(lag=ell, rho=None, note=str(err)), False)]
                         * len(causes))

@@ -138,18 +138,34 @@ class SkillStats:
     degenerate: bool = field(default=False)
 
 
-def _pearson_raw(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
-    with np.errstate(over="ignore", invalid="ignore"):
-        ac = a - a.mean()
-        bc = b - b.mean()
-        denom = float(np.sqrt(np.dot(ac, ac) * np.dot(bc, bc)))
-        if denom == 0.0:
-            return 0.0, True
-        r = float(np.dot(ac, bc) / denom)
-    if not (np.isfinite(denom) and np.isfinite(r)):
+def _skill_rows(observed: np.ndarray, predicted: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pearson rho, MAE, RMSE and degeneracy of each row of ``predicted``
+    (rows, m) against ``observed`` (m,); the input is not checked.
+
+    Each row gets the bits of the one-row formula: the means are
+    ``mean(axis=1)`` and the dot products are ``matmul`` of one row by one
+    column, which numpy computes as ``np.dot`` does (``einsum`` does not).
+    A row with zero variance on either side is degenerate, with rho 0.
+    Raises :class:`NumericalError` for the first row whose correlation is
+    not finite; an RMSE that overflows is left to the caller.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        oc = observed - observed.mean()
+        pc = predicted - predicted.mean(axis=1, keepdims=True)
+        column = pc[:, :, None]
+        denom = np.sqrt((oc @ oc) * (pc[:, None, :] @ column).ravel())
+        rho = (oc @ column).ravel() / denom
+        err = observed - predicted
+        mae = np.abs(err).mean(axis=1)
+        rmse = np.sqrt(np.multiply(err, err, out=err).mean(axis=1))
+    degenerate = denom == 0.0
+    if not np.all(degenerate | (np.isfinite(denom) & np.isfinite(rho))):
         raise NumericalError("correlation is not finite: the values are too large "
                              "for float64 sums; rescale them")
-    return min(1.0, max(-1.0, r)), False
+    rho = np.minimum(np.maximum(rho, -1.0, out=rho), 1.0, out=rho)
+    rho[degenerate] = 0.0
+    return rho, mae, rmse, degenerate
 
 
 def pearson(a: Sequence[float], b: Sequence[float]) -> float:
@@ -165,8 +181,7 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
         raise DataError(f"length mismatch: {av.size} vs {bv.size}")
     if av.size < 2:
         raise DataError("correlation needs at least 2 points")
-    r, _ = _pearson_raw(av, bv)
-    return r
+    return float(_skill_rows(av, bv[None])[0][0])
 
 
 def skill_stats(observed: Sequence[float], predicted: Sequence[float]) -> SkillStats:
@@ -177,17 +192,13 @@ def skill_stats(observed: Sequence[float], predicted: Sequence[float]) -> SkillS
         raise DataError(f"length mismatch: {obs.size} observed vs {pred.size} predicted")
     if obs.size < 2:
         raise DataError("skill statistics need at least 2 pairs")
-    rho, degenerate = _pearson_raw(obs, pred)
-    with np.errstate(over="ignore"):
-        err = obs - pred
-        mae = float(np.mean(np.abs(err)))
-        rmse = float(np.sqrt(np.mean(err * err)))
+    (rho,), (mae,), (rmse,), (degenerate,) = _skill_rows(obs, pred[None])
     # a finite rmse means every squared error, and so the mae, is finite
     if not np.isfinite(rmse):
         raise NumericalError("prediction errors are not finite: the values are "
                              "too large for float64 squares; rescale them")
-    return SkillStats(rho=rho, mae=mae, rmse=rmse, n_pairs=int(obs.size),
-                      degenerate=degenerate)
+    return SkillStats(rho=float(rho), mae=float(mae), rmse=float(rmse),
+                      n_pairs=int(obs.size), degenerate=bool(degenerate))
 
 
 def windowed_pearson(x: TimeSeries, y: TimeSeries, start: int, end: int) -> float:

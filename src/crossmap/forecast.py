@@ -19,7 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import DataError, SkillStats, TimeSeries, integer_values, skill_stats
+from .core import (CrossmapError, DataError, SkillStats, TimeSeries, _skill_rows,
+                   integer_values, skill_stats)
 from .embedding import EmbeddingParams, ShadowManifold, embed, nearest_rows
 
 __all__ = [
@@ -33,18 +34,18 @@ __all__ = [
     "select_embedding_dimension",
 ]
 
-# library columns per target in a build whose readers draw libraries: wide
-# enough that draws of a few hundred columns rarely fall back to the points;
-# a draw of L of n columns with L * W < k * n skips the table altogether
+# library columns per target in a build whose readers draw libraries; a
+# draw of L of n columns with L * W < k * n skips the table altogether, and
+# larger draws walk it and take the rows it cannot settle from the points
 _TABLE_WIDTH = 64
 # a build read only through whole-library views keeps k + this many
 # columns: one slot for a library column that the view's shift drops
 _VIEW_SLACK = 1
-# the most numbers one block holds at once (a dense block's differences, or
-# a screen block's approximations and partition indices over its window,
-# which is at most the whole library): 1 MiB of float64, which stays in a
-# 2 MiB L2 cache; a build computes every window's approximations into one
-# buffer of its own
+# the most numbers one block holds at once (a dense block's differences, a
+# screen block's approximations and partition indices over its window,
+# which is at most the whole library, or a group of draws' neighbors): 1 MiB
+# of float64, which stays in a 2 MiB L2 cache; a build computes every
+# window's approximations into one buffer of its own
 _BLOCK_CELLS = 2 ** 17
 # from E=3 up to this E the differences are filled one coordinate at a
 # time, in subtractions along the columns, instead of by a broadcast whose
@@ -118,36 +119,42 @@ def _pairwise_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Euclidean distances, computed exactly like :func:`embedding.knn`.
 
     ``points`` is either one (n, E) block that every query meets, or
-    (rows, m, E) columns gathered per query. Each entry depends only on
-    its query and point, not on the shape of the block, so a block of
-    rows or of gathered columns equals that part of the whole.
+    (..., rows, m, E) columns per query, where each axis but the last two
+    may be 1 to broadcast, for a (..., rows, m) result: (rows, m, E)
+    columns gathered per query, or a (D, 1, L, E) stack of D draws' points
+    that every query meets, giving (D, rows, L). Each entry depends only
+    on its query and point, not on the shape of the block, so a block of
+    rows, of gathered columns or of draws equals that part of the whole.
 
     For E <= 2 each square is added into the output in place, one
     addition per entry at most; IEEE addition is commutative, so there is
     no order of summation in which ``einsum`` could differ (a test checks
     that it does not contract into a fused multiply-add). From E = 3 on
     the differences are filled one coordinate at a time up to
-    ``_FILL_MAX_E`` and by a broadcast above it, and ``einsum`` sums them;
-    both give the same array. A difference that overflows is +inf, and so
-    is its distance.
+    ``_FILL_MAX_E`` and by a broadcast above it, and ``einsum`` sums them
+    over one (entries, m, E) shape whatever the leading axes; both give
+    the same array. A difference that overflows is +inf, and so is its
+    distance.
     """
-    cols = points if points.ndim == 3 else points[None]
+    cols = points if points.ndim > 2 else points[None]
     with np.errstate(over="ignore"):
-        if cols.shape[2] <= 2:
-            out = np.subtract(queries[:, 0, None], cols[:, :, 0])
+        if cols.shape[-1] <= 2:
+            out = np.subtract(queries[:, 0, None], cols[..., 0])
             np.multiply(out, out, out=out)
-            if cols.shape[2] == 2:
-                sq = np.subtract(queries[:, 1, None], cols[:, :, 1])
+            if cols.shape[-1] == 2:
+                sq = np.subtract(queries[:, 1, None], cols[..., 1])
                 out += np.multiply(sq, sq, out=sq)
             return np.sqrt(out, out=out)
-        if cols.shape[2] <= _FILL_MAX_E:
-            diff = np.empty((queries.shape[0], *cols.shape[1:]))
-            for e in range(cols.shape[2]):
-                np.subtract(queries[:, e, None], cols[:, :, e], out=diff[:, :, e])
+        if cols.shape[-1] <= _FILL_MAX_E:
+            shape = np.broadcast_shapes(cols.shape[:-1], (queries.shape[0], 1))
+            diff = np.empty((*shape, cols.shape[-1]))
+            for e in range(cols.shape[-1]):
+                np.subtract(queries[:, e, None], cols[..., e], out=diff[..., e])
         else:
             diff = queries[:, None, :] - cols
-        out = np.einsum("mne,mne->mn", diff, diff)
-        return np.sqrt(out, out=out)
+        flat = diff.reshape(-1, *diff.shape[-2:])
+        out = np.einsum("mne,mne->mn", flat, flat)
+        return np.sqrt(out, out=out).reshape(diff.shape[:-1])
 
 
 def _row_blocks(n_rows: int, n_cols: int, e_dim: int) -> list[slice]:
@@ -369,28 +376,35 @@ class _NeighborTable:
                    target_times=target_times, target_points=target_points,
                    lib_points=lib_points)
 
-    def nearest(self, rows: slice, columns: np.ndarray,
+    def nearest(self, rows: slice, draws: np.ndarray,
                 k: int) -> tuple[np.ndarray, np.ndarray]:
         """Library times and distances of each target in ``rows``'s k
-        nearest of ``columns`` (ascending library columns), ties to the
-        lower column, exactly as :func:`nearest_rows` on the dense block.
+        nearest of each draw's columns, ties to the lower column, exactly
+        as :func:`nearest_rows` on each draw's dense block: ``draws`` is a
+        (D, L) group of ascending library columns, one row per draw, and
+        both results are (D, rows, k).
 
-        A row with k trusted entries among ``columns`` takes the first k,
-        in k rounds that each take the row's first remaining one; the rest
-        are computed from the points of ``columns``, in blocks, with the
-        own time at +inf as in :meth:`build`. A draw of L of the n library
-        columns puts about W L / n of them in a row's W table columns, so
-        when L W < k n every row is computed from the points, without the
-        walk: the rows that need the points get the same answer either
-        way, and so do the few that the walk would have settled.
+        In a draw, a row with k trusted entries among its columns takes the
+        first k, in k rounds that each take the row's first remaining one;
+        the rest are computed from the points (:meth:`_from_points`). A
+        draw of L of the n library columns puts about W L / n of them in a
+        row's W table columns, so when L W < k n every row of every draw is
+        computed from the points, the group at once and without the walk:
+        the rows that need the points get the same answer either way, and
+        so do the few that the walk would have settled.
         """
+        n_draws, size = draws.shape
         near, near_dist = self.near[rows], self.near_dist[rows]
-        at = np.arange(near.shape[0])
-        if columns.size * near.shape[1] < k * self.lib_times.size:
-            cols = np.empty((at.size, k), dtype=np.intp)
-            dist = np.empty(cols.shape)
-            short = at + rows.start
-        else:
+        targets = np.arange(rows.start, rows.stop)
+        if size * near.shape[1] < k * self.lib_times.size:
+            cols, dist = self._from_points(targets, draws, k)
+            return self.lib_times[cols], dist
+        at = np.arange(targets.size)
+        # each row's first entry in the flattened table rows
+        row_start = at[:, None] * near.shape[1]
+        cols = np.empty((n_draws, targets.size, k), dtype=np.intp)
+        dist = np.empty(cols.shape)
+        for d, columns in enumerate(draws):
             # column n, which marks an untrusted entry, stays False
             member = np.zeros(self.lib_times.size + 1, dtype=bool)
             member[columns] = True
@@ -403,32 +417,64 @@ class _NeighborTable:
             # each round takes the row's first remaining member, so the k-th
             # finds one exactly when the row has k of them
             picked[:, -1] = ok.argmax(axis=1)
-            walked = ok[at, picked[:, -1]]
-            cols = np.take_along_axis(near, picked, axis=1)
-            dist = np.take_along_axis(near_dist, picked, axis=1)
-            short = np.flatnonzero(~walked) + rows.start
-        if short.size:
-            lib, lib_times = self.lib_points[columns], self.lib_times[columns]
-            for block in _row_blocks(short.size, columns.size, lib.shape[1]):
-                r = short[block]
-                block_dist = _pairwise_distances(self.target_points[r], lib)
-                # library times ascend and hold each time once, so a row's
-                # own time can only be at its search position
-                own = np.searchsorted(lib_times, self.target_times[r])
-                hit = np.flatnonzero(lib_times[np.minimum(own, lib_times.size - 1)]
-                                     == self.target_times[r])
-                block_dist[hit, own[hit]] = np.inf
-                try:
-                    idx, nd = nearest_rows(block_dist, k)
-                except DataError:
-                    n_fin = np.isfinite(block_dist).sum(axis=1)
-                    bad = np.flatnonzero(n_fin < k)[0]
-                    raise DataError(f"need {k} neighbors but only {n_fin[bad]} usable "
-                                    f"candidates for the target at time "
-                                    f"{self.target_times[r[bad]]}") from None
-                cols[r - rows.start] = columns[idx]
-                dist[r - rows.start] = nd
+            cols[d] = np.take(near, picked + row_start)
+            dist[d] = np.take(near_dist, picked + row_start)
+            if (short := np.flatnonzero(~ok[at, picked[:, -1]])).size:
+                short_cols, short_dist = self._from_points(targets[short],
+                                                           columns[None], k)
+                cols[d, short], dist[d, short] = short_cols[0], short_dist[0]
         return self.lib_times[cols], dist
+
+    def _from_points(self, targets: np.ndarray, draws: np.ndarray,
+                     k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each of the table rows ``targets``' k nearest of each draw's
+        columns from the points, with the own time at +inf as in
+        :meth:`build`: (D, targets, k) library columns and distances.
+
+        A block holds at most ``_BLOCK_CELLS`` differences: whole draws
+        when one draw's targets x L x E fit, else row blocks of one draw.
+        So the rows come in (draw, row) order, and a row short of finite
+        distances raises for the first of them.
+        """
+        (n_draws, size), n = draws.shape, self.lib_times.size
+        e_dim, target_times = self.lib_points.shape[1], self.target_times[targets]
+        # each target's own column, n where the library has none; the draws
+        # ascend, so offsetting each by n + 1 past the last makes one
+        # ascending run, where a target's own column can only be at its
+        # search position
+        own = np.searchsorted(self.lib_times, target_times)
+        own[self.lib_times[np.minimum(own, n - 1)] != target_times] = n
+        offset = (n + 1) * np.arange(n_draws)[:, None]
+        run, key = (draws + offset).ravel(), own + offset
+        pos = np.searchsorted(run, key)
+        own_hit = run[np.minimum(pos, run.size - 1)] == key
+        pos -= size * np.arange(n_draws)[:, None]
+        lib = self.lib_points[draws][:, None]
+        cols = np.empty((n_draws, targets.size, k), dtype=np.intp)
+        dist = np.empty(cols.shape)
+        row_blocks = _row_blocks(targets.size, size, e_dim)
+        if len(row_blocks) == 1:
+            step = max(1, _BLOCK_CELLS // (targets.size * size * e_dim))
+            blocks = [(slice(d, d + step), slice(None)) for d in range(0, n_draws, step)]
+        else:
+            blocks = [(slice(d, d + 1), r) for d in range(n_draws) for r in row_blocks]
+        for ds, rs in blocks:
+            block = _pairwise_distances(self.target_points[targets[rs]], lib[ds])
+            hit_d, hit_r = np.nonzero(own_hit[ds, rs])
+            block[hit_d, hit_r, pos[ds, rs][hit_d, hit_r]] = np.inf
+            flat = block.reshape(-1, size)
+            try:
+                idx, nd = nearest_rows(flat, k)
+            except DataError:
+                n_fin = np.isfinite(flat).sum(axis=1)
+                bad = np.flatnonzero(n_fin < k)[0]
+                raise DataError(f"need {k} neighbors but only {n_fin[bad]} usable "
+                                f"candidates for the target at time "
+                                f"{target_times[rs][bad % block.shape[1]]}") from None
+            cols[ds, rs] = np.take_along_axis(draws[ds, None],
+                                              idx.reshape(*block.shape[:2], k), axis=2)
+            dist[ds, rs] = nd.reshape(*block.shape[:2], k)
+        return cols, dist
 
 
 @dataclass(frozen=True)
@@ -457,31 +503,72 @@ class _CrossMap:
     def target_times(self) -> np.ndarray:
         return self.table.target_times[self.rows]
 
-    def neighbors(self, columns: np.ndarray | None = None
+    @property
+    def group_size(self) -> int:
+        """The most draws one call of :meth:`skills` should take: their
+        (draws, targets, k) neighbors hold at most ``_BLOCK_CELLS`` numbers."""
+        return max(1, _BLOCK_CELLS // ((self.rows.stop - self.rows.start) * self.k))
+
+    def neighbors(self, draws: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
         """Each target's k nearest library times and their distances, its
-        own time excluded and ties to the earliest time, among the whole
-        library or the columns given (ascending positions into
-        ``lib_times``), as :meth:`_NeighborTable.nearest` finds them."""
+        own time excluded and ties to the earliest time, among each draw's
+        library, as :meth:`_NeighborTable.nearest` finds them: ``draws``
+        is a (D, L) group of ascending positions into ``lib_times``, one
+        row per draw, and None is the whole library, a group of one."""
         start = self.cols.start
-        columns = (np.arange(start, self.cols.stop) if columns is None
-                   else start + np.asarray(columns, dtype=int))
-        return self.table.nearest(self.rows, columns, self.k)
+        draws = (np.arange(start, self.cols.stop)[None] if draws is None
+                 else start + np.asarray(draws, dtype=int))
+        return self.table.nearest(self.rows, draws, self.k)
 
     def skills(self, series: Sequence[TimeSeries],
-               columns: np.ndarray | None = None) -> list[SkillStats]:
-        """Skill of each series with the whole library, or with the library
-        columns given (see :meth:`neighbors`); the neighbors are selected
-        once for all of them."""
-        times, dist = self.neighbors(columns)
-        estimates = estimates_from_distances(dist, times + self.shift, series)
-        return [skill_stats(s.values[self.target_times + self.shift - s.origin_index],
-                            est)
-                for s, est in zip(series, estimates)]
+               draws: np.ndarray | None = None) -> list[list[SkillStats]]:
+        """Skill of each series with each draw's library (see
+        :meth:`neighbors`): one list per draw, in the order of ``series``.
 
-    def skill(self, columns: np.ndarray | None = None) -> SkillStats:
-        """Skill of ``values`` (see :meth:`skills`)."""
-        return self.skills((self.values,), columns)[0]
+        The group's neighbors are selected together, one weighting serves
+        every series, and each series is scored over every draw by one
+        :func:`core._skill_rows`. A group that fails is scored again one
+        draw at a time, so that the error raised is the first draw's: its
+        selection's, then each series' in order, as :func:`skill_stats`
+        gives it.
+        """
+        try:
+            return self._score(series, draws)
+        except CrossmapError as err:
+            if draws is None or len(draws) == 1:
+                raise
+            failed = err
+        for d in range(len(draws)):
+            self._score(series, draws[d:d + 1])
+        raise failed
+
+    def _score(self, series: Sequence[TimeSeries],
+               draws: np.ndarray | None) -> list[list[SkillStats]]:
+        times, dist = self.neighbors(draws)
+        n_draws, n_rows, k = dist.shape
+        estimates = estimates_from_distances(
+            dist.reshape(-1, k), (times + self.shift).reshape(-1, k), series)
+        targets = self.target_times + self.shift
+        scores = []
+        for s, est in zip(series, estimates):
+            observed = s.values[targets - s.origin_index]
+            predicted = est.reshape(n_draws, n_rows)
+            ok = np.isfinite(predicted).all(axis=1)
+            if ok.all():
+                rho, mae, rmse, degenerate = _skill_rows(observed, predicted)
+                ok = np.isfinite(rmse)
+            if not ok.all():
+                # skill_stats raises the error of the first draw that fails
+                skill_stats(observed, predicted[np.argmin(ok)])
+            scores.append([SkillStats(rho=r, mae=a, rmse=e, n_pairs=n_rows, degenerate=g)
+                           for r, a, e, g in zip(rho.tolist(), mae.tolist(),
+                                                 rmse.tolist(), degenerate.tolist())])
+        return [list(draw) for draw in zip(*scores)]
+
+    def skill(self) -> SkillStats:
+        """Skill of ``values`` with the whole library (see :meth:`skills`)."""
+        return self.skills((self.values,))[0][0]
 
     def shifted(self, shift: int) -> "_CrossMap":
         """The build this view came from, under ``shift``.
@@ -574,12 +661,14 @@ def simplex_forecast(library: ShadowManifold,
     table = _NeighborTable.build(lib_times, times[-1:] + 1, query[None],
                                  library.points[usable], width=k + _VIEW_SLACK)
     try:
-        neighbor_times, dist = table.nearest(slice(0, 1), np.arange(lib_times.size), k)
+        neighbor_times, dist = table.nearest(slice(0, 1),
+                                             np.arange(lib_times.size)[None], k)
     except DataError:
         raise DataError(f"fewer than E+1={k} usable neighbors: fewer than {k} usable "
                         f"library states lie at a finite distance from the "
                         f"query") from None
-    return float(estimates_from_distances(dist, neighbor_times + tp, (future,))[0][0])
+    return float(estimates_from_distances(dist[0], neighbor_times[0] + tp,
+                                          (future,))[0][0])
 
 
 def loo_skill(series: TimeSeries, params: EmbeddingParams) -> SkillStats:

@@ -68,12 +68,17 @@ def test_tables_trust_no_less_than_recorded(name, tmp_path):
         counts["trusted"] += int((table.near < lib_times.size).sum())
         return table
 
-    def counting_nearest(table, rows, columns, k):
-        # column n, which marks an untrusted entry, is no member
-        member = np.zeros(table.lib_times.size + 1, dtype=bool)
-        member[columns] = True
-        counts["fallback_rows"] += int((member[table.near[rows]].sum(axis=1) < k).sum())
-        return nearest(table, rows, columns, k)
+    def counting_nearest(table, rows, draws, k):
+        # each draw of the group counts its own rows: a mask of the union
+        # of the draws' columns would count almost none. Column n, which
+        # marks an untrusted entry, is no member
+        assert draws.ndim == 2
+        near = table.near[rows]
+        for columns in draws:
+            member = np.zeros(table.lib_times.size + 1, dtype=bool)
+            member[columns] = True
+            counts["fallback_rows"] += int((member[near].sum(axis=1) < k).sum())
+        return nearest(table, rows, draws, k)
 
     workload = workloads.WORKLOADS[name]
     inputs = workload.setup(0, tmp_path)

@@ -788,3 +788,30 @@ class TestDrawOrder:
         for lib_size in set(rows[1]) & set(rows[2]):
             assert rows[1][lib_size] == rows[2][lib_size]
         assert rows[0][common] == rows[1][common] == rows[2][common]
+
+
+class TestDrawGroups:
+    """A size's draws are scored in groups of at most ``group_size``, drawn
+    in order; how they are grouped moves no number."""
+
+    @pytest.mark.parametrize("contiguous", [False, True])
+    @pytest.mark.parametrize("cells", [1, 2 ** 11, 2 ** 30])
+    def test_groups_split_a_size_without_moving_a_number(self, cells, contiguous):
+        z, a, _ = gen_moran_fork(200)
+        cfg = CcmConfig(e_dim=2, seed=0, samples_per_size=7,
+                        contiguous_draws=contiguous)
+        want = ccm_curve(z, a, cfg)
+        groups, skills = [], forecast._CrossMap.skills
+
+        def recording(cross_map, series, draws=None):
+            groups.append(None if draws is None else len(draws))
+            return skills(cross_map, series, draws)
+
+        with mock.patch.object(forecast, "_BLOCK_CELLS", cells), \
+                mock.patch.object(forecast._CrossMap, "skills", recording):
+            got = ccm_curve(z, a, cfg)
+        assert got == want
+        # 199 targets and k = 3 neighbors each
+        size = max(1, cells // (199 * 3))
+        split = [min(size, 7 - first) for first in range(0, 7, size)]
+        assert groups == split * (len(want.rows) - 1) + [None]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -430,6 +431,26 @@ class TestDemo:
                    for e in report["results"]["network"]["edges"]}
         assert verdict[("Z", "A")] and verdict[("Z", "B")]
         assert not verdict[("A", "B")] and not verdict[("B", "A")]
+
+    # sha256 of each report's results and warnings (sorted-key JSON) and of
+    # its CSV, at seed 0. These demos draw 100 libraries per size, so each
+    # size is scored in several groups of draws, which no benchmark
+    # workload does; the output paths are left out
+    DEMO_DIGESTS = {
+        "fig7": "e8c8074c2a6aa0a6790852dc1c358cd1fcbe3e5d7652d7ddf40e479d2d3e7fa1",
+        "fig8": "e12047f49ebc829b14849f092a56a73c1b9a114ac8683111414a7200de04e705",
+        "fork": "d5428acf8c91e44660160a3def29c7862b4a948e9fa2a55c37ef9f6db3520286",
+    }
+
+    @pytest.mark.parametrize("figure", sorted(DEMO_DIGESTS))
+    def test_default_sample_runs_match_their_recorded_digests(self, tmp_path, figure):
+        assert main(["demo", figure, "--out-dir", str(tmp_path), "--seed", "0"]) == 0
+        report = json.loads((tmp_path / f"{figure}_report.json").read_text())
+        digest = hashlib.sha256(json.dumps(
+            {"results": report["results"], "warnings": report["warnings"]},
+            sort_keys=True).encode())
+        digest.update((tmp_path / f"{figure}.csv").read_bytes())
+        assert digest.hexdigest() == self.DEMO_DIGESTS[figure]
 
     def test_generated_csv_feeds_every_command(self, tmp_path, capsys):
         # format round-trip: generate -> simplex, ccm, eccm all accept it

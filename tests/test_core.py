@@ -1,4 +1,5 @@
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from crossmap import (DataError, NumericalError, TimeSeries, pearson,
                       read_series_csv, skill_stats, windowed_pearson,
                       write_series_csv)
+from crossmap.core import _skill_rows
 from crossmap.systems import gen_coupled_logistic
 
 
@@ -137,6 +139,113 @@ class TestSkillStats:
                 continue
             st = skill_stats(o, o)
             assert st.mae == 0.0 and st.rho == 1.0
+
+
+def pearson_raw(a, b):
+    """The one-pair Pearson that :func:`_skill_rows` replaced, kept as its
+    oracle: (rho, degenerate), or NumericalError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ac = a - a.mean()
+        bc = b - b.mean()
+        denom = float(np.sqrt(np.dot(ac, ac) * np.dot(bc, bc)))
+        if denom == 0.0:
+            return 0.0, True
+        r = float(np.dot(ac, bc) / denom)
+    if not (np.isfinite(denom) and np.isfinite(r)):
+        raise NumericalError("correlation is not finite: the values are too large "
+                             "for float64 sums; rescale them")
+    return min(1.0, max(-1.0, r)), False
+
+
+def errors_raw(a, b):
+    """The one-pair MAE and RMSE that :func:`skill_stats` computed."""
+    with np.errstate(over="ignore"):
+        err = a - b
+        return float(np.mean(np.abs(err))), float(np.sqrt(np.mean(err * err)))
+
+
+def assert_rows_match_the_oracle(observed, predicted):
+    """Every row of ``_skill_rows`` equals the one-pair formulas bit for bit;
+    it raises the oracle's error exactly when some row's oracle raises."""
+    failing = []
+    for row in predicted:
+        try:
+            pearson_raw(observed, row)
+        except NumericalError as err:
+            failing.append(str(err))
+    if failing:
+        with pytest.raises(NumericalError, match=f"^{failing[0]}$"):
+            _skill_rows(observed, predicted)
+        return
+    rho, mae, rmse, degenerate = _skill_rows(observed, predicted)
+    assert rho.shape == mae.shape == rmse.shape == degenerate.shape == (len(predicted),)
+    for j, row in enumerate(predicted):
+        want_rho, want_degenerate = pearson_raw(observed, row)
+        assert np.float64(want_rho).tobytes() == rho[j].tobytes()
+        assert want_degenerate == degenerate[j]
+        assert np.array(errors_raw(observed, row)).tobytes() == \
+            np.array([mae[j], rmse[j]]).tobytes()
+
+
+class TestSkillRows:
+    """One Pearson for a block of rows: each row's rho, MAE, RMSE and
+    degeneracy are the one-pair formulas' bits (``np.dot`` and 1-D means)."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 300),
+           n_rows=st.integers(1, 6),
+           scale=st.sampled_from([1.0, 1e-310, 1e-160, 1e160, 1e300]),
+           kinds=st.lists(st.sampled_from(["noise", "constant", "affine", "same"]),
+                          min_size=6, max_size=6),
+           constant_observed=st.booleans())
+    def test_each_row_is_the_one_pair_formula_bit_for_bit(
+            self, seed, m, n_rows, scale, kinds, constant_observed):
+        # subnormal, tiny, huge (the sums overflow) and constant rows,
+        # affine copies whose rho rounds above 1 before the clip
+        rng = np.random.default_rng(seed)
+        observed = np.full(m, 0.3) if constant_observed else rng.normal(size=m)
+        rows = []
+        for kind in kinds[:n_rows]:
+            rows.append({"noise": lambda: observed + rng.normal(size=m),
+                         "constant": lambda: np.full(m, rng.normal()),
+                         "affine": lambda: rng.uniform(-9, 9) * observed + rng.normal(),
+                         "same": lambda: observed.copy()}[kind]())
+        assert_rows_match_the_oracle(observed * scale, np.array(rows) * scale)
+
+    def test_constant_rows_are_degenerate_without_a_warning(self):
+        observed = np.arange(5.0)
+        predicted = np.array([[2.0] * 5, [0.0, 1, 2, 3, 5], [0.0] * 5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho, _, _, degenerate = _skill_rows(observed, predicted)
+            assert _skill_rows(np.ones(5), predicted[1:2])[3].tolist() == [True]
+        assert rho.tolist()[::2] == [0.0, 0.0]
+        assert degenerate.tolist() == [True, False, True]
+        assert_rows_match_the_oracle(observed, predicted)
+
+    def test_perfect_correlation_is_clipped_to_one(self):
+        # affine copies whose centred dot products round rho above 1
+        over = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            a = rng.random(10)
+            b = a * rng.uniform(0.1, 10) + rng.uniform(-5, 5)
+            ac, bc = a - a.mean(), b - b.mean()
+            above = np.dot(ac, bc) / np.sqrt(np.dot(ac, ac) * np.dot(bc, bc)) > 1
+            rho = _skill_rows(a, b[None])[0][0]
+            assert rho == 1.0 if above else rho <= 1.0
+            assert_rows_match_the_oracle(a, b[None])
+            over += above
+        assert over > 0
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_overflowing_rows_raise_for_the_first(self, scale):
+        v = gen_coupled_logistic(300)[0].values
+        fine = np.vstack([v, v[::-1]])
+        assert_rows_match_the_oracle(v, fine)
+        with pytest.raises(NumericalError, match="too large for float64 sums"):
+            _skill_rows(v, np.vstack([v, v * scale]))
+        assert_rows_match_the_oracle(v * scale, fine * scale)
 
 
 @pytest.mark.parametrize("make, name", [

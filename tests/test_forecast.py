@@ -9,7 +9,9 @@ from crossmap import (CrossmapError, DataError, EmbeddingParams, NumericalError,
                       simplex_forecast, simplex_weights, train_test_skill)
 from crossmap import forecast
 from crossmap.embedding import ShadowManifold, nearest_rows
-from crossmap.forecast import _pairwise_distances, cross_estimates
+from crossmap.core import skill_stats
+from crossmap.forecast import (_pairwise_distances, cross_estimates,
+                               estimates_from_distances)
 from crossmap.systems import gen_coupled_logistic
 
 
@@ -398,6 +400,11 @@ def test_pairwise_distances_match_knn_oracle(e_dim, tau):
         cols = np.random.default_rng(seed).integers(0, n, size=(n, 9))
         gathered = _pairwise_distances(points, np.take(points, cols, axis=0))
         assert gathered.tobytes() == np.take_along_axis(whole, cols, axis=1).tobytes()
+        # a (D, 1, L, E) stack of draws' points, which every row meets
+        draws = np.sort(np.random.default_rng(seed).integers(0, n, size=(3, 7)), axis=1)
+        stacked = _pairwise_distances(points, points[draws][:, None])
+        assert stacked.shape == (3, n, 7)
+        assert stacked.tobytes() == np.stack([whole[:, d] for d in draws]).tobytes()
 
 
 @pytest.mark.parametrize("e_dim", [2, 10])
@@ -479,6 +486,15 @@ def dense_neighbors(cross_map, manifold, lib, tgt, columns):
         dist, lib_times = dist[:, columns], lib_times[columns]
     idx, nd = nearest_rows(dist, cross_map.k)
     return lib_times[idx], nd
+
+
+def draw_neighbors(cross_map, columns=None):
+    """The map's neighbor times and distances for one draw of ``columns``
+    (ascending positions; None is the whole library): the neighbors of a
+    group of one."""
+    times, dist = cross_map.neighbors(None if columns is None else columns[None])
+    assert times.shape[0] == dist.shape[0] == 1
+    return times[0], dist[0]
 
 
 @st.composite
@@ -586,7 +602,7 @@ class TestCrossMapEngine:
         columns = np.sort(np.random.default_rng(e_dim).choice(
             cross_map.lib_times.size, size=100, replace=False))
         for cols in (None, columns):
-            got = cross_map.neighbors(cols)
+            got = draw_neighbors(cross_map, cols)
             want = dense_neighbors(cross_map, manifold, times, times, cols)
             assert got[0].tolist() == want[0].tolist()
             assert got[1].tobytes() == want[1].tobytes()
@@ -612,7 +628,7 @@ class TestCrossMapEngine:
         columns = np.array(sorted(data.draw(st.sets(
             st.integers(0, lib_times.size - 1), min_size=k + 1))))
         drawn = lib_times[columns]
-        neighbor_times, neighbor_dist = cross_map.neighbors(columns)
+        neighbor_times, neighbor_dist = draw_neighbors(cross_map, columns)
         targets = tgt[(tgt + shift >= series.origin_index)
                       & (tgt + shift <= series.end_index)]
         undrawn = set(times.tolist()) - set(drawn.tolist())
@@ -654,7 +670,7 @@ class TestCrossMapEngine:
             columns = None if draw_size is None else np.array(sorted(data.draw(
                 st.sets(st.integers(0, size - 1), min_size=draw_size,
                         max_size=draw_size))))
-            got = cross_map.neighbors(columns)
+            got = draw_neighbors(cross_map, columns)
         want = dense_neighbors(cross_map, manifold, lib, tgt, columns)
         assert got[0].tolist() == want[0].tolist()
         assert got[1].tolist() == want[1].tolist()
@@ -674,7 +690,7 @@ class TestCrossMapEngine:
         rng = np.random.default_rng(e_dim)
         for draw_size in range(e_dim + 2, size + 1):
             columns = np.sort(rng.choice(size, size=draw_size, replace=False))
-            got = cross_map.neighbors(columns)
+            got = draw_neighbors(cross_map, columns)
             want = dense_neighbors(cross_map, manifold, times, times, columns)
             assert got[0].tolist() == want[0].tolist(), draw_size
             assert got[1].tolist() == want[1].tolist(), draw_size
@@ -716,7 +732,7 @@ class TestCrossMapEngine:
             return nearest_rows(dist, k)
 
         with mock.patch.object(forecast, "nearest_rows", recording):
-            got = cross_map.neighbors(columns)
+            got = draw_neighbors(cross_map, columns)
         want = dense_neighbors(cross_map, manifold, times, times, columns)
         assert got[0].tolist() == want[0].tolist()
         assert got[1].tobytes() == want[1].tobytes()
@@ -768,7 +784,7 @@ class TestCrossMapEngine:
             assert np.any((cross_map.table.near < n).sum(axis=1) >= k + 2)
             drawn = np.sort(np.random.default_rng(n).choice(n, k + 2, replace=False))
             for columns in (None, drawn):
-                neighbor_times, neighbor_dist = cross_map.neighbors(columns)
+                neighbor_times, neighbor_dist = draw_neighbors(cross_map, columns)
                 member = lib if columns is None else lib[columns]
                 for row, t in enumerate(tgt):
                     ns = knn(manifold, manifold.points[t - times[0]], k,
@@ -978,7 +994,8 @@ class TestWindowedScreen:
             cross_map = cross_estimates(manifold.points, times, series, 3, draws=True)
         assert ((cross_map.table.near < times.size).sum(axis=1) < 3).sum() <= 250
         view = cross_map.shifted(1)
-        got, want = view.neighbors(), dense_neighbors(view, manifold, times, times, None)
+        got = draw_neighbors(view)
+        want = dense_neighbors(view, manifold, times, times, None)
         assert got[0].tolist() == want[0].tolist()
         assert got[1].tobytes() == want[1].tobytes()
 
@@ -993,7 +1010,7 @@ def outcome(call):
 
 def neighbors_outcome(cross_map):
     """A view's whole-library neighbor times and distance bytes, or its error."""
-    got = outcome(cross_map.neighbors)
+    got = outcome(lambda: draw_neighbors(cross_map))
     return got if isinstance(got, str) else (got[0].tolist(), got[1].tobytes())
 
 
@@ -1060,3 +1077,116 @@ class TestViewWidth:
             narrow.neighbors()
         assert fallback.called
         self.assert_narrow_is_wide_and_dense(manifold, narrow, wide, times, times)
+
+
+def one_draw_skills(cross_map, causes, columns):
+    """Each cause's skill with one draw, composed from the one-draw
+    neighbors, :func:`estimates_from_distances` and :func:`skill_stats`."""
+    times, dist = draw_neighbors(cross_map, columns)
+    targets = cross_map.target_times + cross_map.shift
+    return [skill_stats(c.values[targets - c.origin_index], est)
+            for c, est in zip(causes, estimates_from_distances(
+                dist, times + cross_map.shift, causes))]
+
+
+def stats_bits(stats):
+    return [(s.rho.hex(), s.mae.hex(), s.rmse.hex(), s.n_pairs, s.degenerate)
+            for s in stats]
+
+
+class TestDrawGroups:
+    """A group of draws is selected, weighted and scored together; each draw
+    gets what it gets alone, and a failing group raises the error of its
+    first failing draw."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(series=st.one_of(long_tie_heavy_series(), screened_series()),
+           e_dim=st.integers(1, 6), shift=st.integers(-3, 3), split=st.booleans(),
+           contiguous=st.booleans(), n_draws=st.integers(1, 6),
+           width=st.sampled_from([5, forecast._TABLE_WIDTH]),
+           cells=st.sampled_from([1, 97, 2 ** 10, forecast._BLOCK_CELLS]),
+           data=st.data())
+    def test_each_draw_of_a_group_is_scored_as_alone(
+            self, series, e_dim, shift, split, contiguous, n_draws, width, cells, data):
+        manifold = embed(series, EmbeddingParams(e_dim))
+        times, k = manifold.times, e_dim + 1
+        if times.size < k + 2:
+            reject()
+        cut = data.draw(st.integers(1, times.size - 1)) if split else times.size
+        lib, tgt = times[:cut], (times[cut:] if split else times)
+        # the series itself and a second cause on its time axis
+        causes = (series, TimeSeries("c", np.roll(series.values, 3) / 7,
+                                     origin_index=series.origin_index))
+        with mock.patch.object(forecast, "_TABLE_WIDTH", width), \
+                mock.patch.object(forecast, "_BLOCK_CELLS", cells):
+            try:
+                cross_map = cross_estimates(manifold.points, times, series, k,
+                                            lib_times=lib, target_times=tgt,
+                                            draws=True).shifted(shift)
+            except DataError:
+                reject()
+            usable, n = cross_map.lib_times.size, cross_map.table.lib_times.size
+            # the smallest draw that walks the table, and its neighbours
+            walk = -(-k * n // cross_map.table.near.shape[1])
+            around = [s for s in (walk - 1, walk, walk + 1) if k + 1 <= s <= usable]
+            size = data.draw(st.one_of(st.integers(k + 1, usable),
+                                       st.sampled_from(around or [usable])))
+            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+            starts = rng.integers(0, usable - size + 1, size=n_draws)
+            draws = (starts[:, None] + np.arange(size) if contiguous else np.sort(
+                [rng.choice(usable, size=size, replace=False) for _ in starts], axis=1))
+            neighbors = outcome(lambda: cross_map.neighbors(draws))
+            group = outcome(lambda: cross_map.skills(causes, draws))
+            alone = [outcome(lambda: one_draw_skills(cross_map, causes, columns))
+                     for columns in draws]
+            selected = [outcome(lambda: draw_neighbors(cross_map, columns))
+                        for columns in draws]
+        failed = [a for a in alone if isinstance(a, str)]
+        if failed:
+            assert group == failed[0]
+        else:
+            assert [stats_bits(g) for g in group] == [stats_bits(a) for a in alone]
+        failed = [a for a in selected if isinstance(a, str)]
+        if failed:
+            assert neighbors == failed[0]
+            return
+        for d, columns in enumerate(draws):
+            want = dense_neighbors(cross_map, manifold, lib, tgt, columns)
+            assert neighbors[0][d].tolist() == want[0].tolist()
+            assert neighbors[1][d].tobytes() == want[1].tobytes()
+            assert selected[d][1].tobytes() == want[1].tobytes()
+
+    # 60 points on one line (E = 1, k = 2), five of them at 1e300: those
+    # targets have finite distances only to each other
+    FAR = [10, 20, 30, 40, 50]
+
+    def far_cross_map(self):
+        values = np.random.default_rng(5).random(60)
+        values[self.FAR] = 1e300
+        effect = TimeSeries("y", values)
+        manifold = embed(effect, EmbeddingParams(1))
+        return cross_estimates(manifold.points, manifold.times, effect, 2,
+                               draws=True).shifted(0)
+
+    @pytest.mark.parametrize("order", ["skill_first", "selection_first"])
+    def test_the_first_failing_draw_raises_its_first_error(self, order):
+        # a draw holding every far point selects, and a 1e160 cause then
+        # overflows its correlation; in a draw holding only the far point
+        # at time 10, the target there has no finite candidate
+        cross_map = self.far_cross_map()
+        cause = TimeSeries("x", np.random.default_rng(6).random(60) * 1e160)
+        rest = [c for c in range(60) if c not in self.FAR][:20]
+        selects = np.sort(self.FAR + rest)
+        short = np.sort(self.FAR[:1] + rest + [55, 56, 57, 58])
+        draws = np.array([selects, short] if order == "skill_first"
+                         else [short, selects])
+        assert draws.shape == (2, 25)
+        error, text = {"skill_first": (NumericalError, "correlation is not finite"),
+                       "selection_first": (DataError, "need 2 neighbors but only 0 "
+                                                      "usable candidates for the "
+                                                      "target at time 10")}[order]
+        with pytest.raises(error, match=text) as group:
+            cross_map.skills((cause,), draws)
+        with pytest.raises(error) as alone:
+            one_draw_skills(cross_map, (cause,), draws[0])
+        assert str(group.value) == str(alone.value)
