@@ -43,9 +43,10 @@ _TABLE_WIDTH = 64
 _VIEW_SLACK = 1
 # the most numbers one block holds at once (a dense block's differences, a
 # screen block's approximations and partition indices over its window,
-# which is at most the whole library, or a group of draws' neighbors): 1 MiB
-# of float64, which stays in a 2 MiB L2 cache; a build computes every
-# window's approximations into one buffer of its own
+# which is at most the whole library, an exact block's arrays over its
+# rows' candidates, or a group of draws' neighbors): 1 MiB of float64,
+# which stays in a 2 MiB L2 cache; a build computes every window's
+# approximations into one buffer of its own
 _BLOCK_CELLS = 2 ** 17
 # from E=3 up to this E the differences are filled one coordinate at a
 # time, in subtractions along the columns, instead of by a broadcast whose
@@ -164,6 +165,15 @@ def _row_blocks(n_rows: int, n_cols: int, e_dim: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
+def _exact_blocks(n_rows: int, m: int, e_dim: int) -> list[slice]:
+    """Row blocks of a build's exact pass over m candidates per row. A row
+    holds its gathered points and their differences, m x E numbers each,
+    and its distances, own-time mask and sort order, m each, so a block
+    is sized at 4 m E numbers per row: at m E alone its arrays outgrow
+    the cache."""
+    return _row_blocks(n_rows, m, 4 * e_dim)
+
+
 def _screen_inputs(target_points: np.ndarray, lib_points: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Factors ``tgt`` and ``lib`` whose product is every approximate
@@ -212,8 +222,8 @@ def _candidates(tgt: np.ndarray, lib: np.ndarray, cols: np.ndarray, m: int,
     columns: ``lib`` holds the window's factors and ``cols`` its library
     columns.
 
-    Returns each row's m columns of smallest approximation, ascending, its
-    own column not set aside, and two radii from its (m+1)-th
+    Returns each row's m columns of smallest approximation, in no set
+    order and its own column not set aside, and two radii from its (m+1)-th
     approximation a and its rounding bound delta over the window: no other
     column of the window lies nearer than sqrt(max(a - delta, 0)), and
     sqrt(a + delta) is a radius that holds about m + 1 of them. The
@@ -226,8 +236,8 @@ def _candidates(tgt: np.ndarray, lib: np.ndarray, cols: np.ndarray, m: int,
     part = np.argpartition(approx, m, axis=1)
     cut = approx[np.arange(approx.shape[0]), part[:, m]]
     slack = _rounding_bound(tgt, lib)
-    return (np.sort(cols[part[:, :m]], axis=1),
-            np.sqrt(np.maximum(cut - slack, 0.0)), np.sqrt(cut + slack))
+    return (cols[part[:, :m]], np.sqrt(np.maximum(cut - slack, 0.0)),
+            np.sqrt(cut + slack))
 
 
 def estimates_from_distances(dist: np.ndarray,
@@ -280,12 +290,16 @@ class _NeighborTable:
     least fl(e * e), and adding the other non-negative squares, in any
     order, never makes a rounded sum smaller: its exact distance is at
     least the edge bound fl(sqrt(fl(e * e))), with no margin. The right
-    side is the mirror image. A row whose edge bound lies below its screen
-    bound and at or below its W-th distance may miss a column beyond the
-    edge, and takes every column. Every other row has its edge bound at or
-    above its screen bound, or above its W-th distance, so the screen bound
-    alone certifies what it trusts, and it trusts at least as much as a
-    screen of the whole library would.
+    side is the mirror image. The windows keep each row's candidates,
+    screen bound and gap to the edge, and the exact pass then runs once
+    over every screened row, in row blocks of its own
+    (:func:`_exact_blocks`), followed by the edge test. A row whose edge
+    bound lies below its screen bound and at or below its W-th distance
+    may miss a column beyond the edge, and takes every column. Every
+    other row has its edge bound at or above its screen bound, or above
+    its W-th distance, so the screen bound alone certifies what it
+    trusts, and it trusts at least as much as a screen of the whole
+    library would.
 
     An entry is trusted only if it lies strictly below the bound (a
     column tied with the bound may have an earlier twin outside the
@@ -341,31 +355,39 @@ class _NeighborTable:
             by_x0 = np.argsort(lib_points[:, 0], kind="stable")
             lib = lib[:, by_x0]
             x0 = np.concatenate([[-np.inf], lib_points[by_x0, 0], [np.inf]])
+            # screen blocks are sized for a window of the whole library
             screens = _row_blocks(rows.size, n, 2)
             # one buffer for every window's approximations: a fresh one per
             # block can cost a fresh process an mmap and a trim of it per block
             buf = np.empty(rows[screens[0]].size * n)
+            cand, gap = np.empty((rows.size, m), dtype=np.intp), np.empty(rows.size)
             radius = np.inf
+            # the windows do only what the next window needs; the exact pass
+            # and the edge test run once after them, over every screened row
             for block in screens:
                 r, t0 = rows[block], x0_rows[block]
                 lo, hi = np.searchsorted(x0[1:-1], (t0[0] - radius, t0[-1] + radius))
                 if hi - lo <= m:
                     lo, hi = 0, n
-                cand, low, radii = _candidates(tgt[r], lib[:, lo:hi], by_x0[lo:hi],
-                                               m, buf)
-                exact(r, cand, np.take(lib_points, cand, axis=0))
-                if hi - lo < n:
-                    # x0 is padded, so the window's neighbours are x0[lo] and
-                    # x0[hi + 1]; no column beyond them lies nearer than edge
-                    with np.errstate(over="ignore"):
-                        gap = np.minimum(t0 - x0[lo], x0[hi + 1] - t0)
-                        edge = np.sqrt(gap * gap)
-                    # rows whose table the edge cuts into take every column
-                    screened[r[(edge < low) & (edge <= near_dist[r, -1])]] = False
-                bound[r] = low
+                cand[block], bound[r], radii = _candidates(
+                    tgt[r], lib[:, lo:hi], by_x0[lo:hi], m, buf)
+                # x0 is padded, so the window's neighbours are x0[lo] and
+                # x0[hi + 1], and a whole-library window's gap is +inf
+                with np.errstate(over="ignore"):
+                    gap[block] = np.minimum(t0 - x0[lo], x0[hi + 1] - t0)
                 radius = radii.max()
-        # a block holds at most _BLOCK_CELLS numbers: rows x n x E differences
-        # here, rows x n approximations and as many partition indices above
+            cand.sort(axis=1)
+            for block in _exact_blocks(rows.size, m, e_dim):
+                c = cand[block]
+                exact(rows[block], c, np.take(lib_points, c, axis=0))
+            # no column beyond a window's edge lies nearer than the edge
+            # bound; rows whose table the edge cuts into take every column
+            with np.errstate(over="ignore"):
+                edge = np.sqrt(gap * gap)
+            screened[rows[(edge < bound[rows]) & (edge <= near_dist[rows, -1])]] = False
+        # rows that take every column: a block holds rows x n x E differences,
+        # as a screen block holds rows x n approximations and as many
+        # partition indices, at most _BLOCK_CELLS numbers either way
         every = np.flatnonzero(~screened)
         bound[every] = np.inf
         for block in _row_blocks(every.size, n, e_dim):

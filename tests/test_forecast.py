@@ -999,6 +999,54 @@ class TestWindowedScreen:
         assert got[0].tolist() == want[0].tolist()
         assert got[1].tobytes() == want[1].tobytes()
 
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(series=st.one_of(long_tie_heavy_series(), screened_series()),
+           e_dim=st.integers(1, 6), layout=st.sampled_from(["loo", "split", "outside"]),
+           narrow=st.booleans(), data=st.data())
+    def test_the_exact_pass_blocking_changes_no_byte(self, series, e_dim, layout,
+                                                     narrow, data):
+        # the exact pass as shipped, one row a block, and one block of every
+        # screened row give the same table
+        manifold = embed(series, EmbeddingParams(e_dim))
+        times = manifold.times
+        if times.size < 4:
+            reject()
+        cut = data.draw(st.integers(1, times.size - 1))
+        lib, tgt = {"loo": (times, times), "split": (times[:cut], times[cut:]),
+                    "outside": (times[::2], times)}[layout]
+
+        def build():
+            return cross_estimates(manifold.points, times, series, e_dim + 1,
+                                   lib_times=lib, target_times=tgt,
+                                   draws=not narrow).table
+
+        tables = [build()]
+        for blocks in (lambda n_rows, m, e: [slice(i, i + 1) for i in range(n_rows)],
+                       lambda n_rows, m, e: [slice(0, n_rows)]):
+            with mock.patch.object(forecast, "_exact_blocks", blocks):
+                tables.append(build())
+        for table in tables[1:]:
+            assert table.near.tobytes() == tables[0].near.tobytes()
+            assert table.near_dist.tobytes() == tables[0].near_dist.tobytes()
+
+    def test_the_exact_pass_runs_once_after_every_window(self):
+        # 2000 rows at E = 2 and W = k + 1: 32 rows a screen block, so 63
+        # windows, but the exact pass over their 13 candidates a row runs in
+        # 2 blocks; every row is certified, so nothing takes every column
+        x, _ = gen_coupled_logistic(2001)
+        manifold = embed(x, EmbeddingParams(2))
+        times = manifold.times
+        assert times.size == 2000
+        with mock.patch.object(forecast, "_candidates",
+                               wraps=forecast._candidates) as screen, \
+                mock.patch.object(forecast, "_pairwise_distances",
+                                  wraps=forecast._pairwise_distances) as pairwise:
+            forecast._NeighborTable.build(times, times, manifold.points,
+                                          manifold.points, 4)
+        assert screen.call_count == 63
+        # gathered (rows, m, E) columns only: no call over every column
+        assert [c.args[1].shape[1:] for c in pairwise.call_args_list] == [(13, 2)] * 2
+
 
 def outcome(call):
     """What ``call`` returns, or the text of the crossmap error it raises."""
