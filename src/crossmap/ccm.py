@@ -299,9 +299,10 @@ def _ccm_curves(full, causes: Sequence[TimeSeries], effect: TimeSeries,
     Every cause shares the effect's length and origin, as both callers
     check. So the usable library, the seeded draws and each draw's
     neighbors do not depend on the cause: each draw's neighbors are
-    selected once, and every cause is estimated from them. A size's draws
-    are scored in groups of at most ``group_size``, each drawn when it is
-    scored, so memory does not grow with ``samples_per_size``.
+    selected once, and every cause is estimated from them. Each size
+    hands :meth:`_CrossMap.skills` a generator of its draws, which it
+    pulls in groups as it scores them; the full library is the one draw
+    ``draw(n_usable, 0)``, every position in order for either draw kind.
     """
     cross_map = full.shifted(config.lag)
     n_usable = int(cross_map.lib_times.size)
@@ -321,22 +322,13 @@ def _ccm_curves(full, causes: Sequence[TimeSeries], effect: TimeSeries,
     rows: list[list[CurveRow]] = [[] for _ in causes]
     for size in sizes:
         n_draws = 1 if size == n_usable else config.samples_per_size
-        rhos = np.empty((len(causes), n_draws))
-        n_degenerate = [0] * len(causes)
-        for first in range(0, n_draws, cross_map.group_size):
-            group = range(first, min(first + cross_map.group_size, n_draws))
-            draws = (None if size == n_usable
-                     else np.array([draw(size, j) for j in group]))
-            for j, draw_stats in zip(group, cross_map.skills(causes, draws)):
-                for i, stats in enumerate(draw_stats):
-                    rhos[i, j] = stats.rho
-                    n_degenerate[i] += int(stats.degenerate)
-        for cause_rows, cause_rhos, n_deg in zip(rows, rhos, n_degenerate):
-            cause_rows.append(CurveRow(lib_size=size,
-                                       mean_rho=float(cause_rhos.mean()),
-                                       sd_rho=float(cause_rhos.std()),
+        rho, _, _, degenerate = cross_map.skills(
+            causes, (draw(size, j) for j in range(n_draws)))
+        for cause_rows, cause_rho, cause_degenerate in zip(rows, rho, degenerate):
+            cause_rows.append(CurveRow(lib_size=size, mean_rho=float(cause_rho.mean()),
+                                       sd_rho=float(cause_rho.std()),
                                        samples_used=n_draws,
-                                       degenerate_draws=n_deg))
+                                       degenerate_draws=int(cause_degenerate.sum())))
 
     curves = []
     for cause, cause_rows in zip(causes, rows):
@@ -403,8 +395,9 @@ def _eccm_profiles(full, causes: Sequence[TimeSeries], effect: TimeSeries,
     rows = []  # one list per lag, one (row, degenerate) pair per cause
     for ell in lags:
         try:
-            rows.append([(EccmRow(lag=ell, rho=s.rho), s.degenerate)
-                         for s in full.shifted(ell).skills(causes)[0]])
+            rho, _, _, degenerate = full.shifted(ell).skills(causes)
+            rows.append([(EccmRow(lag=ell, rho=r), g) for r, g in
+                         zip(rho[:, 0].tolist(), degenerate[:, 0].tolist())])
         except DataError as err:
             rows.append([(EccmRow(lag=ell, rho=None, note=str(err)), False)]
                         * len(causes))

@@ -216,17 +216,10 @@ def _check_at_least(args, **floors: int) -> None:
 
 
 def _config_echo(config: CcmConfig, extra: dict | None = None) -> dict:
-    out = {
-        "e_dim": config.e_dim, "tau": config.tau, "lag": config.lag,
-        "lib_sizes": list(config.lib_sizes) if config.lib_sizes else None,
-        "samples_per_size": config.samples_per_size, "seed": config.seed,
-        "contiguous_draws": config.contiguous_draws,
-        "min_rho_gain": MIN_RHO_GAIN, "min_kendall_tau": MIN_KENDALL_TAU,
-        "min_final_rho": MIN_FINAL_RHO,
-    }
-    if extra:
-        out.update(extra)
-    return out
+    """Every field of ``config`` and the convergence thresholds, then ``extra``."""
+    return {**asdict(config), "min_rho_gain": MIN_RHO_GAIN,
+            "min_kendall_tau": MIN_KENDALL_TAU, "min_final_rho": MIN_FINAL_RHO,
+            **(extra or {})}
 
 
 def cmd_generate(args) -> int:
@@ -479,10 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 4
-    except DataError as err:
-        print(f"data error: {err}", file=sys.stderr)
-        return 3
-    except OSError as err:
+    except (DataError, OSError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return 3
 

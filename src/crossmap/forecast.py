@@ -14,6 +14,7 @@ zero for the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 from math import ceil, sqrt
 from typing import Iterable, Sequence
 
@@ -98,7 +99,11 @@ def weight_rows(dist: np.ndarray) -> np.ndarray:
 
 def simplex_weights(distances: Sequence[float],
                     neighbor_times: Sequence[int] | None = None) -> SimplexWeights:
-    """Weights for one sorted neighbor-distance list (typically E+1 long)."""
+    """Weights for one sorted neighbor-distance list (typically E+1 long).
+
+    The checked, one-list form of :func:`weight_rows`, which the
+    estimators apply to whole tables; it is the reference the tests
+    compare their weights against."""
     d = np.asarray(distances, dtype=float)
     if d.ndim != 1:
         raise DataError(f"distances must be one list, got an array of shape {d.shape}")
@@ -474,12 +479,10 @@ class _NeighborTable:
         lib = self.lib_points[draws][:, None]
         cols = np.empty((n_draws, targets.size, k), dtype=np.intp)
         dist = np.empty(cols.shape)
-        row_blocks = _row_blocks(targets.size, size, e_dim)
-        if len(row_blocks) == 1:
-            step = max(1, _BLOCK_CELLS // (targets.size * size * e_dim))
-            blocks = [(slice(d, d + step), slice(None)) for d in range(0, n_draws, step)]
-        else:
-            blocks = [(slice(d, d + 1), r) for d in range(n_draws) for r in row_blocks]
+        # whole draws, as many as one block holds, crossed with one draw's
+        # row blocks: one of those when a draw fits a block, else one draw
+        blocks = [(ds, rs) for ds in _row_blocks(n_draws, targets.size * size, e_dim)
+                  for rs in _row_blocks(targets.size, size, e_dim)]
         for ds, rs in blocks:
             block = _pairwise_distances(self.target_points[targets[rs]], lib[ds])
             hit_d, hit_r = np.nonzero(own_hit[ds, rs])
@@ -525,12 +528,6 @@ class _CrossMap:
     def target_times(self) -> np.ndarray:
         return self.table.target_times[self.rows]
 
-    @property
-    def group_size(self) -> int:
-        """The most draws one call of :meth:`skills` should take: their
-        (draws, targets, k) neighbors hold at most ``_BLOCK_CELLS`` numbers."""
-        return max(1, _BLOCK_CELLS // ((self.rows.stop - self.rows.start) * self.k))
-
     def neighbors(self, draws: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
         """Each target's k nearest library times and their distances, its
@@ -544,29 +541,40 @@ class _CrossMap:
         return self.table.nearest(self.rows, draws, self.k)
 
     def skills(self, series: Sequence[TimeSeries],
-               draws: np.ndarray | None = None) -> list[list[SkillStats]]:
-        """Skill of each series with each draw's library (see
-        :meth:`neighbors`): one list per draw, in the order of ``series``.
+               draws: Iterable[np.ndarray] | None = None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Skill of each series with each draw's library: rho, MAE, RMSE
+        and degeneracy, each a (series, draws) array holding the bits
+        :func:`skill_stats` gives one draw alone.
 
-        The group's neighbors are selected together, one weighting serves
-        every series, and each series is scored over every draw by one
-        :func:`core._skill_rows`. A group that fails is scored again one
-        draw at a time, so that the error raised is the first draw's: its
-        selection's, then each series' in order, as :func:`skill_stats`
-        gives it.
+        ``draws`` yields ascending positions into ``lib_times``, one array
+        per draw, and None is the whole library, one draw. They are pulled
+        in groups whose (draws, targets, k) neighbors hold at most
+        ``_BLOCK_CELLS`` numbers, each when it is scored, so memory does
+        not grow with the draws. A group's neighbors are selected together
+        (see :meth:`neighbors`), one weighting serves every series, and
+        each series is scored over the group by one :func:`core._skill_rows`.
+        A group that fails is scored again one draw at a time, so that the
+        error raised is the first failing draw's: its selection's, then
+        each series' in order, as :func:`skill_stats` gives it.
         """
-        try:
-            return self._score(series, draws)
-        except CrossmapError as err:
-            if draws is None or len(draws) == 1:
-                raise
-            failed = err
-        for d in range(len(draws)):
-            self._score(series, draws[d:d + 1])
-        raise failed
+        draws = iter([np.arange(self.lib_times.size)] if draws is None else draws)
+        step = max(1, _BLOCK_CELLS // (self.target_times.size * self.k))
+        scores = []
+        while group := list(islice(draws, step)):
+            group = np.array(group)
+            try:
+                scores.append(self._score(series, group))
+                continue
+            except CrossmapError as err:
+                failed = err
+            for d in range(len(group)):
+                self._score(series, group[d:d + 1])
+            raise failed
+        return tuple(np.concatenate(part, axis=1) for part in zip(*scores))
 
-    def _score(self, series: Sequence[TimeSeries],
-               draws: np.ndarray | None) -> list[list[SkillStats]]:
+    def _score(self, series: Sequence[TimeSeries], draws: np.ndarray
+               ) -> tuple[np.ndarray, ...]:
         times, dist = self.neighbors(draws)
         n_draws, n_rows, k = dist.shape
         estimates = estimates_from_distances(
@@ -578,19 +586,17 @@ class _CrossMap:
             predicted = est.reshape(n_draws, n_rows)
             ok = np.isfinite(predicted).all(axis=1)
             if ok.all():
-                rho, mae, rmse, degenerate = _skill_rows(observed, predicted)
-                ok = np.isfinite(rmse)
+                scores.append(_skill_rows(observed, predicted))
+                ok = np.isfinite(scores[-1][2])
             if not ok.all():
                 # skill_stats raises the error of the first draw that fails
                 skill_stats(observed, predicted[np.argmin(ok)])
-            scores.append([SkillStats(rho=r, mae=a, rmse=e, n_pairs=n_rows, degenerate=g)
-                           for r, a, e, g in zip(rho.tolist(), mae.tolist(),
-                                                 rmse.tolist(), degenerate.tolist())])
-        return [list(draw) for draw in zip(*scores)]
+        return tuple(np.array(part) for part in zip(*scores))
 
     def skill(self) -> SkillStats:
         """Skill of ``values`` with the whole library (see :meth:`skills`)."""
-        return self.skills((self.values,))[0][0]
+        rho, mae, rmse, degenerate = (a.item() for a in self.skills((self.values,)))
+        return SkillStats(rho, mae, rmse, self.target_times.size, degenerate)
 
     def shifted(self, shift: int) -> "_CrossMap":
         """The build this view came from, under ``shift``.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from numbers import Real
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -27,6 +27,17 @@ __all__ = [
     "gen_lorenz",
 ]
 
+
+def _check_length(steps: int, burn_in: int) -> None:
+    """Every generator's check of ``steps`` (an integer >= 1, the values
+    returned) and ``burn_in`` (an integer >= 0, the leading steps dropped)."""
+    for name, value, least in (("steps", steps, 1), ("burn_in", burn_in, 0)):
+        if not isinstance(value, Integral):
+            raise DataError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise DataError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Reproducible description of one synthetic-system run."""
@@ -41,10 +52,7 @@ class GeneratorSpec:
         if self.kind not in GENERATOR_KINDS:
             raise DataError(
                 f"unknown system {self.kind!r}; choose from {', '.join(GENERATOR_KINDS)}")
-        if self.steps < 1:
-            raise DataError(f"steps must be >= 1, got {self.steps}")
-        if self.burn_in < 0:
-            raise DataError(f"burn_in must be >= 0, got {self.burn_in}")
+        _check_length(self.steps, self.burn_in)
 
 
 def _check_unit(value: float, step: int, label: str) -> float:
@@ -82,8 +90,7 @@ def gen_coupled_logistic(steps: int, x0: float = 0.2, y0: float = 0.5,
     causal direction. ``steps`` counts output values; index 0 is the
     initial condition unless ``burn_in`` discards leading steps.
     """
-    if steps < 1:
-        raise DataError(f"steps must be >= 1, got {steps}")
+    _check_length(steps, burn_in)
 
     def advance(_t: int, s: list[float]) -> list[float]:
         x, y = s
@@ -104,8 +111,7 @@ def gen_unidirectional_logistic(steps: int, x0: float = 0.2, y0: float = 0.5,
     The linear -0.08*Y term is kept exactly as written; the only causal
     edge is Y => X.
     """
-    if steps < 1:
-        raise DataError(f"steps must be >= 1, got {steps}")
+    _check_length(steps, burn_in)
 
     def advance(_t: int, s: list[float]) -> list[float]:
         x, y = s
@@ -129,8 +135,7 @@ def gen_lagged_logistic(steps: int, delay: int = 2, coupling: float = 0.1,
     -delay. X references before time 0 are clamped to x0. ``delay`` = 1
     is the contemporaneous-coupling case (Y[t+1] driven by X[t]).
     """
-    if steps < 1:
-        raise DataError(f"steps must be >= 1, got {steps}")
+    _check_length(steps, burn_in)
     if not isinstance(delay, (int, np.integer)) or delay < 0:
         raise DataError(f"delay must be an integer >= 0, got {delay}")
     # X is autonomous, so it is iterated in full first; Y then reads it
@@ -159,8 +164,7 @@ def gen_moran_fork(steps: int, coupling: float = 0.1,
     values on [0, 1] (a non-deterministic environmental driver, still
     reproducible from the seed).
     """
-    if steps < 1:
-        raise DataError(f"steps must be >= 1, got {steps}")
+    _check_length(steps, burn_in)
     total = steps + burn_in
     if driver_kind == "logistic":
         (zs,) = _iterate_logistic(total, 0, [0.4],
@@ -196,8 +200,7 @@ def gen_lorenz(steps: int, dt: float = 0.01, sigma: float = 10.0,
     Classic chaotic parameters by default; one sample per integration
     step, sample 0 = the initial state.
     """
-    if steps < 1:
-        raise DataError(f"steps must be >= 1, got {steps}")
+    _check_length(steps, burn_in)
     if dt <= 0:
         raise DataError(f"dt must be positive, got {dt}")
     total = steps + burn_in

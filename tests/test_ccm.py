@@ -791,8 +791,9 @@ class TestDrawOrder:
 
 
 class TestDrawGroups:
-    """A size's draws are scored in groups of at most ``group_size``, drawn
-    in order; how they are grouped moves no number."""
+    """:meth:`_CrossMap.skills` scores a size's draws in groups of at most
+    max(1, ``_BLOCK_CELLS`` // (targets k)), drawn in order, and the full
+    library as one draw; how they are grouped moves no number."""
 
     @pytest.mark.parametrize("contiguous", [False, True])
     @pytest.mark.parametrize("cells", [1, 2 ** 11, 2 ** 30])
@@ -801,17 +802,17 @@ class TestDrawGroups:
         cfg = CcmConfig(e_dim=2, seed=0, samples_per_size=7,
                         contiguous_draws=contiguous)
         want = ccm_curve(z, a, cfg)
-        groups, skills = [], forecast._CrossMap.skills
+        groups, score = [], forecast._CrossMap._score
 
-        def recording(cross_map, series, draws=None):
-            groups.append(None if draws is None else len(draws))
-            return skills(cross_map, series, draws)
+        def recording(cross_map, series, draws):
+            groups.append(len(draws))
+            return score(cross_map, series, draws)
 
         with mock.patch.object(forecast, "_BLOCK_CELLS", cells), \
-                mock.patch.object(forecast._CrossMap, "skills", recording):
+                mock.patch.object(forecast._CrossMap, "_score", recording):
             got = ccm_curve(z, a, cfg)
         assert got == want
         # 199 targets and k = 3 neighbors each
         size = max(1, cells // (199 * 3))
         split = [min(size, 7 - first) for first in range(0, 7, size)]
-        assert groups == split * (len(want.rows) - 1) + [None]
+        assert groups == split * (len(want.rows) - 1) + [1]

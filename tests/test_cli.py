@@ -227,6 +227,18 @@ class TestCcmCommand:
         assert report.config["seed"] == 0
         assert report.config["lib_sizes"] is None
 
+    def test_config_echo_states_every_field(self, coupled_csv, tmp_path):
+        out = tmp_path / "r.json"
+        rc = main(["ccm", "-i", str(coupled_csv), "--cause", "X", "--effect", "Y",
+                   "--e", "2", "--tau", "2", "--lag", "-1", "--lib-sizes", "6,20,60",
+                   "--samples", "3", "--seed", "4", "--contiguous", "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["config"] == {
+            "e_dim": 2, "tau": 2, "lag": -1, "lib_sizes": [6, 20, 60],
+            "samples_per_size": 3, "seed": 4, "contiguous_draws": True,
+            "min_rho_gain": 0.1, "min_kendall_tau": 0.5, "min_final_rho": 0.2,
+            "e_source": "2", "both_directions": False, "pai": False}
+
     def test_byte_identical_rerun(self, coupled_csv, tmp_path):
         out = tmp_path / "r.json"
         argv = ["ccm", "-i", str(coupled_csv), "--cause", "X", "--effect", "Y",

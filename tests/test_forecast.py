@@ -1142,6 +1142,13 @@ def stats_bits(stats):
             for s in stats]
 
 
+def scores_bits(scores, n_pairs):
+    """:func:`stats_bits` of each draw's column of :meth:`_CrossMap.skills`'
+    (series, draws) arrays."""
+    return [[(r.hex(), a.hex(), e.hex(), n_pairs, g) for r, a, e, g in zip(*draw)]
+            for draw in zip(*(part.T.tolist() for part in scores))]
+
+
 class TestDrawGroups:
     """A group of draws is selected, weighted and scored together; each draw
     gets what it gets alone, and a failing group raises the error of its
@@ -1193,7 +1200,8 @@ class TestDrawGroups:
         if failed:
             assert group == failed[0]
         else:
-            assert [stats_bits(g) for g in group] == [stats_bits(a) for a in alone]
+            assert scores_bits(group, cross_map.target_times.size) \
+                == [stats_bits(a) for a in alone]
         failed = [a for a in selected if isinstance(a, str)]
         if failed:
             assert neighbors == failed[0]
@@ -1203,6 +1211,36 @@ class TestDrawGroups:
             assert neighbors[0][d].tolist() == want[0].tolist()
             assert neighbors[1][d].tobytes() == want[1].tobytes()
             assert selected[d][1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("cells", [1, 2 ** 9, 2 ** 30])
+    def test_draws_are_pulled_when_their_group_is_scored(self, cells):
+        effect = TimeSeries("y", np.random.default_rng(7).random(60))
+        manifold = embed(effect, EmbeddingParams(2))
+        cross_map = cross_estimates(manifold.points, manifold.times, effect, 3,
+                                    draws=True).shifted(0)
+        rng, pulled, scored = np.random.default_rng(8), [], []
+
+        def draws():
+            for _ in range(7):
+                pulled.append(None)
+                yield np.sort(rng.choice(cross_map.lib_times.size, 20, replace=False))
+
+        score = forecast._CrossMap._score
+
+        def recording(self, series, group):
+            scored.append((len(pulled), len(group)))
+            return score(self, series, group)
+
+        with mock.patch.object(forecast, "_BLOCK_CELLS", cells), \
+                mock.patch.object(forecast._CrossMap, "_score", recording):
+            got = cross_map.skills((effect,), draws())
+        # a group is pulled only when it is scored: no draw of a later
+        # group has been yielded yet
+        size = max(1, cells // (cross_map.target_times.size * 3))
+        assert [n for _, n in scored] == [min(size, 7 - first)
+                                          for first in range(0, 7, size)]
+        assert [p for p, _ in scored] == np.cumsum([n for _, n in scored]).tolist()
+        assert all(part.shape == (1, 7) for part in got)
 
     # 60 points on one line (E = 1, k = 2), five of them at 1e300: those
     # targets have finite distances only to each other

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -188,7 +189,39 @@ class TestLorenz:
                 gen_lorenz(2000, dt=0.5)
 
 
+BAD_LENGTHS = [
+    (0, 0, "steps must be >= 1, got 0"),
+    (5, -1, "burn_in must be >= 0, got -1"),
+    (5, -3, "burn_in must be >= 0, got -3"),
+    (2.5, 0, "steps must be an integer, got 2.5"),
+    ("10", 0, "steps must be an integer, got '10'"),
+    (5, 1.0, "burn_in must be an integer, got 1.0"),
+]
+
+
+@pytest.mark.parametrize("gen", [gen_coupled_logistic, gen_unidirectional_logistic,
+                                 gen_lagged_logistic, gen_moran_fork, gen_lorenz],
+                         ids=lambda gen: gen.__name__)
+class TestLengthCheck:
+    """Every generator returns ``steps`` values per series, and one check
+    rejects any other length with a :class:`DataError`."""
+
+    @pytest.mark.parametrize("steps, burn_in", [(1, 0), (5, 0), (5, 3), (np.int64(4), 0)])
+    def test_each_series_holds_steps_values(self, gen, steps, burn_in):
+        assert [len(s) for s in gen(steps, burn_in=burn_in)] == [steps] * len(gen(1))
+
+    @pytest.mark.parametrize("steps, burn_in, text", BAD_LENGTHS)
+    def test_a_bad_length_raises_data_error(self, gen, steps, burn_in, text):
+        with pytest.raises(DataError, match=f"^{re.escape(text)}$"):
+            gen(steps, burn_in=burn_in)
+
+
 class TestGeneratorSpec:
+    @pytest.mark.parametrize("steps, burn_in, text", BAD_LENGTHS)
+    def test_a_bad_length_raises_data_error(self, steps, burn_in, text):
+        with pytest.raises(DataError, match=f"^{re.escape(text)}$"):
+            GeneratorSpec(kind="coupled_logistic", steps=steps, burn_in=burn_in)
+
     def test_dispatch_with_params(self):
         spec = GeneratorSpec(kind="lagged_logistic", steps=100,
                              params={"delay": 4, "coupling": 0.2})
