@@ -9,6 +9,7 @@ construction, so they are safe to share across threads.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Iterable, Sequence
@@ -257,7 +258,7 @@ def read_series_csv(path: str) -> list[TimeSeries]:
                     raise DataError(
                         f"{path}:{line_no}: column {names[col]!r} has "
                         f"non-numeric cell {cell!r}") from None
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise DataError(
                         f"{path}:{line_no}: column {names[col]!r} has "
                         f"non-finite value {cell!r}")

@@ -156,24 +156,27 @@ def nearest_rows(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     modified.
 
     Each of k rounds takes every row's smallest remaining entry and masks
-    it with +inf on a working copy. ``argmin`` returns the first column
-    of a tie group, so ties go to the earliest time by construction.
-    This is the vectorized fast path; it must agree with :func:`knn`
-    exactly (a test enforces it).
+    it with +inf on a working copy, read and written at flat positions of
+    the raveled copy. ``argmin`` returns the first column of a tie group,
+    so ties go to the earliest time by construction. This is the
+    vectorized fast path; it must agree with :func:`knn` exactly (a test
+    enforces it).
     """
     m, n = dist.shape
     if k > n:
         raise DataError(f"need {k} neighbors but matrix has only {n} columns")
     work = dist.copy()
-    rows = np.arange(m)
+    flat = work.reshape(-1)
+    row_start = np.arange(m) * n
     idx = np.empty((m, k), dtype=np.intp)
     out = np.empty((m, k), dtype=dist.dtype)
     for j in range(k):
         col = np.argmin(work, axis=1)
         idx[:, j] = col
+        at = col + row_start
         # read before masking: a row short of finite entries then shows +inf
-        out[:, j] = work[rows, col]
-        work[rows, col] = np.inf
+        out[:, j] = np.take(flat, at)
+        flat[at] = np.inf
 
     if not np.all(np.isfinite(out[:, k - 1])):
         bad = int(np.flatnonzero(~np.isfinite(out[:, k - 1]))[0])

@@ -37,7 +37,10 @@ __all__ = [
 
 # library columns per target in a build whose readers draw libraries; a
 # draw of L of n columns with L * W < k * n skips the table altogether, and
-# larger draws walk it and take the rows it cannot settle from the points
+# larger draws walk it and take the rows it cannot settle from the points;
+# the walk packs a row's membership into 64-bit words, so at 64 it reads
+# one word per row (a wider table, such as a narrow build at E >= 63, packs
+# each row into several words)
 _TABLE_WIDTH = 64
 # a build read only through whole-library views keeps k + this many
 # columns: one slot for a library column that the view's shift drops
@@ -413,40 +416,73 @@ class _NeighborTable:
 
         In a draw, a row with k trusted entries among its columns takes the
         first k, in k rounds that each take the row's first remaining one;
-        the rest are computed from the points (:meth:`_from_points`). A
+        the rest are computed from the points (:meth:`_from_points`). The
+        rounds run on packed membership words: ``member[near]`` is packed
+        with ``np.packbits(..., bitorder="little")`` and read as ``"<u8"``
+        words, table column j at bit j. A round takes each word's lowest
+        set bit, ``low = word & -word``, reads its position from the
+        exponent of ``low`` converted to float64, exact for a power of
+        two, and clears it with ``word ^= low``; the k-th round finds a
+        bit exactly when the row has k members. A row of W > 64 columns
+        spans several words, each walked alone, and takes the first k bits
+        over its words in order. A
         draw of L of the n library columns puts about W L / n of them in a
         row's W table columns, so when L W < k n every row of every draw is
         computed from the points, the group at once and without the walk:
         the rows that need the points get the same answer either way, and
         so do the few that the walk would have settled.
         """
-        n_draws, size = draws.shape
+        (n_draws, size), n = draws.shape, self.lib_times.size
         near, near_dist = self.near[rows], self.near_dist[rows]
         targets = np.arange(rows.start, rows.stop)
-        if size * near.shape[1] < k * self.lib_times.size:
+        if size * near.shape[1] < k * n:
             cols, dist = self._from_points(targets, draws, k)
             return self.lib_times[cols], dist
-        at = np.arange(targets.size)
-        # each row's first entry in the flattened table rows
-        row_start = at[:, None] * near.shape[1]
-        cols = np.empty((n_draws, targets.size, k), dtype=np.intp)
+        n_rows, width = near.shape
+        n_words = -(-width // 64)
+        # each row's membership bits, table column j at bit j of the row's
+        # words; the bytes past the width stay 0, and so does every word
+        # once the walk has cleared its bits
+        packed = np.zeros((n_rows, 8 * n_words), dtype=np.uint8)
+        words = packed.view("<u8").ravel()
+        low, as_float = np.empty_like(words), np.empty(words.size)
+        # round j's exponent field of each word's lowest set bit: 1023 + its
+        # position, or 0 when the word has none left
+        fields = np.empty((words.size, k), dtype=np.int64)
+        # each row's first entry in the flattened table rows, less the bias
+        row_start = np.arange(n_rows)[:, None] * width - 1023
+        cols = np.empty((n_draws, n_rows, k), dtype=np.intp)
         dist = np.empty(cols.shape)
+        # column n, which marks an untrusted entry, is never a member
+        member = np.zeros(n + 1, dtype=bool)
         for d, columns in enumerate(draws):
-            # column n, which marks an untrusted entry, stays False
-            member = np.zeros(self.lib_times.size + 1, dtype=bool)
             member[columns] = True
-            ok = member[near]
-            picked = np.empty((at.size, k), dtype=np.intp)
-            for j in range(k - 1):
-                # argmax returns a row's first True, or 0 when it has none left
-                picked[:, j] = ok.argmax(axis=1)
-                ok[at, picked[:, j]] = False
+            packed[:, :-(-width // 8)] = np.packbits(member[near], axis=1,
+                                                     bitorder="little")
+            member[columns] = False
+            for j in range(k):
+                np.negative(words, out=low)
+                np.bitwise_and(words, low, out=low)
+                np.bitwise_xor(words, low, out=words)
+                # a power of two converts exactly, so its exponent is its position
+                as_float[:] = low
+                np.right_shift(as_float.view(np.int64), 52, out=fields[:, j])
+            first = fields
+            if n_words > 1:
+                # a row's words were walked apart; its first k members are
+                # the first k set bits over its words in order
+                none = np.iinfo(np.int64).max
+                split = fields.reshape(n_rows, n_words, k)
+                key = np.where(split > 0, split + 64 * np.arange(n_words)[:, None], none)
+                first = np.sort(key.reshape(n_rows, -1), axis=1)[:, :k]
+                first[first == none] = 0
             # each round takes the row's first remaining member, so the k-th
-            # finds one exactly when the row has k of them
-            picked[:, -1] = ok.argmax(axis=1)
-            cols[d] = np.take(near, picked + row_start)
-            dist[d] = np.take(near_dist, picked + row_start)
-            if (short := np.flatnonzero(~ok[at, picked[:, -1]])).size:
+            # finds one exactly when the row has k of them; the other rows'
+            # picks are clipped into the table and replaced from the points
+            at = first + row_start
+            cols[d] = np.take(near, at, mode="clip")
+            dist[d] = np.take(near_dist, at, mode="clip")
+            if (short := np.flatnonzero(first[:, -1] == 0)).size:
                 short_cols, short_dist = self._from_points(targets[short],
                                                            columns[None], k)
                 cols[d, short], dist[d, short] = short_cols[0], short_dist[0]

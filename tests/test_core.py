@@ -352,6 +352,14 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="non-finite"):
             read_series_csv(p)
 
+    @pytest.mark.parametrize("cell", ["inf", " -Infinity", "NaN ", "1e400", "-1e999"])
+    def test_non_finite_cell_is_named(self, tmp_path, cell):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"a,b\n1.0,2.0\n3.0,{cell}\n")
+        with pytest.raises(DataError) as info:
+            read_series_csv(p)
+        assert str(info.value) == f"{p}:3: column 'b' has non-finite value {cell!r}"
+
     def test_rejects_empty_and_headerless(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")

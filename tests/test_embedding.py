@@ -206,6 +206,18 @@ class TestNearestRows:
         assert idx[0].tolist() == [1, 2, 0]
         assert nd[0].tolist() == [1.0, 2.0, 3.0]
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_results_are_c_contiguous_rows(self, layout):
+        dist = np.round(np.random.default_rng(3).random((9, 14)), 1)
+        given_dist = {"C": dist, "F": np.asfortranarray(dist),
+                      "strided": np.repeat(dist, 2, axis=1)[:, ::2]}[layout]
+        idx, nd = nearest_rows(given_dist, 4)
+        want = np.argsort(dist, axis=1, kind="stable")[:, :4]
+        assert idx.shape == nd.shape == (9, 4)
+        assert idx.flags.c_contiguous and nd.flags.c_contiguous
+        assert np.array_equal(idx, want)
+        assert nd.tobytes() == np.take_along_axis(dist, want, axis=1).tobytes()
+
     @settings(max_examples=200, deadline=None, database=None)
     @given(data=st.data())
     def test_matches_stable_sort_oracle(self, data):

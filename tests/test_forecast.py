@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -1276,3 +1277,192 @@ class TestDrawGroups:
         with pytest.raises(error) as alone:
             one_draw_skills(cross_map, (cause,), draws[0])
         assert str(group.value) == str(alone.value)
+
+
+def mask_walk(table, rows, draws, k):
+    """:meth:`_NeighborTable.nearest` as k rounds over a (rows, W) boolean
+    mask, each taking a row's first remaining member by ``argmax``: the
+    reference the packed walk is compared with."""
+    n_draws, size = draws.shape
+    near, near_dist = table.near[rows], table.near_dist[rows]
+    targets = np.arange(rows.start, rows.stop)
+    if size * near.shape[1] < k * table.lib_times.size:
+        cols, dist = table._from_points(targets, draws, k)
+        return table.lib_times[cols], dist
+    at = np.arange(targets.size)
+    row_start = at[:, None] * near.shape[1]
+    cols = np.empty((n_draws, targets.size, k), dtype=np.intp)
+    dist = np.empty(cols.shape)
+    for d, columns in enumerate(draws):
+        member = np.zeros(table.lib_times.size + 1, dtype=bool)
+        member[columns] = True
+        ok = member[near]
+        picked = np.empty((at.size, k), dtype=np.intp)
+        for j in range(k - 1):
+            picked[:, j] = ok.argmax(axis=1)
+            ok[at, picked[:, j]] = False
+        picked[:, -1] = ok.argmax(axis=1)
+        cols[d] = np.take(near, picked + row_start)
+        dist[d] = np.take(near_dist, picked + row_start)
+        if (short := np.flatnonzero(~ok[at, picked[:, -1]])).size:
+            short_cols, short_dist = table._from_points(targets[short], columns[None], k)
+            cols[d, short], dist[d, short] = short_cols[0], short_dist[0]
+    return table.lib_times[cols], dist
+
+
+def with_points_calls(call):
+    """What ``call`` returns (or its error's text) and the (targets,
+    draws) of each of its calls to :meth:`_NeighborTable._from_points`."""
+    calls, from_points = [], forecast._NeighborTable._from_points
+
+    def recording(self, targets, draws, k):
+        calls.append((targets.tolist(), draws.tolist()))
+        return from_points(self, targets, draws, k)
+
+    with mock.patch.object(forecast._NeighborTable, "_from_points", recording):
+        return outcome(call), calls
+
+
+class TestPackedWalk:
+    """The walk on packed membership words picks what the mask walk picks
+    and sends the same rows to the points, at every table width, one word
+    or several."""
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 8, 9, 63, 64, 65, 72])
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(series=st.one_of(long_tie_heavy_series(), screened_series()),
+           e_dim=st.integers(1, 4), shift=st.integers(-3, 3), split=st.booleans(),
+           untrusted=st.booleans(), n_draws=st.integers(1, 4), data=st.data())
+    def test_the_packed_walk_is_the_mask_walk(self, width, series, e_dim, shift,
+                                              split, untrusted, n_draws, data):
+        manifold = embed(series, EmbeddingParams(e_dim))
+        times = manifold.times
+        if times.size < e_dim + 3:
+            reject()
+        cut = data.draw(st.integers(1, times.size - 1)) if split else times.size
+        lib, tgt = times[:cut], (times[cut:] if split else times)
+        with mock.patch.object(forecast, "_TABLE_WIDTH", width):
+            try:
+                cross_map = cross_estimates(manifold.points, times, series, e_dim + 1,
+                                            lib_times=lib, target_times=tgt,
+                                            draws=True).shifted(shift)
+            except DataError:
+                reject()
+        table, rng = cross_map.table, np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        n, w = table.lib_times.size, table.near.shape[1]
+        if untrusted:
+            # an untrusted suffix of random length in each row, as a lower
+            # certified bound leaves it
+            trusted = rng.integers(0, w + 1, size=(table.near.shape[0], 1))
+            table = replace(table, near=np.where(np.arange(w) < trusted, table.near, n))
+        # k is the walk's round count, not tied to the table's E: one round,
+        # the map's E + 1, all of a row's W columns, or one more
+        k = data.draw(st.sampled_from(sorted({1, e_dim + 1, w, w + 1})))
+        usable, start = cross_map.lib_times.size, cross_map.cols.start
+        if usable < k:
+            reject()
+        # the smallest draw that walks the table, or the whole library
+        size = data.draw(st.integers(min(usable, max(k, -(-k * n // w))), usable))
+        draws = []
+        for _ in range(n_draws):
+            columns = np.sort(rng.choice(usable, size=size, replace=False))
+            # a row with exactly k (or k - 1) members: that many of its
+            # trusted entries in the view, and columns outside its table
+            row = rng.integers(0, cross_map.target_times.size)
+            entries = table.near[cross_map.rows][row] - start
+            entries = entries[(entries >= 0) & (entries < usable)]
+            members = min(k - data.draw(st.integers(0, 1)), entries.size)
+            others = np.setdiff1d(np.arange(usable), entries)
+            if data.draw(st.booleans()) and others.size >= size - members:
+                columns = np.sort(np.concatenate([
+                    rng.choice(entries, size=members, replace=False),
+                    rng.choice(others, size=size - members, replace=False)]))
+            draws.append(columns)
+        draws = np.array(draws)
+        got, got_calls = with_points_calls(
+            lambda: table.nearest(cross_map.rows, start + draws, k))
+        want, want_calls = with_points_calls(
+            lambda: mask_walk(table, cross_map.rows, start + draws, k))
+        assert got_calls == want_calls
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tobytes() == want[1].tobytes()
+        dense = dense_distances(cross_map, manifold, lib, tgt)
+        for d, columns in enumerate(draws):
+            idx, nd = nearest_rows(dense[:, columns], k)
+            assert got[0][d].tolist() == cross_map.lib_times[columns][idx].tolist()
+            assert got[1][d].tobytes() == nd.tobytes()
+
+    @pytest.mark.parametrize("width", [63, 64, 65, 72, 130])
+    def test_rows_settle_across_words(self, width):
+        # continuous values: every row trusts all W entries, so a whole-
+        # library draw settles every row at k = W, whatever the word count;
+        # without the last of row 0's entries, row 0 settles at k = W - 1
+        # and takes the points at k = W
+        series = TimeSeries("x", np.random.default_rng(width).normal(size=400))
+        manifold = embed(series, EmbeddingParams(1))
+        with mock.patch.object(forecast, "_TABLE_WIDTH", width):
+            table = cross_estimates(manifold.points, manifold.times, series, 2,
+                                    draws=True).table
+        rows, n = slice(0, 50), table.lib_times.size
+        assert np.all(table.near[rows] < n)
+        whole = np.arange(n)[None]
+        got, calls = with_points_calls(lambda: table.nearest(rows, whole, width))
+        assert calls == []
+        assert got[0][0].tolist() == table.lib_times[table.near[rows]].tolist()
+        assert got[1][0].tobytes() == table.near_dist[rows].tobytes()
+        short = np.setdiff1d(whole, table.near[0, -1])[None]
+        for k in (width - 1, width):
+            got, calls = with_points_calls(lambda: table.nearest(rows, short, k))
+            want, want_calls = with_points_calls(lambda: mask_walk(table, rows, short, k))
+            assert calls == want_calls
+            assert any(0 in targets for targets, _ in calls) == (k == width)
+            assert got[0].tolist() == want[0].tolist()
+            assert got[1].tobytes() == want[1].tobytes()
+
+
+class TestWideNarrowTables:
+    """A build read only through whole-library views keeps E + 2 columns,
+    so from E = 63 on a row's membership spans two words; the numbers are
+    those the mask walk gave."""
+
+    SERIES = gen_coupled_logistic(1000)[0]
+    # (rho, MAE, RMSE) of loo_skill, as float.hex()
+    LOO = {63: ("0x1.f0f83dc623f13p-2", "0x1.9016824c18072p-3", "0x1.cc1e6220d6eeap-3"),
+           70: ("0x1.dd1d53e26f6f2p-2", "0x1.9471bae7a60ecp-3", "0x1.d143f0626a19ap-3")}
+    # forecasts at states 0, 5, 100 and the second-to-last (leave-one-out),
+    # and at state 3 moved by 0.001 (no time excluded)
+    FORECASTS = {
+        63: ["0x1.68582ca2d88f6p-1", "0x1.74d72d3193d7ap-1", "0x1.70d27c3e22b46p-1",
+             "0x1.6664ad4ab29bep-1", "0x1.c621d14519779p-1"],
+        70: ["0x1.6ce881d3ac688p-1", "0x1.3d644ef80f5a5p-1", "0x1.434b4867f0ff8p-1",
+             "0x1.548d6dd69eb48p-1", "0x1.00bc11557c633p-1"]}
+
+    @pytest.mark.parametrize("e_dim, rho", [(63, 0.485321965425997),
+                                            (70, 0.46593218869735076)])
+    def test_loo_skill(self, e_dim, rho):
+        with mock.patch.object(forecast, "nearest_rows", wraps=nearest_rows) as points:
+            stats = loo_skill(self.SERIES, EmbeddingParams(e_dim))
+        assert stats.rho == rho
+        assert (stats.rho.hex(), stats.mae.hex(), stats.rmse.hex()) == self.LOO[e_dim]
+        assert (stats.n_pairs, stats.degenerate) == (1000 - e_dim, False)
+        # the walk settles most rows; only the rest come from the points
+        assert sum(c.args[0].shape[0] for c in points.call_args_list) < stats.n_pairs // 2
+
+    def test_select_embedding_dimension(self):
+        scan = select_embedding_dimension(self.SERIES, e_range=[63, 70])
+        assert scan.best_e == 63 and scan.warnings == ()
+        assert [(r.e_dim, r.stats.rho.hex(), r.stats.mae.hex(), r.stats.rmse.hex())
+                for r in scan.rows] == [(e, *self.LOO[e]) for e in (63, 70)]
+
+    @pytest.mark.parametrize("e_dim", [63, 70])
+    def test_simplex_forecast(self, e_dim):
+        manifold = embed(self.SERIES, EmbeddingParams(e_dim))
+        points, times = manifold.points, manifold.times
+        got = [simplex_forecast(manifold, points[i], self.SERIES,
+                                target_time=int(times[i])).hex()
+               for i in (0, 5, 100, times.size - 2)]
+        got.append(simplex_forecast(manifold, points[3] + 0.001, self.SERIES).hex())
+        assert got == self.FORECASTS[e_dim]
