@@ -14,6 +14,7 @@ zero for the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import islice
 from math import ceil, sqrt
 from typing import Iterable, Sequence
@@ -488,39 +489,91 @@ class _NeighborTable:
                 cols[d, short], dist[d, short] = short_cols[0], short_dist[0]
         return self.lib_times[cols], dist
 
+    @cached_property
+    def _states(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows grouped by exact state: the first row of each distinct
+        state, and each row's state. Rows share a state when their E
+        coordinates are equal bit for bit, so that each distance of one is
+        the other's."""
+        points = np.ascontiguousarray(self.target_points)
+        keys = points.view(np.dtype((np.void, points.itemsize * points.shape[1])))
+        _, first, state = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+        return first, state
+
     def _from_points(self, targets: np.ndarray, draws: np.ndarray,
                      k: int) -> tuple[np.ndarray, np.ndarray]:
         """Each of the table rows ``targets``' k nearest of each draw's
         columns from the points, with the own time at +inf as in
         :meth:`build`: (D, targets, k) library columns and distances.
 
+        Targets that repeat a state share its work. When the call's S
+        distinct states and T targets give S (k+1) < T k, each state's k+1
+        nearest of each draw's columns are computed once, with no column at
+        +inf, and each target takes the first k of its state's with its own
+        column dropped. A distance depends only on the state and the library
+        point, and dropping one entry of a (distance, column) order leaves
+        the rest in that order, so each target gets what its own row gives.
+        The own column lies at distance 0 from its state, so a state with
+        k+1 finite distances leaves each of its targets k. A state with
+        fewer, or a draw of k columns, sends the call to the targets' own
+        rows, which raise the error of the first (draw, row) that fails; a
+        table with no repeated state goes there at once.
+        """
+        n = self.lib_times.size
+        target_times = self.target_times[targets]
+        # each target's own column, n where the library has none
+        own = np.searchsorted(self.lib_times, target_times)
+        own[self.lib_times[np.minimum(own, n - 1)] != target_times] = n
+        first, state = self._states
+        if first.size < state.size:
+            states, of = np.unique(state[targets], return_inverse=True)
+            if states.size * (k + 1) < targets.size * k:
+                try:
+                    cols, dist = self._nearest_in_draws(
+                        first[states], np.full(states.size, n), draws, k + 1)
+                except DataError:
+                    pass
+                else:
+                    # flat positions, in the (D, S, k+1) picks, of each
+                    # target's state's first k; where its own column is among
+                    # them, the target takes the state's next pick from there
+                    row = np.arange(draws.shape[0])[:, None] * states.size + of
+                    at = (k + 1) * row[..., None] + np.arange(k)
+                    d, t, j = np.nonzero(np.take(cols, at) == own[:, None])
+                    at[d, t] += np.arange(k) >= j[:, None]
+                    return np.take(cols, at), np.take(dist, at)
+        return self._nearest_in_draws(targets, own, draws, k)
+
+    def _nearest_in_draws(self, rows: np.ndarray, own: np.ndarray, draws: np.ndarray,
+                          k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each of the table rows ``rows``' k nearest of each draw's columns
+        from the points, with its library column ``own`` (n for none) at
+        +inf: (D, rows, k) library columns and distances.
+
         A block holds at most ``_BLOCK_CELLS`` differences: whole draws
-        when one draw's targets x L x E fit, else row blocks of one draw.
+        when one draw's rows x L x E fit, else row blocks of one draw.
         So the rows come in (draw, row) order, and a row short of finite
         distances raises for the first of them.
         """
         (n_draws, size), n = draws.shape, self.lib_times.size
-        e_dim, target_times = self.lib_points.shape[1], self.target_times[targets]
-        # each target's own column, n where the library has none; the draws
-        # ascend, so offsetting each by n + 1 past the last makes one
-        # ascending run, where a target's own column can only be at its
+        e_dim = self.lib_points.shape[1]
+        # the draws ascend, so offsetting each by n + 1 past the last makes
+        # one ascending run, where a row's own column can only be at its
         # search position
-        own = np.searchsorted(self.lib_times, target_times)
-        own[self.lib_times[np.minimum(own, n - 1)] != target_times] = n
         offset = (n + 1) * np.arange(n_draws)[:, None]
         run, key = (draws + offset).ravel(), own + offset
         pos = np.searchsorted(run, key)
         own_hit = run[np.minimum(pos, run.size - 1)] == key
         pos -= size * np.arange(n_draws)[:, None]
         lib = self.lib_points[draws][:, None]
-        cols = np.empty((n_draws, targets.size, k), dtype=np.intp)
+        cols = np.empty((n_draws, rows.size, k), dtype=np.intp)
         dist = np.empty(cols.shape)
         # whole draws, as many as one block holds, crossed with one draw's
         # row blocks: one of those when a draw fits a block, else one draw
-        blocks = [(ds, rs) for ds in _row_blocks(n_draws, targets.size * size, e_dim)
-                  for rs in _row_blocks(targets.size, size, e_dim)]
+        blocks = [(ds, rs) for ds in _row_blocks(n_draws, rows.size * size, e_dim)
+                  for rs in _row_blocks(rows.size, size, e_dim)]
         for ds, rs in blocks:
-            block = _pairwise_distances(self.target_points[targets[rs]], lib[ds])
+            block = _pairwise_distances(self.target_points[rows[rs]], lib[ds])
             hit_d, hit_r = np.nonzero(own_hit[ds, rs])
             block[hit_d, hit_r, pos[ds, rs][hit_d, hit_r]] = np.inf
             flat = block.reshape(-1, size)
@@ -531,7 +584,8 @@ class _NeighborTable:
                 bad = np.flatnonzero(n_fin < k)[0]
                 raise DataError(f"need {k} neighbors but only {n_fin[bad]} usable "
                                 f"candidates for the target at time "
-                                f"{target_times[rs][bad % block.shape[1]]}") from None
+                                f"{self.target_times[rows[rs]][bad % block.shape[1]]}"
+                                ) from None
             cols[ds, rs] = np.take_along_axis(draws[ds, None],
                                               idx.reshape(*block.shape[:2], k), axis=2)
             dist[ds, rs] = nd.reshape(*block.shape[:2], k)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from crossmap import (CrossmapError, DataError, EmbeddingParams, NumericalError,
-                      TimeSeries, embed, knn, loo_skill, select_embedding_dimension,
-                      simplex_forecast, simplex_weights, train_test_skill)
+from crossmap import (CcmConfig, CrossmapError, DataError, EmbeddingParams,
+                      NumericalError, TimeSeries, ccm_curve, embed, knn, loo_skill,
+                      select_embedding_dimension, simplex_forecast, simplex_weights,
+                      train_test_skill)
 from crossmap import forecast
 from crossmap.embedding import ShadowManifold, nearest_rows
 from crossmap.core import skill_stats
@@ -726,14 +727,7 @@ class TestCrossMapEngine:
             columns = np.arange(start, start + size)
         else:
             columns = np.sort(rng.choice(usable, size=size, replace=False))
-        blocks = []
-
-        def recording(dist, k):
-            blocks.append(dist.copy())
-            return nearest_rows(dist, k)
-
-        with mock.patch.object(forecast, "nearest_rows", recording):
-            got = draw_neighbors(cross_map, columns)
+        got, calls = with_points_calls(lambda: draw_neighbors(cross_map, columns))
         want = dense_neighbors(cross_map, manifold, times, times, columns)
         assert got[0].tolist() == want[0].tolist()
         assert got[1].tobytes() == want[1].tobytes()
@@ -743,8 +737,9 @@ class TestCrossMapEngine:
         # the table could settle some rows, so the two sides differ
         assert 0 < unsettled.sum() < unsettled.size
         short = np.ones_like(unsettled) if offset < 0 else unsettled
-        dense = dense_distances(cross_map, manifold, times, times)[:, columns]
-        assert np.vstack(blocks).tobytes() == dense[short].tobytes()
+        # the short rows, and only they, go to the points, in one call
+        assert calls == [((cross_map.rows.start + np.flatnonzero(short)).tolist(),
+                          [(cross_map.cols.start + columns).tolist()])]
 
     @pytest.mark.parametrize("split", [False, True])
     def test_a_view_shifted_again_is_the_build_shifted_once(self, split):
@@ -1466,3 +1461,143 @@ class TestWideNarrowTables:
                for i in (0, 5, 100, times.size - 2)]
         got.append(simplex_forecast(manifold, points[3] + 0.001, self.SERIES).hex())
         assert got == self.FORECASTS[e_dim]
+
+
+class TestStateRoute:
+    """Targets that repeat a state share its distances and selection in
+    :meth:`_NeighborTable._from_points`: each gets what the per-target
+    route and the dense matrix give it, and a failing call raises the
+    same error for the same first (draw, row)."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(e_dim=st.sampled_from([1, 2, 3, 5]), levels=st.integers(1, 3),
+           n=st.integers(8, 120), origin=st.integers(-3, 3), shift=st.integers(-3, 3),
+           split=st.booleans(), subset=st.booleans(), n_draws=st.integers(1, 4),
+           data=st.data())
+    def test_the_state_route_is_the_per_target_route(
+            self, e_dim, levels, n, origin, shift, split, subset, n_draws, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        k = e_dim + 1
+        # points on a coarse grid, and one state with k + 3 copies
+        points = rng.integers(0, levels, size=(n, e_dim)) * 0.1
+        crowd = np.sort(rng.choice(n, size=min(n, k + 3), replace=False))
+        points[crowd] = points[crowd[0]]
+        times = origin + np.arange(n)
+        values = TimeSeries("x", rng.random(n), origin_index=origin)
+        cut = data.draw(st.integers(1, n - 1)) if split else n
+        lib, tgt = times[:cut], (times[cut:] if split else times)
+        try:
+            cross_map = cross_estimates(points, times, values, k, lib_times=lib,
+                                        target_times=tgt, draws=True).shifted(shift)
+        except DataError:
+            reject()
+        table, start = cross_map.table, cross_map.cols.start
+        usable = cross_map.lib_times.size
+        targets = np.arange(cross_map.rows.start, cross_map.rows.stop)
+        if subset:
+            targets = np.sort(rng.choice(targets, size=rng.integers(1, targets.size + 1),
+                                         replace=False))
+        # a draw of k columns, of k + 1, or any size up to the whole view
+        size = data.draw(st.one_of(st.sampled_from([k, k + 1]), st.integers(k, usable)))
+        # the first draw holds as many of the crowded state's copies as fit
+        crowd = crowd[(crowd >= start) & (crowd < start + usable)] - start
+        others = rng.permutation(np.setdiff1d(np.arange(usable), crowd))
+        draws = [np.concatenate([crowd, others])[:size]]
+        draws += [rng.choice(usable, size=size, replace=False)
+                  for _ in range(n_draws - 1)]
+        draws = start + np.sort(draws, axis=1)
+        target_times, n_lib = table.target_times[targets], table.lib_times.size
+        own = np.where(np.isin(target_times, table.lib_times),
+                       np.searchsorted(table.lib_times, target_times), n_lib)
+
+        calls, per_target = [], forecast._NeighborTable._nearest_in_draws
+
+        def recording(self, rows, own, draws, k):
+            calls.append(k)
+            return per_target(self, rows, own, draws, k)
+
+        with mock.patch.object(forecast._NeighborTable, "_nearest_in_draws", recording):
+            got = outcome(lambda: table._from_points(targets, draws, k))
+        want = outcome(lambda: table._nearest_in_draws(targets, own, draws, k))
+        # the state route is tried exactly when S (k + 1) < T k
+        n_states = np.unique(table.target_points[targets], axis=0).shape[0]
+        assert (calls[0] == k + 1) == (n_states * (k + 1) < targets.size * k)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tobytes() == want[1].tobytes()
+        for d, columns in enumerate(draws):
+            dense = _pairwise_distances(table.target_points[targets],
+                                        table.lib_points[columns])
+            dense[target_times[:, None] == table.lib_times[columns]] = np.inf
+            idx, nd = nearest_rows(dense, k)
+            assert table.lib_times[got[0][d]].tolist() \
+                == table.lib_times[columns][idx].tolist()
+            assert got[1][d].tobytes() == nd.tobytes()
+
+    @pytest.mark.parametrize("width", [2, forecast._TABLE_WIDTH])
+    def test_a_far_state_raises_the_first_failing_draw_and_row(self, width):
+        # 60 values on four levels (E = 1, k = 2) and three at 1e300, whose
+        # distances to every other state overflow. Every draw holds the
+        # first 20 other states; the first holds all three far copies, the
+        # second those at times 20 and 30 only, which each leaves one finite
+        # candidate. The table at width 2 sends every row of both draws to
+        # the points at once, at full width the walk sends the two rows of
+        # the second draw alone
+        values = np.random.default_rng(5).integers(0, 4, 60).astype(float)
+        values[[10, 20, 30]] = 1e300
+        effect = TimeSeries("y", values)
+        manifold = embed(effect, EmbeddingParams(1))
+        with mock.patch.object(forecast, "_TABLE_WIDTH", width):
+            cross_map = cross_estimates(manifold.points, manifold.times, effect, 2,
+                                        draws=True).shifted(0)
+        rest = [c for c in range(60) if c not in (10, 20, 30)][:20]
+        draws = np.array([np.sort([10, 20, 30] + rest), np.sort([20, 30, 55] + rest)])
+        text = "need 2 neighbors but only 1 usable candidates for the target at time 20"
+        with mock.patch.object(forecast, "nearest_rows", wraps=nearest_rows) as rows:
+            with pytest.raises(DataError, match=f"^{text}$"):
+                cross_map.neighbors(draws)
+        # the state route ran first: k + 1 picks of fewer rows than targets
+        first = rows.call_args_list[0].args
+        assert first[1] == 3 and first[0].shape[0] < 2 * 60
+        cause = TimeSeries("x", np.random.default_rng(6).random(60))
+        with pytest.raises(DataError, match=f"^{text}$"):
+            cross_map.skills((cause,), draws)
+        # the first draw alone selects: the error is the second draw's
+        assert np.isfinite(cross_map.neighbors(draws[:1])[1]).all()
+
+    # ccm_curve's mean rho per library size, as float.hex(), on counts
+    # floor(10 x) of the coupled logistic pair, at E = 2 and 3, and the E
+    # scan's best E with its rho per E, as the per-target route gave them
+    COUNTS_CURVE = {
+        2: {4: "0x1.75d7b9726aa8ap-7", 9: "0x1.8fa82c1c579ebp-6",
+            19: "0x1.c77a3b365f586p-5", 43: "0x1.b10d4b4b38773p-5",
+            94: "0x1.69b8a7dbe2c32p-4", 206: "0x1.6ccc55bdc267ap-4",
+            454: "0x1.32c7a2545a430p-4", 999: "0x1.06f525859951fp-4"},
+        3: {5: "0x1.1552e56fcba0ap-6", 11: "0x1.0ab8f501dd3c7p-8",
+            23: "0x1.4ea2c0faa04a8p-5", 48: "0x1.70bec3b8c4d7cp-5",
+            103: "0x1.873b594687adcp-4", 220: "0x1.c90ff032db56dp-4",
+            468: "0x1.1c3bb464379acp-3", 998: "0x1.51be5b2abbc74p-3"}}
+    COUNTS_SCAN = ["0x1.f3e8ba2a908e9p-1", "0x1.f37558b27b720p-1",
+                   "0x1.f5c71e69b910fp-1", "0x1.f606290e48748p-1",
+                   "0x1.f615137fd74b7p-1", "0x1.f60b8c2dfb88fp-1",
+                   "0x1.f4dda9e3ebc46p-1", "0x1.f34a76c5ac884p-1",
+                   "0x1.f01e4d83480a2p-1", "0x1.ea548fc5d61e3p-1"]
+
+    @staticmethod
+    def counts():
+        return [TimeSeries(s.name, np.floor(10 * s.values), origin_index=s.origin_index)
+                for s in gen_coupled_logistic(1000)]
+
+    @pytest.mark.parametrize("e_dim", [2, 3])
+    def test_ccm_curve_on_counts(self, e_dim):
+        x, y = self.counts()
+        curve = ccm_curve(x, y, CcmConfig(e_dim=e_dim, samples_per_size=20))
+        assert {r.lib_size: r.mean_rho.hex() for r in curve.rows} \
+            == self.COUNTS_CURVE[e_dim]
+
+    def test_select_embedding_dimension_on_counts(self):
+        scan = select_embedding_dimension(self.counts()[0])
+        assert scan.best_e == 5
+        assert [r.stats.rho.hex() for r in scan.rows] == self.COUNTS_SCAN
