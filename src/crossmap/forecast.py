@@ -14,7 +14,6 @@ zero for the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import islice
 from math import ceil, sqrt
 from typing import Iterable, Sequence
@@ -249,6 +248,27 @@ def _candidates(tgt: np.ndarray, lib: np.ndarray, cols: np.ndarray, m: int,
             np.sqrt(cut + slack))
 
 
+def _own_columns(lib_times: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Each of ``times``' column in the ascending ``lib_times``, n (the
+    library's size) where the library lacks it."""
+    n = lib_times.size
+    own = np.searchsorted(lib_times, times)
+    own[lib_times[np.minimum(own, n - 1)] != times] = n
+    return own
+
+
+def _group_states(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rows of ``points`` grouped by exact state: the first row of each
+    distinct state, and each row's state, or None when no two rows share
+    one. Rows share a state when their coordinates are equal bit for bit,
+    so that each distance of one is the other's. The keys are 1-D and the
+    inverse is ravelled, so that every numpy from 1.24 on groups alike."""
+    points = np.ascontiguousarray(points)
+    keys = points.view(np.dtype((np.void, points.itemsize * points.shape[1])))
+    _, first, state = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    return (first, state.ravel()) if first.size < state.size else None
+
+
 def estimates_from_distances(dist: np.ndarray,
                              neighbor_times: np.ndarray,
                              series: Sequence[TimeSeries]) -> list[np.ndarray]:
@@ -323,6 +343,26 @@ class _NeighborTable:
     screen bound or above the W-th distance, and so above d either way.
     So no column outside the table precedes a trusted entry, and no
     second condition on the row's last distance is needed.
+
+    Targets that repeat a state share its row. ``states`` groups the
+    targets by exact state (:func:`_group_states`), or is None when no two
+    share one; a build whose targets share no x0 skips the grouping. When
+    the S states and T targets give S (W+1) < T W, the build runs the
+    rows above once per state, W + 1 wide with no column at +inf (column
+    n at +inf past a library of W columns), and each target takes the
+    first W entries of its state's row with its own column dropped, or
+    the first W where the row lacks its own column. The numbers cannot
+    move. A distance depends only on the state and the library point, so
+    the state's approximations, rounding bound and exact distances are
+    each of its targets' own. Dropping one entry of a (distance, column)
+    order leaves the rest in that order, and a target's own column, +inf
+    in its dense order, follows every finite entry. The state's bound,
+    and its edge test on its (W+1)-th distance, certify its W + 1
+    entries as above, so what a target trusts is a prefix of its dense
+    order. That bound comes from the (m+2)-th approximation, one more
+    candidate than a target's row screens, so over the same window it is
+    never below the target's bound. :meth:`_from_points` reuses the
+    grouping.
     """
 
     near: np.ndarray
@@ -331,35 +371,86 @@ class _NeighborTable:
     target_times: np.ndarray
     target_points: np.ndarray
     lib_points: np.ndarray
+    states: tuple[np.ndarray, np.ndarray] | None
 
     @classmethod
     def build(cls, lib_times: np.ndarray, target_times: np.ndarray,
               target_points: np.ndarray, lib_points: np.ndarray,
               width: int) -> "_NeighborTable":
-        (n_targets, e_dim), n = target_points.shape, lib_points.shape[0]
+        n_targets, n = target_points.shape[0], lib_points.shape[0]
         width = min(width, n)
+        own = _own_columns(lib_times, target_times)
+        # the targets in first-coordinate (x0) order, as the screen takes
+        # them; targets that share a state share its x0, so without a
+        # repeated x0 there is nothing to group
+        by_x0 = np.argsort(target_points[:, 0], kind="stable")
+        x0 = target_points[by_x0, 0]
+        states = _group_states(target_points) if np.any(x0[1:] == x0[:-1]) else None
+        if states is not None and states[0].size * (width + 1) < n_targets * width:
+            first, state = states
+            # the table is allocated before the state rows' temporaries, so
+            # that it does not sit above them in the heap once they are
+            # freed (that cost tied-large 1-2 MiB of peak RSS)
+            near = np.empty((n_targets, width), dtype=np.intp)
+            near_dist = np.empty(near.shape)
+            points = target_points[first]
+            s_near, s_dist, s_bound = cls._table_rows(
+                points, np.argsort(points[:, 0], kind="stable"),
+                np.full(first.size, n), lib_points, width + 1)
+            # flat positions of each target's state's first W entries; where
+            # its own column is among them, the target takes the state's next
+            # entry from there. The positions are in range, and "clip" takes
+            # straight into the table, where "raise" would buffer
+            at = (width + 1) * state[:, None] + np.arange(width)
+            np.take(s_near, at, out=near, mode="clip")
+            t, j = np.nonzero(near == own[:, None])
+            at[t] += np.arange(width) >= j[:, None]
+            np.take(s_near, at, out=near, mode="clip")
+            np.take(s_dist, at, out=near_dist, mode="clip")
+            bound = s_bound[state]
+        else:
+            near, near_dist, bound = cls._table_rows(target_points, by_x0, own,
+                                                     lib_points, width)
+        near[near_dist >= bound[:, None]] = n
+        return cls(near=near, near_dist=near_dist, lib_times=lib_times,
+                   target_times=target_times, target_points=target_points,
+                   lib_points=lib_points, states=states)
+
+    @staticmethod
+    def _table_rows(target_points: np.ndarray, x0_order: np.ndarray,
+                    own: np.ndarray, lib_points: np.ndarray, width: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each target's first ``width`` library columns in (distance,
+        column) order, its library column ``own`` (n for none) at +inf,
+        their exact distances, and the target's certified bound, as the
+        class describes: (targets, width) columns and distances and
+        (targets,) bounds, no entry marked untrusted yet. ``x0_order``
+        orders the targets by their first coordinate, stably. Past the
+        library's n columns a row holds column n at +inf.
+        """
+        (n_targets, e_dim), n = target_points.shape, lib_points.shape[0]
         m = width + _SCREEN_SLACK
-        near = np.empty((n_targets, width), dtype=np.intp)
-        near_dist = np.empty(near.shape)
+        near = np.full((n_targets, width), n, dtype=np.intp)
+        near_dist = np.full(near.shape, np.inf)
         bound = np.full(n_targets, np.inf)
 
         def exact(r: np.ndarray, cand: np.ndarray, points: np.ndarray) -> None:
             dist = _pairwise_distances(target_points[r], points)
-            dist[lib_times[cand] == target_times[r, None]] = np.inf
+            dist[cand == own[r, None]] = np.inf
             # candidates ascend, so a stable sort breaks ties by column
             order = np.argsort(dist, axis=1, kind="stable")[:, :width]
-            near[r] = np.take_along_axis(cand, order, axis=1)
-            near_dist[r] = np.take_along_axis(dist, order, axis=1)
+            near[r, :order.shape[1]] = np.take_along_axis(cand, order, axis=1)
+            near_dist[r, :order.shape[1]] = np.take_along_axis(dist, order, axis=1)
 
         screened = np.zeros(n_targets, dtype=bool)
         if n > m:
             tgt, lib = _screen_inputs(target_points, lib_points)
             screened = np.isfinite(_rounding_bound(tgt, lib))
-        rows = np.flatnonzero(screened)
+        # the screened targets in x0 order
+        rows = x0_order[screened[x0_order]]
         if rows.size:
-            # targets and library in first-coordinate (x0) order: a block's
-            # window is one slice of the permuted library
-            rows = rows[np.argsort(target_points[rows, 0], kind="stable")]
+            # the library in x0 order too: a block's window is one slice of
+            # the permuted library
             x0_rows = target_points[rows, 0]
             by_x0 = np.argsort(lib_points[:, 0], kind="stable")
             lib = lib[:, by_x0]
@@ -402,10 +493,7 @@ class _NeighborTable:
         for block in _row_blocks(every.size, n, e_dim):
             r = every[block]
             exact(r, np.broadcast_to(np.arange(n), (r.size, n)), lib_points)
-        near[near_dist >= bound[:, None]] = n
-        return cls(near=near, near_dist=near_dist, lib_times=lib_times,
-                   target_times=target_times, target_points=target_points,
-                   lib_points=lib_points)
+        return near, near_dist, bound
 
     def nearest(self, rows: slice, draws: np.ndarray,
                 k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -489,17 +577,6 @@ class _NeighborTable:
                 cols[d, short], dist[d, short] = short_cols[0], short_dist[0]
         return self.lib_times[cols], dist
 
-    @cached_property
-    def _states(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows grouped by exact state: the first row of each distinct
-        state, and each row's state. Rows share a state when their E
-        coordinates are equal bit for bit, so that each distance of one is
-        the other's."""
-        points = np.ascontiguousarray(self.target_points)
-        keys = points.view(np.dtype((np.void, points.itemsize * points.shape[1])))
-        _, first, state = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-        return first, state
-
     def _from_points(self, targets: np.ndarray, draws: np.ndarray,
                      k: int) -> tuple[np.ndarray, np.ndarray]:
         """Each of the table rows ``targets``' k nearest of each draw's
@@ -517,15 +594,12 @@ class _NeighborTable:
         k+1 finite distances leaves each of its targets k. A state with
         fewer, or a draw of k columns, sends the call to the targets' own
         rows, which raise the error of the first (draw, row) that fails; a
-        table with no repeated state goes there at once.
+        table with no repeated state (``states`` None) goes there at once.
         """
         n = self.lib_times.size
-        target_times = self.target_times[targets]
-        # each target's own column, n where the library has none
-        own = np.searchsorted(self.lib_times, target_times)
-        own[self.lib_times[np.minimum(own, n - 1)] != target_times] = n
-        first, state = self._states
-        if first.size < state.size:
+        own = _own_columns(self.lib_times, self.target_times[targets])
+        if self.states is not None:
+            first, state = self.states
             states, of = np.unique(state[targets], return_inverse=True)
             if states.size * (k + 1) < targets.size * k:
                 try:

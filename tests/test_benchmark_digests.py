@@ -1,6 +1,7 @@
-"""The benchmark's workloads, run once at seed 0, must reproduce their
-recorded payload digests, so that a change that moves a single bit of a
-benchmarked result fails here and not only in the benchmark.
+"""The benchmark's workloads, run once at seed 0 (tied-large at every
+recorded seed), must reproduce their recorded payload digests, so that a
+change that moves a single bit of a benchmarked result fails here and not
+only in the benchmark.
 
 The workloads and the digests are read from ``perfbench/``; nothing there
 is written.
@@ -42,12 +43,21 @@ def test_workload_payload_matches_its_recorded_digest(name, tmp_path):
     assert workloads.digest(payload) == DIGESTS[name]["0"]
 
 
+@pytest.mark.parametrize("seed", sorted(set(DIGESTS["tied-large"]) - {"0"}, key=int))
+def test_tied_large_matches_its_digest_at_every_recorded_seed(seed, tmp_path):
+    # each seed shifts the data window, and with it which states repeat and
+    # which rows tie
+    workload = workloads.WORKLOADS["tied-large"]
+    payload = workload.run(workload.setup(int(seed), tmp_path))
+    assert workloads.digest(payload) == DIGESTS["tied-large"][seed]
+
+
 # at seed 0: rows whose trusted entries hold fewer than k of the reader's
 # columns, which the table cannot settle and which fall back to the points,
 # may not rise, and entries the tables trust may not fall
 TRUST_FLOOR = {
     "lag-sweep": {"fallback_rows": 0, "trusted": 15_992},
-    "tied-large": {"fallback_rows": 125_061, "trusted": 177_449},
+    "tied-large": {"fallback_rows": 124_669, "trusted": 179_648},
     "fork-network": {"fallback_rows": 303_798, "trusted": 415_548},
 }
 

@@ -756,11 +756,12 @@ class TestCrossMapEngine:
             assert view.skill() == once.skill()
 
     @pytest.mark.parametrize("layout", ["loo", "split", "outside"])
-    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2])
     def test_rows_switch_to_the_screen_past_m_columns(self, layout, offset):
         # with W = 6 a library of n <= m = W + _SCREEN_SLACK columns takes
         # every column as a candidate, and a library of m + 1 is screened;
-        # either way the neighbors are the oracle's, own time excluded,
+        # a build by state rows, W + 1 wide, switches one column later.
+        # Either way the neighbors are the oracle's, own time excluded,
         # whether a row walks its trusted entries or falls back to the points
         width, e_dim = 6, 1
         n, k = width + forecast._SCREEN_SLACK + offset, e_dim + 1
@@ -776,7 +777,10 @@ class TestCrossMapEngine:
                                   wraps=forecast._screen_inputs) as screen:
             cross_map = cross_estimates(manifold.points, times, series, k,
                                         lib_times=lib, target_times=tgt, draws=True)
-            assert screen.called == (n > width + forecast._SCREEN_SLACK)
+            states = cross_map.table.states
+            by_state = states is not None \
+                and states[0].size * (width + 1) < tgt.size * width
+            assert screen.called == (n > width + by_state + forecast._SCREEN_SLACK)
             assert np.any((cross_map.table.near < n).sum(axis=1) >= k + 2)
             drawn = np.sort(np.random.default_rng(n).choice(n, k + 2, replace=False))
             for columns in (None, drawn):
@@ -929,8 +933,13 @@ class TestWindowedScreen:
             table, dense, screens = windowed_and_dense(
                 lambda: forecast._NeighborTable.build(times, times, points, points, 5))
         assert_windowed_table(table, dense, 5)
-        # 4 rows per block, every one screened once over all 120 columns
-        assert [(rows, cols) for rows, cols, _ in screens] == [(4, 120)] * 30
+        # the 120 targets hold few enough distinct states to be built by
+        # state: 4 state rows per block, each screened once over all 120
+        # columns
+        n_states = table.states[0].size
+        assert n_states * 6 < 120 * 5
+        assert [(rows, cols) for rows, cols, _ in screens] \
+            == [(min(4, n_states - lo), 120) for lo in range(0, n_states, 4)]
 
     # 30 columns at x0 = 5, one at (1, 10) and 29 far to the left; the
     # target (5, 0.15) keeps the next window at x0 = 5, where the target
@@ -1044,6 +1053,103 @@ class TestWindowedScreen:
         assert [c.args[1].shape[1:] for c in pairwise.call_args_list] == [(13, 2)] * 2
 
 
+def per_target_table(lib_times, target_times, target_points, lib_points, width):
+    """The table as each target's own row builds it, own column at +inf
+    and no state shared: the reference for the state rows."""
+    n = lib_times.size
+    own = np.where(np.isin(target_times, lib_times),
+                   np.searchsorted(lib_times, target_times), n)
+    near, near_dist, bound = forecast._NeighborTable._table_rows(
+        target_points, np.argsort(target_points[:, 0], kind="stable"), own,
+        lib_points, min(width, n))
+    near[near_dist >= bound[:, None]] = n
+    return near, near_dist
+
+
+class TestStateRows:
+    """A build whose targets hold few distinct states screens and runs the
+    exact pass once per state, W + 1 columns wide, and gives each target
+    its state's row without its own column."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(e_dim=st.integers(1, 3), levels=st.integers(1, 4), n=st.integers(4, 220),
+           width=st.sampled_from([1, 3, 5, 64, 65, 72]),
+           crowd=st.integers(0, 80), far=st.sampled_from([None, 1e154, 1e300]),
+           layout=st.sampled_from(["loo", "split", "outside", "subset"]),
+           windowed=st.booleans(), data=st.data())
+    def test_state_rows_trust_a_dense_prefix_no_shorter_than_per_target_rows(
+            self, e_dim, levels, n, width, crowd, far, layout, windowed, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        # points on a coarse grid, one state with up to 80 copies (more than
+        # W + 1 at every width), and a few far states whose rounding bound
+        # is +inf (1e154) or whose distances overflow (1e300)
+        points = rng.integers(0, levels, size=(n, e_dim)) * 0.1
+        copies = np.sort(rng.choice(n, size=min(n, crowd), replace=False))
+        points[copies] = points[rng.integers(0, n)]
+        if far is not None:
+            points[rng.random(n) < 0.05] = far
+        times = 10 + np.arange(n)
+        cut = data.draw(st.integers(1, n - 1))
+        lib, tgt = {"loo": (times, times), "split": (times[:cut], times[cut:]),
+                    "outside": (times[::2], times),
+                    "subset": (np.sort(rng.choice(times, size=cut, replace=False)),
+                               times)}[layout]
+        args = (lib, tgt, points[tgt - 10], points[lib - 10], width)
+        # 3 to 9 rows a screen block, each over its window, or (at the
+        # default, for n <= 220) one block over the whole library
+        cells = 2 ** 11 if windowed else forecast._BLOCK_CELLS
+        with mock.patch.object(forecast, "_BLOCK_CELLS", cells):
+            table, dense, _ = windowed_and_dense(
+                lambda: forecast._NeighborTable.build(*args))
+            ref_near, ref_dist = per_target_table(*args)
+        w, n_lib = min(width, lib.size), lib.size
+        assert table.near.shape == ref_near.shape == (tgt.size, w)
+        assert_trusted_prefix(table, width)
+        assert_windowed_table(table, dense, width)
+        # the grouping is the exact one, and the rule chose the route
+        n_states = np.unique(args[2], axis=0).shape[0]
+        if table.states is None:
+            assert n_states == tgt.size
+        else:
+            first, state = table.states
+            assert first.size == n_states < tgt.size
+            assert args[2][first][state].tobytes() == args[2].tobytes()
+        if table.states is None or n_states * (w + 1) >= tgt.size * w:
+            assert table.near.tobytes() == ref_near.tobytes()
+            assert table.near_dist.tobytes() == ref_dist.tobytes()
+        elif not windowed:
+            # over the same window a state's bound comes from one more
+            # candidate than a target's, so it trusts no less. Windows
+            # differ between the routes: a block of states spans more x0
+            # than a block of targets, and a wider window may certify less
+            # than a narrow one that the edge does not cut
+            n_trusted = (table.near < n_lib).sum(axis=1)
+            assert np.all(n_trusted >= (ref_near < n_lib).sum(axis=1))
+
+    @pytest.mark.parametrize("points, grouped, shared", [
+        # continuous: no two targets share an x0, so nothing is grouped
+        (np.random.default_rng(1).normal(size=(300, 2)), False, False),
+        # a shared x0 but no shared state: grouped, and nothing shared
+        (np.column_stack([np.repeat(np.arange(150.0), 2), np.arange(300.0)]),
+         True, False),
+        # 2-decimal values: 300 targets on at most 100 states
+        (np.round(np.random.default_rng(2).random((300, 1)), 2), True, True)])
+    def test_one_grouping_per_table_and_none_without_a_shared_x0(
+            self, points, grouped, shared):
+        times = np.arange(300)
+        with mock.patch.object(forecast, "_group_states",
+                               wraps=forecast._group_states) as group:
+            table = forecast._NeighborTable.build(times, times, points, points, 64)
+            # a draw small enough for the points, and one the walk reads
+            for size in (20, 250):
+                rng = np.random.default_rng(size)
+                draws = np.sort([rng.choice(300, size, replace=False)
+                                 for _ in range(2)], axis=1)
+                table.nearest(slice(0, 300), draws, 3)
+        assert group.call_count == grouped
+        assert (table.states is not None) == shared
+
+
 def outcome(call):
     """What ``call`` returns, or the text of the crossmap error it raises."""
     try:
@@ -1110,9 +1216,10 @@ class TestViewWidth:
         # on sqrt(t) the points crowd together as t grows, so the last
         # usable target's two nearest columns both follow it, and the shift
         # drops them from the view's library; on a 2-decimal logistic
-        # series many rows tie at the narrow table's bound
+        # series many rows tie at the narrow table's bound (at 300 values
+        # the state rows' bound settles every row)
         series = TimeSeries("x", np.sqrt(np.arange(120.0)) if values == "sqrt"
-                            else np.round(logistic_series(300).values, 2))
+                            else np.round(logistic_series(600).values, 2))
         manifold = embed(series, EmbeddingParams(1 if values == "sqrt" else 2))
         times = manifold.times
         narrow, wide = self.views(manifold, series, shift, times, times)
