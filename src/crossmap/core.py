@@ -269,12 +269,17 @@ def read_series_csv(path: str) -> list[TimeSeries]:
 
 
 def write_series_csv(path: str, series: Sequence[TimeSeries]) -> None:
-    """Write series as CSV columns (headers = names, one row per time step)."""
+    """Write series as CSV columns (headers = names, one row per time step).
+
+    The series must share a time origin, which is not written: row i holds
+    each series' value at its origin + i."""
     if not series:
         raise DataError("nothing to write: no series given")
     lengths = {len(s) for s in series}
     if len(lengths) != 1:
         raise DataError(f"series lengths differ: {sorted(lengths)}")
+    if len({s.origin_index for s in series}) != 1:
+        raise DataError("series must share a time origin")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([s.name for s in series])

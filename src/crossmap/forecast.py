@@ -248,15 +248,6 @@ def _candidates(tgt: np.ndarray, lib: np.ndarray, cols: np.ndarray, m: int,
             np.sqrt(cut + slack))
 
 
-def _own_columns(lib_times: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Each of ``times``' column in the ascending ``lib_times``, n (the
-    library's size) where the library lacks it."""
-    n = lib_times.size
-    own = np.searchsorted(lib_times, times)
-    own[lib_times[np.minimum(own, n - 1)] != times] = n
-    return own
-
-
 def _group_states(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The rows of ``points`` grouped by exact state: the first row of each
     distinct state, and each row's state, or None when no two rows share
@@ -267,6 +258,29 @@ def _group_states(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     keys = points.view(np.dtype((np.void, points.itemsize * points.shape[1])))
     _, first, state = np.unique(keys.ravel(), return_index=True, return_inverse=True)
     return (first, state.ravel()) if first.size < state.size else None
+
+
+def _own_dropped(picks: np.ndarray, row: np.ndarray, own: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Flat positions in ``picks``, rows of w+1 columns in (distance,
+    column) order, of each target's first w entries of its state's row
+    ``row`` with its own column ``own`` (n for none) skipped. ``row`` is
+    (targets,) or (draws, targets), and the positions add an axis of w.
+    ``out``, shaped like them, is scratch that "clip" takes straight into.
+
+    The numbers cannot move. A state's row has no column at +inf, and a
+    distance depends only on the state and the library point, so its
+    distances are each of its targets' own. Dropping one entry of a
+    (distance, column) order leaves the rest in that order, and a
+    target's own column, +inf in its own row, follows every finite entry
+    there, so up to the first at +inf the positions give its own row.
+    """
+    w = picks.shape[-1] - 1
+    at = (w + 1) * row[..., None] + np.arange(w)
+    out = np.take(picks, at, out=out, mode="clip")
+    *hit, j = np.nonzero(out == own[:, None])
+    at[tuple(hit)] += np.arange(w) >= j[:, None]
+    return at
 
 
 def estimates_from_distances(dist: np.ndarray,
@@ -349,20 +363,16 @@ class _NeighborTable:
     share one; a build whose targets share no x0 skips the grouping. When
     the S states and T targets give S (W+1) < T W, the build runs the
     rows above once per state, W + 1 wide with no column at +inf (column
-    n at +inf past a library of W columns), and each target takes the
-    first W entries of its state's row with its own column dropped, or
-    the first W where the row lacks its own column. The numbers cannot
-    move. A distance depends only on the state and the library point, so
-    the state's approximations, rounding bound and exact distances are
-    each of its targets' own. Dropping one entry of a (distance, column)
-    order leaves the rest in that order, and a target's own column, +inf
-    in its dense order, follows every finite entry. The state's bound,
-    and its edge test on its (W+1)-th distance, certify its W + 1
-    entries as above, so what a target trusts is a prefix of its dense
-    order. That bound comes from the (m+2)-th approximation, one more
-    candidate than a target's row screens, so over the same window it is
-    never below the target's bound. :meth:`_from_points` reuses the
-    grouping.
+    n at +inf past a library of W columns), and each target takes its W
+    entries by :func:`_own_dropped`, which shows that they are its own
+    row's. The state's approximations and rounding bound are its
+    targets' own too, and its bound and its edge test on its (W+1)-th
+    distance certify its W + 1 entries as above, so what a target trusts
+    is a prefix of its dense order. That bound comes from the (m+2)-th
+    approximation, one more candidate than a target's row screens, so
+    over the same window it is never below the target's bound.
+    :meth:`_from_points` reuses the grouping. ``own`` holds each target's
+    library column, n where the library lacks its time.
     """
 
     near: np.ndarray
@@ -372,6 +382,7 @@ class _NeighborTable:
     target_points: np.ndarray
     lib_points: np.ndarray
     states: tuple[np.ndarray, np.ndarray] | None
+    own: np.ndarray
 
     @classmethod
     def build(cls, lib_times: np.ndarray, target_times: np.ndarray,
@@ -379,7 +390,8 @@ class _NeighborTable:
               width: int) -> "_NeighborTable":
         n_targets, n = target_points.shape[0], lib_points.shape[0]
         width = min(width, n)
-        own = _own_columns(lib_times, target_times)
+        own = np.searchsorted(lib_times, target_times)
+        own[lib_times[np.minimum(own, n - 1)] != target_times] = n
         # the targets in first-coordinate (x0) order, as the screen takes
         # them; targets that share a state share its x0, so without a
         # repeated x0 there is nothing to group
@@ -397,14 +409,7 @@ class _NeighborTable:
             s_near, s_dist, s_bound = cls._table_rows(
                 points, np.argsort(points[:, 0], kind="stable"),
                 np.full(first.size, n), lib_points, width + 1)
-            # flat positions of each target's state's first W entries; where
-            # its own column is among them, the target takes the state's next
-            # entry from there. The positions are in range, and "clip" takes
-            # straight into the table, where "raise" would buffer
-            at = (width + 1) * state[:, None] + np.arange(width)
-            np.take(s_near, at, out=near, mode="clip")
-            t, j = np.nonzero(near == own[:, None])
-            at[t] += np.arange(width) >= j[:, None]
+            at = _own_dropped(s_near, state, own, out=near)
             np.take(s_near, at, out=near, mode="clip")
             np.take(s_dist, at, out=near_dist, mode="clip")
             bound = s_bound[state]
@@ -414,7 +419,7 @@ class _NeighborTable:
         near[near_dist >= bound[:, None]] = n
         return cls(near=near, near_dist=near_dist, lib_times=lib_times,
                    target_times=target_times, target_points=target_points,
-                   lib_points=lib_points, states=states)
+                   lib_points=lib_points, states=states, own=own)
 
     @staticmethod
     def _table_rows(target_points: np.ndarray, x0_order: np.ndarray,
@@ -586,18 +591,14 @@ class _NeighborTable:
         Targets that repeat a state share its work. When the call's S
         distinct states and T targets give S (k+1) < T k, each state's k+1
         nearest of each draw's columns are computed once, with no column at
-        +inf, and each target takes the first k of its state's with its own
-        column dropped. A distance depends only on the state and the library
-        point, and dropping one entry of a (distance, column) order leaves
-        the rest in that order, so each target gets what its own row gives.
-        The own column lies at distance 0 from its state, so a state with
-        k+1 finite distances leaves each of its targets k. A state with
-        fewer, or a draw of k columns, sends the call to the targets' own
-        rows, which raise the error of the first (draw, row) that fails; a
-        table with no repeated state (``states`` None) goes there at once.
+        +inf, and each target takes its k by :func:`_own_dropped`. A state
+        with k+1 finite distances leaves each of its targets k finite ones.
+        A state with fewer, or a draw of k columns, sends the call to the
+        targets' own rows, which raise the error of the first (draw, row)
+        that fails; a table with no repeated state (``states`` None) goes
+        there at once.
         """
-        n = self.lib_times.size
-        own = _own_columns(self.lib_times, self.target_times[targets])
+        n, own = self.lib_times.size, self.own[targets]
         if self.states is not None:
             first, state = self.states
             states, of = np.unique(state[targets], return_inverse=True)
@@ -608,14 +609,9 @@ class _NeighborTable:
                 except DataError:
                     pass
                 else:
-                    # flat positions, in the (D, S, k+1) picks, of each
-                    # target's state's first k; where its own column is among
-                    # them, the target takes the state's next pick from there
                     row = np.arange(draws.shape[0])[:, None] * states.size + of
-                    at = (k + 1) * row[..., None] + np.arange(k)
-                    d, t, j = np.nonzero(np.take(cols, at) == own[:, None])
-                    at[d, t] += np.arange(k) >= j[:, None]
-                    return np.take(cols, at), np.take(dist, at)
+                    at = _own_dropped(cols, row, own)
+                    return np.take(cols, at, mode="clip"), np.take(dist, at, mode="clip")
         return self._nearest_in_draws(targets, own, draws, k)
 
     def _nearest_in_draws(self, rows: np.ndarray, own: np.ndarray, draws: np.ndarray,

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DataError, NumericalError, TimeSeries
+from .core import DataError, NumericalError, TimeSeries, require_integers
 
 __all__ = [
     "GeneratorSpec",
@@ -53,6 +53,8 @@ class GeneratorSpec:
             raise DataError(
                 f"unknown system {self.kind!r}; choose from {', '.join(GENERATOR_KINDS)}")
         _check_length(self.steps, self.burn_in)
+        # its sign is checked where the moran-fork noise driver consumes it
+        require_integers(self, "seed")
 
 
 def _check_unit(value: float, step: int, label: str) -> float:
@@ -136,8 +138,10 @@ def gen_lagged_logistic(steps: int, delay: int = 2, coupling: float = 0.1,
     is the contemporaneous-coupling case (Y[t+1] driven by X[t]).
     """
     _check_length(steps, burn_in)
-    if not isinstance(delay, (int, np.integer)) or delay < 0:
+    if not isinstance(delay, Integral) or delay < 0:
         raise DataError(f"delay must be an integer >= 0, got {delay}")
+    # a Python int: t - delay on a numpy unsigned delay would wrap
+    delay = int(delay)
     # X is autonomous, so it is iterated in full first; Y then reads it
     (xs,) = _iterate_logistic(steps + burn_in, 0, [x0],
                               lambda _t, s: [3.8 * s[0] * (1.0 - s[0])], ("X",))
@@ -170,6 +174,8 @@ def gen_moran_fork(steps: int, coupling: float = 0.1,
         (zs,) = _iterate_logistic(total, 0, [0.4],
                                   lambda _t, s: [3.8 * s[0] * (1.0 - s[0])], ("Z",))
     elif driver_kind == "noise":
+        if not isinstance(seed, Integral):
+            raise DataError(f"seed must be an integer, got {seed!r}")
         if seed < 0:
             raise DataError(f"seed must be non-negative, got {seed}")
         zs = np.random.default_rng(seed).uniform(0.0, 1.0, size=total)

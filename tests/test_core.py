@@ -415,3 +415,15 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError):
             write_series_csv(tmp_path / "x.csv",
                              [TimeSeries("a", [1.0]), TimeSeries("b", [1, 2])])
+
+    def test_write_origin_mismatch(self, tmp_path):
+        path = tmp_path / "x.csv"
+        with pytest.raises(DataError, match="^series must share a time origin$"):
+            write_series_csv(path, [TimeSeries("a", [1.0, 2.0]),
+                                    TimeSeries("b", [1.0, 2.0], origin_index=3)])
+        assert not path.exists()
+        # a shared origin other than 0 is written, though not recorded
+        write_series_csv(path, [TimeSeries("a", [1.0, 2.0], origin_index=3),
+                                TimeSeries("b", [4.0, 5.0], origin_index=3)])
+        assert [s.values.tolist() for s in read_series_csv(path)] \
+            == [[1.0, 2.0], [4.0, 5.0]]

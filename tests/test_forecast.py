@@ -1150,6 +1150,46 @@ class TestStateRows:
         assert (table.states is not None) == shared
 
 
+class TestOwnDropped:
+    """:func:`forecast._own_dropped` gives each target the flat positions
+    of its state's first w entries with its own column skipped, as a loop
+    over the targets finds them, on state rows and on draws' picks alike."""
+
+    @staticmethod
+    def loop(picks, row, own):
+        w = picks.shape[-1] - 1
+        flat = picks.reshape(-1, w + 1)
+        at = np.empty((*row.shape, w), dtype=np.intp)
+        for i in np.ndindex(row.shape):
+            kept = [p for p in range(w + 1) if flat[row[i], p] != own[i[-1]]]
+            at[i] = (w + 1) * row[i] + np.array(kept[:w])
+        return at
+
+    @pytest.mark.parametrize("w", [1, 3, 64])
+    @pytest.mark.parametrize("n_draws", [None, 1, 3])
+    @pytest.mark.parametrize("scratch", [False, True])
+    def test_the_positions_are_a_loop_over_the_targets(self, w, n_draws, scratch):
+        rng = np.random.default_rng(w)
+        n, n_states = 200, 4
+        # each state's row holds distinct library columns; a later draw
+        # rotates the first's rows, so a target's own column moves
+        rows = np.array([rng.choice(n, w + 1, replace=False) for _ in range(n_states)])
+        picks = rows if n_draws is None else np.stack(
+            [np.roll(rows, d, axis=1) for d in range(n_draws)])
+        # per state, a target whose own column is at each position 0..w of
+        # its state's row, and one whose time the library lacks (column n)
+        state = np.repeat(np.arange(n_states), w + 2)
+        pos = np.tile(np.arange(w + 2), n_states)
+        own = np.where(pos <= w, rows[state, np.minimum(pos, w)], n)
+        row = state if n_draws is None else \
+            np.arange(n_draws)[:, None] * n_states + state
+        out = np.empty((*row.shape, w), dtype=picks.dtype) if scratch else None
+        at = forecast._own_dropped(picks, row, own, out=out)
+        assert at.shape == (*row.shape, w)
+        assert at.tolist() == self.loop(picks, row, own).tolist()
+        assert not np.any(np.take(picks, at) == own[:, None])
+
+
 def outcome(call):
     """What ``call`` returns, or the text of the crossmap error it raises."""
     try:

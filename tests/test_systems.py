@@ -113,6 +113,11 @@ class TestLaggedLogistic:
                            match=f"^delay must be an integer >= 0, got {delay}$"):
             gen_lagged_logistic(100, delay=delay)
 
+    def test_a_numpy_integer_delay_is_an_integer(self):
+        for got, want in zip(gen_lagged_logistic(50, delay=np.uint8(3)),
+                             gen_lagged_logistic(50, delay=3)):
+            assert np.array_equal(got.values, want.values)
+
 
 class TestMoranFork:
     def test_deterministic(self):
@@ -150,6 +155,17 @@ class TestMoranFork:
                              params={"driver_kind": "noise"}, seed=-1)
         with pytest.raises(DataError, match="^seed must be non-negative, got -1$"):
             generate(spec)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", None])
+    def test_a_non_integer_noise_seed_raises_data_error(self, seed):
+        with pytest.raises(DataError, match=f"^seed must be an integer, got "
+                                            f"{re.escape(repr(seed))}$"):
+            gen_moran_fork(5, driver_kind="noise", seed=seed)
+
+    def test_a_numpy_integer_noise_seed_is_an_integer(self):
+        for got, want in zip(gen_moran_fork(20, driver_kind="noise", seed=np.int64(3)),
+                             gen_moran_fork(20, driver_kind="noise", seed=3)):
+            assert np.array_equal(got.values, want.values)
 
 
 class TestLorenz:
@@ -221,6 +237,18 @@ class TestGeneratorSpec:
     def test_a_bad_length_raises_data_error(self, steps, burn_in, text):
         with pytest.raises(DataError, match=f"^{re.escape(text)}$"):
             GeneratorSpec(kind="coupled_logistic", steps=steps, burn_in=burn_in)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", None])
+    def test_a_non_integer_seed_raises_data_error(self, seed):
+        with pytest.raises(DataError, match=f"^seed must be an integer, got "
+                                            f"{re.escape(repr(seed))}$"):
+            GeneratorSpec(kind="coupled_logistic", steps=10, seed=seed)
+
+    def test_a_non_integer_seed_param_raises_data_error(self):
+        spec = GeneratorSpec(kind="moran_fork", steps=10,
+                             params={"driver_kind": "noise", "seed": 1.5})
+        with pytest.raises(DataError, match="^seed must be an integer, got 1.5$"):
+            generate(spec)
 
     def test_dispatch_with_params(self):
         spec = GeneratorSpec(kind="lagged_logistic", steps=100,
