@@ -90,14 +90,46 @@ class EDimScan:
 
 def weight_rows(dist: np.ndarray) -> np.ndarray:
     """Simplex weights for each row of a (rows, k) array of non-negative,
-    non-decreasing distances, k >= 1; the input is not checked."""
-    d1 = dist[:, :1]
-    zero_rows = d1[:, 0] == 0.0
+    non-decreasing distances, k >= 1; the input is not checked.
+
+    Every pass runs along the rows, on k contiguous planes (one copy of
+    ``dist.T``), and gives the bits of the row-major formula
+    ``exp(-d / d1)`` normalised by ``w.sum(axis=1)``:
+
+    - dividing by -d1 rounds to the bits of -(d / d1), since rounding is
+      symmetric in sign;
+    - in a row with d1 = 0 the divisor is -1, so the quotient is zero
+      exactly where the distance is zero (``exp`` would round a tiny one
+      to 1 too), and those entries weigh 1, the rest 0;
+    - for k < 8 numpy sums a row one entry after another,
+      ((w0 + w1) + w2) + ..., which adding the planes in order repeats;
+      from k = 8 on it sums in blocks of 8 accumulators, so there the
+      planes go back to rows and ``sum`` adds them.
+
+    The result is C-contiguous (rows, k), as
+    :func:`estimates_from_distances`' ``einsum`` needs: over a contiguous
+    k axis it sums in another order than over a strided one, so a
+    transposed view would move the estimates' bits.
+    """
+    planes = dist.T.copy()
+    zero_rows = planes[0] == 0.0
+    any_zero = zero_rows.any()
     with np.errstate(over="ignore"):
-        w = np.exp(-dist / np.where(d1 > 0, d1, 1.0))
-    if np.any(zero_rows):
-        w[zero_rows] = dist[zero_rows] == 0.0
-    return w / w.sum(axis=1, keepdims=True)
+        np.divide(planes, np.where(zero_rows, -1.0, -planes[0]), out=planes)
+    if any_zero:
+        ties = planes == 0.0
+    np.exp(planes, out=planes)
+    if any_zero:
+        np.copyto(planes, ties, where=zero_rows)
+    if planes.shape[0] < 8:
+        total = planes[0].copy()
+        for plane in planes[1:]:
+            total += plane
+    else:
+        total = np.ascontiguousarray(planes.T).sum(axis=1)
+    w = np.empty(dist.shape)
+    np.divide(planes, total, out=w.T)
+    return w
 
 
 def simplex_weights(distances: Sequence[float],

@@ -53,8 +53,9 @@ class GeneratorSpec:
             raise DataError(
                 f"unknown system {self.kind!r}; choose from {', '.join(GENERATOR_KINDS)}")
         _check_length(self.steps, self.burn_in)
-        # its sign is checked where the moran-fork noise driver consumes it
         require_integers(self, "seed")
+        if self.seed < 0:
+            raise DataError(f"seed must be non-negative, got {self.seed}")
 
 
 def _check_unit(value: float, step: int, label: str) -> float:
@@ -251,7 +252,8 @@ def generate(spec: GeneratorSpec) -> tuple[TimeSeries, ...]:
     for name, param in inspect.signature(fn).parameters.items():
         if (isinstance(param.default, (int, float)) and name in kwargs
                 and not isinstance(kwargs[name], Real)):
-            raise DataError(f"{name} must be a number, got {kwargs[name]!r}")
+            kind = "an integer" if isinstance(param.default, int) else "a number"
+            raise DataError(f"{name} must be {kind}, got {kwargs[name]!r}")
     if spec.kind == "moran_fork":
         kwargs.setdefault("seed", spec.seed)
     try:

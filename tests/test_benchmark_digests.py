@@ -1,7 +1,6 @@
-"""The benchmark's workloads, run once at seed 0 (tied-large at every
-recorded seed), must reproduce their recorded payload digests, so that a
-change that moves a single bit of a benchmarked result fails here and not
-only in the benchmark.
+"""The benchmark's workloads, run at every recorded seed, must reproduce
+their recorded payload digests, so that a change that moves a single bit
+of a benchmarked result fails here and not only in the benchmark.
 
 The workloads and the digests are read from ``perfbench/``; nothing there
 is written.
@@ -43,13 +42,16 @@ def test_workload_payload_matches_its_recorded_digest(name, tmp_path):
     assert workloads.digest(payload) == DIGESTS[name]["0"]
 
 
-@pytest.mark.parametrize("seed", sorted(set(DIGESTS["tied-large"]) - {"0"}, key=int))
-def test_tied_large_matches_its_digest_at_every_recorded_seed(seed, tmp_path):
+@pytest.mark.parametrize("name, seed", [
+    (name, seed) for name in sorted(workloads.WORKLOADS)
+    for seed in sorted(set(DIGESTS[name]) - {"0"}, key=int)])
+def test_workload_matches_its_digest_at_every_recorded_seed(name, seed, tmp_path):
     # each seed shifts the data window, and with it which states repeat and
-    # which rows tie
-    workload = workloads.WORKLOADS["tied-large"]
+    # which rows tie, and seeds the library draws; fork-network's E scan is
+    # the only workload path that weights k >= 8 neighbours
+    workload = workloads.WORKLOADS[name]
     payload = workload.run(workload.setup(int(seed), tmp_path))
-    assert workloads.digest(payload) == DIGESTS["tied-large"][seed]
+    assert workloads.digest(payload) == DIGESTS[name][seed]
 
 
 # at seed 0: rows whose trusted entries hold fewer than k of the reader's

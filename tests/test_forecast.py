@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from crossmap import (CcmConfig, CrossmapError, DataError, EmbeddingParams,
                       NumericalError, TimeSeries, ccm_curve, embed, knn, loo_skill,
@@ -89,6 +89,66 @@ class TestSimplexWeights:
         assert sw.neighbor_times.tolist() == [5, 9]
         with pytest.raises(DataError):
             simplex_weights([1.0, 2.0], neighbor_times=[5])
+
+
+def row_major_weights(dist):
+    """The simplex weights computed along each row of ``dist``: the
+    reference that :func:`forecast.weight_rows`' plane layout must match
+    bit for bit."""
+    d1 = dist[:, :1]
+    zero_rows = d1[:, 0] == 0.0
+    with np.errstate(over="ignore"):
+        w = np.exp(-dist / np.where(d1 > 0, d1, 1.0))
+    if np.any(zero_rows):
+        w[zero_rows] = dist[zero_rows] == 0.0
+    return w / w.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def distance_rows(draw):
+    """A (rows, k) array of sorted non-negative distances, k = 1-12 or 64,
+    mixing zeros, tied quarter values, subnormals (whose quotients
+    overflow), ordinary values and values large enough that exp(-d/d1)
+    underflows to zero, in C or Fortran order."""
+    k = draw(st.sampled_from([*range(1, 13), 64]))
+    rows = draw(st.integers(1, 6))
+    value = st.one_of(st.just(0.0),
+                      st.integers(0, 8).map(lambda v: v / 4),
+                      st.floats(5e-324, TINY),
+                      st.floats(0.0, 10.0),
+                      st.floats(1e3, 1e300))
+    dist = np.sort(np.array(draw(st.lists(value, min_size=rows * k,
+                                          max_size=rows * k))).reshape(rows, k))
+    return np.asfortranarray(dist) if draw(st.booleans()) else dist
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(dist=distance_rows())
+@example(np.array([[0.0, 0.0, 0.0, 2.0], [0.0, 0.0, 1.0, 1.0]])).via(
+    "rows with d1 = 0 and several zeros")
+@example(np.array([[5e-324, 1.0, 1.0], [0.5, 0.5, 0.5]])).via(
+    "a quotient that overflows; tied rows")
+@example(np.array([[1.0] * 3 + [800.0] * 3 + [1e300] * 4])).via(
+    "exp underflows to 0 at k = 10")
+def test_plane_weights_are_the_row_major_weights_bit_for_bit(dist):
+    # the planes add in the order sum(axis=1) adds a row: one after
+    # another below k = 8, and sum itself from k = 8 on. The reference
+    # reads a C-ordered copy, as the readers' tables are: over a Fortran-
+    # ordered input, sum and einsum add in another order, and the planes
+    # do not depend on the input's order
+    before = dist.copy()
+    got = forecast.weight_rows(dist)
+    assert got.flags.c_contiguous and got.shape == dist.shape
+    assert dist.tobytes() == before.tobytes()
+    dist = np.ascontiguousarray(dist)
+    reference = row_major_weights(dist)
+    assert got.tobytes() == reference.tobytes()
+    rng = np.random.default_rng(dist.size)
+    series = TimeSeries("y", rng.uniform(-1e3, 1e3, size=20), origin_index=5)
+    times = rng.integers(5, 25, size=dist.shape)
+    (est,) = estimates_from_distances(dist, times, [series])
+    expected = np.einsum("mk,mk->m", reference, series.values[times - 5])
+    assert est.tobytes() == expected.tobytes()
 
 
 def knn_forecast(library, target_point, future, tp=1, target_time=None):

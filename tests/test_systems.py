@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from crossmap import DataError, NumericalError
-from crossmap.systems import (GeneratorSpec, gen_coupled_logistic,
-                              gen_lagged_logistic, gen_lorenz, gen_moran_fork,
+from crossmap.systems import (GENERATOR_KINDS, GeneratorSpec,
+                              gen_coupled_logistic, gen_lagged_logistic,
+                              gen_lorenz, gen_moran_fork,
                               gen_unidirectional_logistic, generate)
 
 
@@ -151,10 +152,9 @@ class TestMoranFork:
     def test_negative_noise_seed_rejected(self):
         with pytest.raises(DataError, match="^seed must be non-negative, got -1$"):
             gen_moran_fork(100, driver_kind="noise", seed=-1)
-        spec = GeneratorSpec(kind="moran_fork", steps=100,
-                             params={"driver_kind": "noise"}, seed=-1)
         with pytest.raises(DataError, match="^seed must be non-negative, got -1$"):
-            generate(spec)
+            generate(GeneratorSpec(kind="moran_fork", steps=100,
+                                   params={"driver_kind": "noise"}, seed=-1))
 
     @pytest.mark.parametrize("seed", [1.5, "3", None])
     def test_a_non_integer_noise_seed_raises_data_error(self, seed):
@@ -244,6 +244,12 @@ class TestGeneratorSpec:
                                             f"{re.escape(repr(seed))}$"):
             GeneratorSpec(kind="coupled_logistic", steps=10, seed=seed)
 
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_a_negative_seed_raises_data_error(self, kind):
+        # also for the kinds whose generators never read it
+        with pytest.raises(DataError, match="^seed must be non-negative, got -1$"):
+            GeneratorSpec(kind=kind, steps=10, seed=-1)
+
     def test_a_non_integer_seed_param_raises_data_error(self):
         spec = GeneratorSpec(kind="moran_fork", steps=10,
                              params={"driver_kind": "noise", "seed": 1.5})
@@ -278,7 +284,9 @@ class TestGeneratorSpec:
         ("coupled_logistic", {"bxy": (0.1, 0.2)},
          "bxy must be a number, got (0.1, 0.2)"),
         ("lorenz", {"dt": "0.01"}, "dt must be a number, got '0.01'"),
-    ], ids=["text-coupling", "tuple-rate", "text-dt"])
+        ("moran_fork", {"seed": "3"}, "seed must be an integer, got '3'"),
+        ("lagged_logistic", {"delay": "2"}, "delay must be an integer, got '2'"),
+    ], ids=["text-coupling", "tuple-rate", "text-dt", "text-seed", "text-delay"])
     def test_text_for_a_numeric_param_names_it(self, kind, params, message):
         with pytest.raises(DataError) as info:
             generate(GeneratorSpec(kind=kind, steps=10, params=params))
