@@ -650,23 +650,16 @@ class _NeighborTable:
                           k: int) -> tuple[np.ndarray, np.ndarray]:
         """Each of the table rows ``rows``' k nearest of each draw's columns
         from the points, with its library column ``own`` (n for none) at
-        +inf: (D, rows, k) library columns and distances.
+        +inf: (D, rows, k) library columns and distances. A row's own
+        column is found as the build's exact pass finds it, by comparing
+        each draw's columns with ``own``.
 
         A block holds at most ``_BLOCK_CELLS`` differences: whole draws
         when one draw's rows x L x E fit, else row blocks of one draw.
         So the rows come in (draw, row) order, and a row short of finite
         distances raises for the first of them.
         """
-        (n_draws, size), n = draws.shape, self.lib_times.size
-        e_dim = self.lib_points.shape[1]
-        # the draws ascend, so offsetting each by n + 1 past the last makes
-        # one ascending run, where a row's own column can only be at its
-        # search position
-        offset = (n + 1) * np.arange(n_draws)[:, None]
-        run, key = (draws + offset).ravel(), own + offset
-        pos = np.searchsorted(run, key)
-        own_hit = run[np.minimum(pos, run.size - 1)] == key
-        pos -= size * np.arange(n_draws)[:, None]
+        (n_draws, size), e_dim = draws.shape, self.lib_points.shape[1]
         lib = self.lib_points[draws][:, None]
         cols = np.empty((n_draws, rows.size, k), dtype=np.intp)
         dist = np.empty(cols.shape)
@@ -676,8 +669,7 @@ class _NeighborTable:
                   for rs in _row_blocks(rows.size, size, e_dim)]
         for ds, rs in blocks:
             block = _pairwise_distances(self.target_points[rows[rs]], lib[ds])
-            hit_d, hit_r = np.nonzero(own_hit[ds, rs])
-            block[hit_d, hit_r, pos[ds, rs][hit_d, hit_r]] = np.inf
+            block[draws[ds, None] == own[rs, None]] = np.inf
             flat = block.reshape(-1, size)
             try:
                 idx, nd = nearest_rows(flat, k)
@@ -854,10 +846,12 @@ def simplex_forecast(library: ShadowManifold,
     """Forecast the value at (neighbor time + tp) for one query state.
 
     Library points whose time + tp falls outside ``future`` are skipped
-    before the E+1 neighbors are selected; ``target_time``, when given,
-    is excluded from the candidates (leave-one-out). The neighbors and
-    the estimate are those of a one-row neighbor table, so a forecast at
-    a library state equals :func:`loo_skill`'s estimate there.
+    before the E+1 neighbors are selected. The neighbors and the estimate
+    are those of a one-row neighbor table whose target has the time
+    ``target_time``, or a time no library has when it is None, so the
+    table leaves the library state at ``target_time`` out (leave-one-out)
+    as it does for every reader, and a forecast at a library state equals
+    :func:`loo_skill`'s estimate there.
     """
     tp, = integer_values("tp", [tp])
     k = library.e_dim + 1
@@ -870,15 +864,14 @@ def simplex_forecast(library: ShadowManifold,
                         f"is not finite")
     times = library.times
     usable = (times + tp >= future.origin_index) & (times + tp <= future.end_index)
-    if target_time is not None:
-        usable &= times != integer_values("target_time", [target_time])[0]
-    if (n_usable := int(usable.sum())) < k:
+    lib_times = times[usable]
+    query_time = (times[-1:] + 1 if target_time is None
+                  else np.array(integer_values("target_time", [target_time])))
+    if (n_usable := lib_times.size - int(query_time[0] in lib_times)) < k:
         raise DataError(f"fewer than E+1={k} usable neighbors: need {k} neighbors "
                         f"but only {n_usable} admissible points remain after "
                         f"exclusions")
-    lib_times = times[usable]
-    # the query's row has a time no library has, so no column is its own
-    table = _NeighborTable.build(lib_times, times[-1:] + 1, query[None],
+    table = _NeighborTable.build(lib_times, query_time, query[None],
                                  library.points[usable], width=k + _VIEW_SLACK)
     try:
         neighbor_times, dist = table.nearest(slice(0, 1),

@@ -71,10 +71,9 @@ def _iterate_logistic(steps: int, burn_in: int, state: list[float],
                       labels: tuple[str, ...]) -> list[np.ndarray]:
     total = steps + burn_in
     out = [np.empty(total) for _ in labels]
-    for i, v in enumerate(state):
-        out[i][0] = v
-    for t in range(1, total):
-        state = advance(t, state)
+    for t in range(total):
+        if t:
+            state = advance(t, state)
         for i, (v, label) in enumerate(zip(state, labels)):
             out[i][t] = _check_unit(v, t, label)
     return [col[burn_in:] for col in out]
@@ -167,18 +166,19 @@ def gen_moran_fork(steps: int, coupling: float = 0.1,
 
     ``driver_kind`` "noise" replaces the logistic Z with seeded uniform
     values on [0, 1] (a non-deterministic environmental driver, still
-    reproducible from the seed).
+    reproducible from the seed). ``seed`` must be a non-negative integer
+    with either driver, although only the noise driver reads it.
     """
     _check_length(steps, burn_in)
+    if not isinstance(seed, Integral):
+        raise DataError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise DataError(f"seed must be non-negative, got {seed}")
     total = steps + burn_in
     if driver_kind == "logistic":
         (zs,) = _iterate_logistic(total, 0, [0.4],
                                   lambda _t, s: [3.8 * s[0] * (1.0 - s[0])], ("Z",))
     elif driver_kind == "noise":
-        if not isinstance(seed, Integral):
-            raise DataError(f"seed must be an integer, got {seed!r}")
-        if seed < 0:
-            raise DataError(f"seed must be non-negative, got {seed}")
         zs = np.random.default_rng(seed).uniform(0.0, 1.0, size=total)
     else:
         raise DataError(f"unknown driver kind {driver_kind!r}; use logistic or noise")
@@ -208,7 +208,7 @@ def gen_lorenz(steps: int, dt: float = 0.01, sigma: float = 10.0,
     step, sample 0 = the initial state.
     """
     _check_length(steps, burn_in)
-    if dt <= 0:
+    if not dt > 0:
         raise DataError(f"dt must be positive, got {dt}")
     total = steps + burn_in
     out = np.empty((total, 3))

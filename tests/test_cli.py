@@ -114,11 +114,12 @@ class TestGenerate:
         assert rc == 4
 
     @pytest.mark.parametrize("system,params,message", [
-        ("lagged-logistic", ["x0=1.5"], "X left [0,1] at step 1: -2.8499999999999996;"),
+        ("lagged-logistic", ["coupling=8"], "Y left [0,1] at step 3: -0.48731294999999986;"),
+        ("lagged-logistic", ["x0=1.5"], "X left [0,1] at step 0: 1.5;"),
         ("moran-fork", ["coupling=8"], "A left [0,1] at step 1: -0.04800000000000004;"),
         ("moran-fork", ["coupling=8", "driver_kind=noise"],
          "A left [0,1] at step 1: -0.42713869971432694;"),
-    ], ids=["lagged", "fork-logistic", "fork-noise"])
+    ], ids=["lagged", "lagged-initial", "fork-logistic", "fork-noise"])
     def test_escape_message_prints_a_plain_float(self, tmp_path, capsys,
                                                  system, params, message):
         flags = [f for p in params for f in ("--param", p)]
@@ -132,11 +133,12 @@ class TestGenerate:
         ("lorenz", ["initial=abc"], "initial state must be three numbers, got 'abc'"),
         ("moran-fork", ["driver_kind=noise", "seed=-1"],
          "seed must be non-negative, got -1"),
+        ("moran-fork", ["seed=-1"], "seed must be non-negative, got -1"),
         ("lagged-logistic", ["coupling=abc"], "coupling must be a number, got 'abc'"),
         ("coupled-logistic", ["rx=3.8,3.9"], "rx must be a number, got (3.8, 3.9)"),
         ("lorenz", ["initial=1,2"], "initial state must have three components"),
-    ], ids=["float-delay", "text-initial", "negative-seed", "text-coupling",
-            "list-rate", "short-initial"])
+    ], ids=["float-delay", "text-initial", "negative-seed", "logistic-negative-seed",
+            "text-coupling", "list-rate", "short-initial"])
     def test_bad_param_value_is_data_error(self, tmp_path, capsys,
                                            system, params, message):
         out = tmp_path / "x.csv"

@@ -51,6 +51,19 @@ class TestCoupledLogistic:
             gen_coupled_logistic(0)
 
 
+@pytest.mark.parametrize("gen,kwargs,message", [
+    (gen_coupled_logistic, {"x0": 1.5}, "X left [0,1] at step 0: 1.5;"),
+    (gen_coupled_logistic, {"y0": float("nan")}, "Y left [0,1] at step 0: nan;"),
+    (gen_unidirectional_logistic, {"y0": -0.2}, "Y left [0,1] at step 0: -0.2;"),
+    (gen_lagged_logistic, {"x0": 1.5}, "X left [0,1] at step 0: 1.5;"),
+    (gen_lagged_logistic, {"y0": -0.2}, "Y left [0,1] at step 0: -0.2;"),
+])
+@pytest.mark.parametrize("steps", [1, 50])
+def test_an_initial_state_outside_the_unit_interval_raises(gen, kwargs, message, steps):
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}"):
+        gen(steps, **kwargs)
+
+
 class TestUnidirectionalLogistic:
     def test_first_step_hand_values(self):
         x, y = gen_unidirectional_logistic(2)
@@ -162,6 +175,16 @@ class TestMoranFork:
                                             f"{re.escape(repr(seed))}$"):
             gen_moran_fork(5, driver_kind="noise", seed=seed)
 
+    @pytest.mark.parametrize("seed,message", [
+        (-1, "seed must be non-negative, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+    ])
+    def test_the_logistic_driver_checks_the_seed_too(self, seed, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            gen_moran_fork(10, seed=seed)
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            generate(GeneratorSpec("moran_fork", 10, params={"seed": seed}))
+
     def test_a_numpy_integer_noise_seed_is_an_integer(self):
         for got, want in zip(gen_moran_fork(20, driver_kind="noise", seed=np.int64(3)),
                              gen_moran_fork(20, driver_kind="noise", seed=3)):
@@ -192,6 +215,10 @@ class TestLorenz:
     def test_bad_dt(self):
         with pytest.raises(DataError):
             gen_lorenz(10, dt=0.0)
+
+    def test_a_nan_dt_is_not_positive(self):
+        with pytest.raises(DataError, match="^dt must be positive, got nan$"):
+            gen_lorenz(5, dt=float("nan"))
 
     @pytest.mark.parametrize("initial", ["abc", ("a", 1.0, 1.0), {"x": 1.0}])
     def test_non_numeric_initial_rejected(self, initial):
