@@ -372,6 +372,11 @@ def eccm_profile(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
     negative one). A negative best lag on the claim cause => effect marks
     a true, possibly delayed, causal direction; non-negative best lags in
     both directions flag driver-response synchronization instead.
+
+    Every lag is a view of one build. A target whose k nearest table
+    entries are trusted and lie inside the library columns usable at every
+    scored lag is lag-stable: it is picked and weighted once for the whole
+    sweep, and only the other targets are picked again per lag.
     """
     lags = _sweep_lags("lag_range", lag_range)
     return _eccm_profiles(_effect_cross_map(cause, effect, config),
@@ -389,18 +394,22 @@ def _sweep_lags(name: str, lag_range: Sequence[int]) -> list[int]:
 def _eccm_profiles(full, causes: Sequence[TimeSeries], effect: TimeSeries,
                    config: CcmConfig, lags: list[int]) -> list[EccmProfile]:
     """:func:`eccm_profile` of each cause on the effect's lag-0 build
-    ``full``, at the ascending ``lags``: each lag's neighbors are selected
-    once on a view of it and serve every cause, on the effect's axis as
-    both callers check. A lag with too few usable points gets a note."""
+    ``full``, at the ascending ``lags``, scored by one
+    :meth:`_CrossMap.sweep`: a target whose k nearest table entries are
+    trusted and lie inside the library columns usable at every scored lag
+    is lag-stable, picked and weighted once, and only the others are
+    picked again per lag. The neighbors serve every cause, on the effect's
+    axis as both callers check. A lag with too few usable points gets a
+    note."""
     rows = []  # one list per lag, one (row, degenerate) pair per cause
-    for ell in lags:
-        try:
-            rho, _, _, degenerate = full.shifted(ell).skills(causes)
+    for ell, scores in zip(lags, full.sweep(causes, lags)):
+        if isinstance(scores, DataError):
+            rows.append([(EccmRow(lag=ell, rho=None, note=str(scores)), False)]
+                        * len(causes))
+        else:
+            rho, _, _, degenerate = scores
             rows.append([(EccmRow(lag=ell, rho=r), g) for r, g in
                          zip(rho[:, 0].tolist(), degenerate[:, 0].tolist())])
-        except DataError as err:
-            rows.append([(EccmRow(lag=ell, rho=None, note=str(err)), False)]
-                        * len(causes))
     profiles = []
     for cause, pairs in zip(causes, zip(*rows)):
         cause_rows, degenerate = zip(*pairs)

@@ -325,7 +325,14 @@ def estimates_from_distances(dist: np.ndarray,
     vote for, each of which must be a time of every series. The weights
     are computed once and serve every series.
     """
-    w = weight_rows(dist)
+    return _weighted_estimates(weight_rows(dist), neighbor_times, series)
+
+
+def _weighted_estimates(w: np.ndarray, neighbor_times: np.ndarray,
+                        series: Sequence[TimeSeries]) -> list[np.ndarray]:
+    """Each of ``series``' estimates from the C-contiguous (rows, k)
+    weights ``w`` of :func:`weight_rows` and the times they vote for.
+    Each row's estimate depends only on its own weights and values."""
     return [np.einsum("mk,mk->m", w, s.values[neighbor_times - s.origin_index])
             for s in series]
 
@@ -532,11 +539,12 @@ class _NeighborTable:
             exact(r, np.broadcast_to(np.arange(n), (r.size, n)), lib_points)
         return near, near_dist, bound
 
-    def nearest(self, rows: slice, draws: np.ndarray,
+    def nearest(self, rows: slice | np.ndarray, draws: np.ndarray,
                 k: int) -> tuple[np.ndarray, np.ndarray]:
         """Library times and distances of each target in ``rows``'s k
         nearest of each draw's columns, ties to the lower column, exactly
-        as :func:`nearest_rows` on each draw's dense block: ``draws`` is a
+        as :func:`nearest_rows` on each draw's dense block: ``rows`` is a
+        slice of table rows or an array of them, ``draws`` is a
         (D, L) group of ascending library columns, one row per draw, and
         both results are (D, rows, k).
 
@@ -560,7 +568,7 @@ class _NeighborTable:
         """
         (n_draws, size), n = draws.shape, self.lib_times.size
         near, near_dist = self.near[rows], self.near_dist[rows]
-        targets = np.arange(rows.start, rows.stop)
+        targets = np.arange(rows.start, rows.stop) if isinstance(rows, slice) else rows
         if size * near.shape[1] < k * n:
             cols, dist = self._from_points(targets, draws, k)
             return self.lib_times[cols], dist
@@ -691,10 +699,11 @@ class _CrossMap:
     """A view of one manifold's neighbor table, ready to score.
 
     :func:`cross_estimates` returns the build, at shift 0; :meth:`shifted`
-    gives the view under any shift. A view's targets are the table rows
-    ``rows`` and its library the table columns ``cols``. ``values`` fixes
-    which times are observed under the shift; any series sharing its time
-    range can be scored on the same neighbors.
+    gives the view under any shift, and :meth:`sweep` scores several
+    shifts at once. A view's targets are the table rows ``rows`` and its
+    library the table columns ``cols``. ``values`` fixes which times are
+    observed under the shift; any series sharing its time range can be
+    scored on the same neighbors.
     """
 
     table: _NeighborTable
@@ -760,14 +769,21 @@ class _CrossMap:
     def _score(self, series: Sequence[TimeSeries], draws: np.ndarray
                ) -> tuple[np.ndarray, ...]:
         times, dist = self.neighbors(draws)
-        n_draws, n_rows, k = dist.shape
-        estimates = estimates_from_distances(
-            dist.reshape(-1, k), (times + self.shift).reshape(-1, k), series)
+        k = dist.shape[2]
+        return self._skills_of(series, estimates_from_distances(
+            dist.reshape(-1, k), (times + self.shift).reshape(-1, k), series))
+
+    def _skills_of(self, series: Sequence[TimeSeries],
+                   estimates: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+        """Each series' skill from its estimates, (draws x targets) flat in
+        draw order: (series, draws) arrays of rho, MAE, RMSE and
+        degeneracy, or the error :func:`skill_stats` raises for the first
+        draw that fails, series by series."""
         targets = self.target_times + self.shift
         scores = []
         for s, est in zip(series, estimates):
             observed = s.values[targets - s.origin_index]
-            predicted = est.reshape(n_draws, n_rows)
+            predicted = est.reshape(-1, targets.size)
             ok = np.isfinite(predicted).all(axis=1)
             if ok.all():
                 scores.append(_skill_rows(observed, predicted))
@@ -799,6 +815,60 @@ class _CrossMap:
         if rows.stop - rows.start < 2:
             raise DataError(f"no valid targets after shifting by {shift}")
         return replace(self, rows=rows, cols=cols, shift=shift)
+
+    def sweep(self, series: Sequence[TimeSeries], shifts: Sequence[int]
+              ) -> list[tuple[np.ndarray, ...] | DataError]:
+        """``self.shifted(shift).skills(series)`` for each of ``shifts`` in
+        order, with the bits that call gives, or the :class:`DataError` it
+        raises; any other error is raised for the first shift that meets it.
+
+        A shift changes only which library columns and targets at the two
+        ends of the times are usable. A row is lag-stable when its first k
+        table entries are trusted and lie inside every scored view's
+        columns (column n, which marks an untrusted entry, lies past them
+        all): it takes exactly those entries under every shift, so its
+        times and weights are computed once, and each shift only gathers
+        the values at times + shift. The other rows go through
+        :meth:`_NeighborTable.nearest` once per shift. Weights and
+        estimates are computed row by row on C-contiguous (rows, k)
+        arrays, so each row's estimate is the one the shift's own view
+        gives.
+        """
+        views = []
+        for shift in shifts:
+            try:
+                views.append(self.shifted(shift))
+            except DataError as err:
+                views.append(err)
+        scored = [view for view in views if isinstance(view, _CrossMap)]
+        if not scored:
+            return views
+        table, k = self.table, self.k
+        lo = max(view.cols.start for view in scored)
+        hi = min(view.cols.stop for view in scored)
+        first = table.near[:, :k]
+        stable = ((first >= lo) & (first < hi)).all(axis=1)
+        # the other rows' entries are overwritten by each shift that reads them
+        times = np.take(table.lib_times, first, mode="clip")
+        w = np.empty(first.shape)
+        w[stable] = weight_rows(table.near_dist[:, :k][stable])
+        out = []
+        for view in views:
+            if isinstance(view, DataError):
+                out.append(view)
+                continue
+            rows, cols = view.rows, view.cols
+            other = rows.start + np.flatnonzero(~stable[rows])
+            try:
+                if other.size:
+                    picks, dist = table.nearest(
+                        other, np.arange(cols.start, cols.stop)[None], k)
+                    times[other], w[other] = picks[0], weight_rows(dist[0])
+                out.append(view._skills_of(series, _weighted_estimates(
+                    w[rows], times[rows] + view.shift, series)))
+            except DataError as err:
+                out.append(err)
+        return out
 
 
 def cross_estimates(points: np.ndarray,

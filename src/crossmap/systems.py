@@ -8,7 +8,6 @@ generation aborts with the offending step otherwise.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from typing import Callable
@@ -28,14 +27,20 @@ __all__ = [
 ]
 
 
-def _check_length(steps: int, burn_in: int) -> None:
+def _check_args(steps: int, burn_in: int, **numbers: float) -> None:
     """Every generator's check of ``steps`` (an integer >= 1, the values
-    returned) and ``burn_in`` (an integer >= 0, the leading steps dropped)."""
+    returned), ``burn_in`` (an integer >= 0, the leading steps dropped)
+    and its real-valued parameters ``numbers`` (name=value), each of
+    which must be a real number: bools and numpy numbers are, text and
+    None are not."""
     for name, value, least in (("steps", steps, 1), ("burn_in", burn_in, 0)):
         if not isinstance(value, Integral):
             raise DataError(f"{name} must be an integer, got {value!r}")
         if value < least:
             raise DataError(f"{name} must be >= {least}, got {value}")
+    for name, value in numbers.items():
+        if not isinstance(value, Real):
+            raise DataError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,7 @@ class GeneratorSpec:
         if self.kind not in GENERATOR_KINDS:
             raise DataError(
                 f"unknown system {self.kind!r}; choose from {', '.join(GENERATOR_KINDS)}")
-        _check_length(self.steps, self.burn_in)
+        _check_args(self.steps, self.burn_in)
         require_integers(self, "seed")
         if self.seed < 0:
             raise DataError(f"seed must be non-negative, got {self.seed}")
@@ -92,7 +97,7 @@ def gen_coupled_logistic(steps: int, x0: float = 0.2, y0: float = 0.5,
     causal direction. ``steps`` counts output values; index 0 is the
     initial condition unless ``burn_in`` discards leading steps.
     """
-    _check_length(steps, burn_in)
+    _check_args(steps, burn_in, x0=x0, y0=y0, rx=rx, ry=ry, bxy=bxy, byx=byx)
 
     def advance(_t: int, s: list[float]) -> list[float]:
         x, y = s
@@ -113,7 +118,7 @@ def gen_unidirectional_logistic(steps: int, x0: float = 0.2, y0: float = 0.5,
     The linear -0.08*Y term is kept exactly as written; the only causal
     edge is Y => X.
     """
-    _check_length(steps, burn_in)
+    _check_args(steps, burn_in, x0=x0, y0=y0)
 
     def advance(_t: int, s: list[float]) -> list[float]:
         x, y = s
@@ -137,7 +142,9 @@ def gen_lagged_logistic(steps: int, delay: int = 2, coupling: float = 0.1,
     -delay. X references before time 0 are clamped to x0. ``delay`` = 1
     is the contemporaneous-coupling case (Y[t+1] driven by X[t]).
     """
-    _check_length(steps, burn_in)
+    _check_args(steps, burn_in, coupling=coupling, x0=x0, y0=y0)
+    if not isinstance(delay, Real):
+        raise DataError(f"delay must be an integer, got {delay!r}")
     if not isinstance(delay, Integral) or delay < 0:
         raise DataError(f"delay must be an integer >= 0, got {delay}")
     # a Python int: t - delay on a numpy unsigned delay would wrap
@@ -169,7 +176,7 @@ def gen_moran_fork(steps: int, coupling: float = 0.1,
     reproducible from the seed). ``seed`` must be a non-negative integer
     with either driver, although only the noise driver reads it.
     """
-    _check_length(steps, burn_in)
+    _check_args(steps, burn_in, coupling=coupling)
     if not isinstance(seed, Integral):
         raise DataError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
@@ -207,7 +214,7 @@ def gen_lorenz(steps: int, dt: float = 0.01, sigma: float = 10.0,
     Classic chaotic parameters by default; one sample per integration
     step, sample 0 = the initial state.
     """
-    _check_length(steps, burn_in)
+    _check_args(steps, burn_in, dt=dt, sigma=sigma, rho=rho, beta=beta)
     if not dt > 0:
         raise DataError(f"dt must be positive, got {dt}")
     total = steps + burn_in
@@ -246,14 +253,10 @@ GENERATOR_KINDS = tuple(_DISPATCH)
 
 
 def generate(spec: GeneratorSpec) -> tuple[TimeSeries, ...]:
-    """Run the generator described by ``spec`` and return its series."""
+    """Run the generator described by ``spec`` and return its series; the
+    generator checks the parameters."""
     fn = _DISPATCH[spec.kind]
     kwargs = dict(spec.params)
-    for name, param in inspect.signature(fn).parameters.items():
-        if (isinstance(param.default, (int, float)) and name in kwargs
-                and not isinstance(kwargs[name], Real)):
-            kind = "an integer" if isinstance(param.default, int) else "a number"
-            raise DataError(f"{name} must be {kind}, got {kwargs[name]!r}")
     if spec.kind == "moran_fork":
         kwargs.setdefault("seed", spec.seed)
     try:

@@ -101,3 +101,28 @@ def test_tables_trust_no_less_than_recorded(name, tmp_path):
     assert workloads.digest(payload) == DIGESTS[name]["0"]
     assert counts["fallback_rows"] <= TRUST_FLOOR[name]["fallback_rows"]
     assert counts["trusted"] >= TRUST_FLOOR[name]["trusted"]
+
+
+# at seed 0: the table rows that lag-sweep's two 17-lag sweeps hand to
+# _NeighborTable.nearest, summed over the lags; every other row is
+# lag-stable, picked and weighted once per sweep (picking every row at every
+# lag handed it 67,838)
+SWEEP_ROWS_BOUND = 1_734
+
+
+def test_a_lag_sweep_picks_only_its_lag_unstable_rows_per_lag(tmp_path):
+    from crossmap import forecast
+
+    handed = []
+    nearest = forecast._NeighborTable.nearest
+
+    def counting_nearest(table, rows, draws, k):
+        handed.append(np.arange(table.target_times.size)[rows].size)
+        return nearest(table, rows, draws, k)
+
+    workload = workloads.WORKLOADS["lag-sweep"]
+    inputs = workload.setup(0, tmp_path)
+    with mock.patch.object(forecast._NeighborTable, "nearest", counting_nearest):
+        payload = workload.run(inputs)
+    assert workloads.digest(payload) == DIGESTS["lag-sweep"]["0"]
+    assert 0 < sum(handed) <= SWEEP_ROWS_BOUND

@@ -1808,3 +1808,88 @@ class TestStateRoute:
         scan = select_embedding_dimension(self.counts()[0])
         assert scan.best_e == 5
         assert [r.stats.rho.hex() for r in scan.rows] == self.COUNTS_SCAN
+
+
+def sweep_series(kind, n, origin, rng):
+    """``n`` values from time ``origin``: a logistic map, the same with
+    three values at 1e300 (whose states have no finite distance to the
+    others, so a shift may leave them short of candidates), 2-decimal
+    values on 12 levels (many states repeat, and rows tie at the table's
+    bound), or a constant."""
+    if kind in ("continuous", "outliers"):
+        values = logistic_series(n, x0=rng.uniform(0.1, 0.9)).values.copy()
+        if kind == "outliers":
+            values[rng.choice(n, size=3, replace=False)] = 1e300
+    else:
+        values = np.round(rng.integers(0, 12, size=n) * 0.01, 2) \
+            if kind == "two_decimals" else np.full(n, 0.25)
+    return TimeSeries("x", values, origin_index=origin)
+
+
+class TestSweep:
+    """:meth:`_CrossMap.sweep` scores each shift of a build with the bits,
+    the note or the error of that shift's own view, although it picks and
+    weights its lag-stable rows once."""
+
+    @settings(max_examples=250, deadline=None, database=None)
+    @given(kind=st.sampled_from(["continuous", "outliers", "two_decimals", "constant"]),
+           n=st.integers(8, 200), origin=st.integers(-3, 3),
+           # E = 7 gives k = 8, the first k whose weights weight_rows sums
+           # by rows
+           e_dim=st.one_of(st.integers(1, 4), st.just(7)),
+           wide=st.booleans(), split=st.booleans(),
+           scale=st.sampled_from([1.0, 1.0, 1e160]), data=st.data())
+    def test_each_shift_is_its_own_view(self, kind, n, origin, e_dim, wide, split,
+                                        scale, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        series = sweep_series(kind, n, origin, rng)
+        manifold = embed(series, EmbeddingParams(e_dim))
+        times, k = manifold.times, e_dim + 1
+        cut = data.draw(st.integers(1, times.size - 1)) if split else times.size
+        lib, tgt = times[:cut], (times[cut:] if split else times)
+        # the series (a bounded one beside outliers) and a second cause on
+        # its axis, which at 1e160 overflows every scored shift's correlation
+        causes = (series if kind != "outliers"
+                  else TimeSeries("b", rng.random(n), origin_index=origin),
+                  TimeSeries("c", rng.random(n) * scale, origin_index=origin))
+        # lags around 0, or reaching past the series, which leaves some too
+        # short and, when they span more than the series, no column usable
+        # at every lag
+        reach = data.draw(st.sampled_from([3, n // 2 + 2, n + 2]))
+        shifts = sorted(data.draw(st.sets(st.integers(-reach, reach), min_size=1,
+                                          max_size=9)))
+        try:
+            full = cross_estimates(manifold.points, times, series, k, lib_times=lib,
+                                   target_times=tgt, draws=wide)
+        except DataError:
+            reject()
+        assert full.table.near.shape[1] == min(
+            forecast._TABLE_WIDTH if wide else k + forecast._VIEW_SLACK, lib.size)
+        alone = [outcome(lambda: full.shifted(s).skills(causes)) for s in shifts]
+        swept = outcome(lambda: full.sweep(causes, shifts))
+        raised = [a for a in alone if isinstance(a, str) and not a.startswith("DataError")]
+        if raised:
+            assert swept == raised[0]
+            return
+        assert len(swept) == len(shifts)
+        for got, want in zip(swept, alone):
+            if isinstance(want, str):
+                assert f"{type(got).__name__}: {got}" == want
+            else:
+                assert [part.tobytes() for part in got] == [part.tobytes() for part in want]
+                assert [part.shape for part in got] == [(2, 1)] * 4
+
+    def test_an_untrusted_entry_is_picked_per_shift(self):
+        # 120 values on 12 two-decimal levels at E = 1: many rows tie at the
+        # narrow table's bound, and their untrusted entries (column n) may
+        # stand for columns that are not the nearest; such rows are picked
+        # per shift, from the points
+        rng = np.random.default_rng(0)
+        series = TimeSeries("x", np.round(rng.integers(0, 12, size=120) * 0.01, 2))
+        manifold = embed(series, EmbeddingParams(1))
+        full = cross_estimates(manifold.points, manifold.times, series, 2)
+        assert (full.table.near[:, :2] == full.table.lib_times.size).any()
+        shifts = list(range(-3, 4))
+        for shift, got in zip(shifts, full.sweep((series,), shifts)):
+            want = full.shifted(shift).skills((series,))
+            assert [part.tobytes() for part in got] == [part.tobytes() for part in want]

@@ -121,10 +121,13 @@ class TestLaggedLogistic:
         with pytest.raises(DataError):
             gen_lagged_logistic(100, delay=-1)
 
-    @pytest.mark.parametrize("delay", [2.0, "2"])
-    def test_non_integer_delay_rejected(self, delay):
-        with pytest.raises(DataError,
-                           match=f"^delay must be an integer >= 0, got {delay}$"):
+    @pytest.mark.parametrize("delay, text", [
+        (2.0, "delay must be an integer >= 0, got 2.0"),
+        # text is not a number at all, which generate words the same way
+        ("2", "delay must be an integer, got '2'"),
+    ], ids=["2.0", "2"])
+    def test_non_integer_delay_rejected(self, delay, text):
+        with pytest.raises(DataError, match=f"^{re.escape(text)}$"):
             gen_lagged_logistic(100, delay=delay)
 
     def test_a_numpy_integer_delay_is_an_integer(self):
@@ -257,6 +260,28 @@ class TestLengthCheck:
     def test_a_bad_length_raises_data_error(self, gen, steps, burn_in, text):
         with pytest.raises(DataError, match=f"^{re.escape(text)}$"):
             gen(steps, burn_in=burn_in)
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("coupled_logistic", {"x0": "a"}, "x0 must be a number, got 'a'"),
+    ("coupled_logistic", {"byx": (0.1, 0.2)}, "byx must be a number, got (0.1, 0.2)"),
+    ("unidirectional_logistic", {"y0": None}, "y0 must be a number, got None"),
+    ("lagged_logistic", {"coupling": None}, "coupling must be a number, got None"),
+    ("lagged_logistic", {"delay": "2"}, "delay must be an integer, got '2'"),
+    ("moran_fork", {"coupling": "a"}, "coupling must be a number, got 'a'"),
+    ("moran_fork", {"seed": "3"}, "seed must be an integer, got '3'"),
+    ("lorenz", {"dt": "a"}, "dt must be a number, got 'a'"),
+    ("lorenz", {"beta": [8 / 3]}, "beta must be a number, got [2.6666666666666665]"),
+])
+@pytest.mark.parametrize("direct", [True, False], ids=["direct", "generate"])
+def test_a_non_numeric_param_raises_the_same_data_error(kind, params, message, direct):
+    # the generator checks its parameters, so a direct call and generate
+    # give one text, and neither fails later with a TypeError
+    gen = dict(zip(GENERATOR_KINDS, [gen_coupled_logistic, gen_unidirectional_logistic,
+                                     gen_lagged_logistic, gen_moran_fork, gen_lorenz]))[kind]
+    with pytest.raises(DataError) as info:
+        gen(5, **params) if direct else generate(GeneratorSpec(kind, 5, params=params))
+    assert str(info.value) == message
 
 
 class TestGeneratorSpec:
