@@ -373,10 +373,8 @@ def eccm_profile(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
     a true, possibly delayed, causal direction; non-negative best lags in
     both directions flag driver-response synchronization instead.
 
-    Every lag is a view of one build. A target whose k nearest table
-    entries are trusted and lie inside the library columns usable at every
-    scored lag is lag-stable: it is picked and weighted once for the whole
-    sweep, and only the other targets are picked again per lag.
+    Every lag is a view of one build, and one :meth:`_CrossMap.sweep`
+    scores them all.
     """
     lags = _sweep_lags("lag_range", lag_range)
     return _eccm_profiles(_effect_cross_map(cause, effect, config),
@@ -395,12 +393,9 @@ def _eccm_profiles(full, causes: Sequence[TimeSeries], effect: TimeSeries,
                    config: CcmConfig, lags: list[int]) -> list[EccmProfile]:
     """:func:`eccm_profile` of each cause on the effect's lag-0 build
     ``full``, at the ascending ``lags``, scored by one
-    :meth:`_CrossMap.sweep`: a target whose k nearest table entries are
-    trusted and lie inside the library columns usable at every scored lag
-    is lag-stable, picked and weighted once, and only the others are
-    picked again per lag. The neighbors serve every cause, on the effect's
-    axis as both callers check. A lag with too few usable points gets a
-    note."""
+    :meth:`_CrossMap.sweep`, whose neighbors serve every cause, on the
+    effect's axis as both callers check. A lag with too few usable points
+    gets a note; when every lag has one, the error quotes the first."""
     rows = []  # one list per lag, one (row, degenerate) pair per cause
     for ell, scores in zip(lags, full.sweep(causes, lags)):
         if isinstance(scores, DataError):
@@ -415,7 +410,9 @@ def _eccm_profiles(full, causes: Sequence[TimeSeries], effect: TimeSeries,
         cause_rows, degenerate = zip(*pairs)
         scored = [r for r in cause_rows if r.rho is not None]
         if not scored:
-            raise DataError("every lag in the range left no valid targets")
+            first = cause_rows[0]
+            raise DataError(f"every lag in the range left no valid targets; "
+                            f"lag {first.lag}: {first.note}")
         best = max(scored, key=lambda r: (r.rho, -abs(r.lag), -r.lag))
         profiles.append(EccmProfile(
             direction=f"{cause.name}=>{effect.name}", rows=cause_rows, best_lag=best.lag,

@@ -9,8 +9,8 @@ Subcommands
 
 Every analysis prints a JSON report whose ``config`` echoes all resolved
 parameters (defaults and seed included) so a rerun with the same inputs
-is byte-identical. Exit codes: 0 success, 2 usage error, 3 data error,
-4 numerical failure.
+is byte-identical. Exit codes: 0 success, 1 stdout closed by its reader,
+2 usage error, 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -465,7 +466,22 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args._argv = argv
     try:
-        return args.func(args)
+        status = args.func(args)
+        # a closed stdout raises here, not at shutdown
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # stdout's reader is gone (``crossmap eccm ... | head``): exit 1
+        # without a word. Python flushes stdout again at shutdown, so its
+        # descriptor is pointed at devnull, as Python's signal documentation
+        # advises; a stream without one (io.UnsupportedOperation is an
+        # OSError) is left as it is
+        try:
+            stdout = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
+        except OSError:
+            pass
+        return 1
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -38,9 +38,8 @@ __all__ = [
 # library columns per target in a build whose readers draw libraries; a
 # draw of L of n columns with L * W < k * n skips the table altogether, and
 # larger draws walk it and take the rows it cannot settle from the points;
-# the walk packs a row's membership into 64-bit words, so at 64 it reads
-# one word per row (a wider table, such as a narrow build at E >= 63, packs
-# each row into several words)
+# the walk packs a row's first 64 entries into one 64-bit word, so at 64 it
+# reads the whole row
 _TABLE_WIDTH = 64
 # a build read only through whole-library views keeps k + this many
 # columns: one slot for a library column that the view's shift drops
@@ -551,20 +550,22 @@ class _NeighborTable:
         In a draw, a row with k trusted entries among its columns takes the
         first k, in k rounds that each take the row's first remaining one;
         the rest are computed from the points (:meth:`_from_points`). The
-        rounds run on packed membership words: ``member[near]`` is packed
-        with ``np.packbits(..., bitorder="little")`` and read as ``"<u8"``
-        words, table column j at bit j. A round takes each word's lowest
+        rounds run on one membership word per row: a row's first 64
+        entries, ``member[near[:, :64]]``, are packed with
+        ``np.packbits(..., bitorder="little")`` and read as a ``"<u8"``
+        word, table column j at bit j. A round takes each word's lowest
         set bit, ``low = word & -word``, reads its position from the
         exponent of ``low`` converted to float64, exact for a power of
         two, and clears it with ``word ^= low``; the k-th round finds a
-        bit exactly when the row has k members. A row of W > 64 columns
-        spans several words, each walked alone, and takes the first k bits
-        over its words in order. A
-        draw of L of the n library columns puts about W L / n of them in a
-        row's W table columns, so when L W < k n every row of every draw is
-        computed from the points, the group at once and without the walk:
-        the rows that need the points get the same answer either way, and
-        so do the few that the walk would have settled.
+        bit exactly when the row has k members among those entries. A
+        draw build holds at most ``_TABLE_WIDTH`` = 64 columns; a row of a
+        wider table (a whole-library build at k >= 64) short of k members
+        there takes the points. A draw of L of the n library columns puts
+        about W L / n of them in a row's W table columns, so when
+        L W < k n every row of every draw is computed from the points, the
+        group at once and without the walk: the rows that need the points
+        get the same answer either way, and so do the few that the walk
+        would have settled.
         """
         (n_draws, size), n = draws.shape, self.lib_times.size
         near, near_dist = self.near[rows], self.near_dist[rows]
@@ -573,16 +574,16 @@ class _NeighborTable:
             cols, dist = self._from_points(targets, draws, k)
             return self.lib_times[cols], dist
         n_rows, width = near.shape
-        n_words = -(-width // 64)
+        head = near[:, :64]
         # each row's membership bits, table column j at bit j of the row's
-        # words; the bytes past the width stay 0, and so does every word
-        # once the walk has cleared its bits
-        packed = np.zeros((n_rows, 8 * n_words), dtype=np.uint8)
+        # word; the bytes past the head stay 0, and so does every word once
+        # the walk has cleared its bits
+        packed = np.zeros((n_rows, 8), dtype=np.uint8)
         words = packed.view("<u8").ravel()
         low, as_float = np.empty_like(words), np.empty(words.size)
-        # round j's exponent field of each word's lowest set bit: 1023 + its
+        # round j's exponent field of each row's lowest set bit: 1023 + its
         # position, or 0 when the word has none left
-        fields = np.empty((words.size, k), dtype=np.int64)
+        first = np.empty((n_rows, k), dtype=np.int64)
         # each row's first entry in the flattened table rows, less the bias
         row_start = np.arange(n_rows)[:, None] * width - 1023
         cols = np.empty((n_draws, n_rows, k), dtype=np.intp)
@@ -591,8 +592,8 @@ class _NeighborTable:
         member = np.zeros(n + 1, dtype=bool)
         for d, columns in enumerate(draws):
             member[columns] = True
-            packed[:, :-(-width // 8)] = np.packbits(member[near], axis=1,
-                                                     bitorder="little")
+            packed[:, :-(-head.shape[1] // 8)] = np.packbits(member[head], axis=1,
+                                                             bitorder="little")
             member[columns] = False
             for j in range(k):
                 np.negative(words, out=low)
@@ -600,16 +601,7 @@ class _NeighborTable:
                 np.bitwise_xor(words, low, out=words)
                 # a power of two converts exactly, so its exponent is its position
                 as_float[:] = low
-                np.right_shift(as_float.view(np.int64), 52, out=fields[:, j])
-            first = fields
-            if n_words > 1:
-                # a row's words were walked apart; its first k members are
-                # the first k set bits over its words in order
-                none = np.iinfo(np.int64).max
-                split = fields.reshape(n_rows, n_words, k)
-                key = np.where(split > 0, split + 64 * np.arange(n_words)[:, None], none)
-                first = np.sort(key.reshape(n_rows, -1), axis=1)[:, :k]
-                first[first == none] = 0
+                np.right_shift(as_float.view(np.int64), 52, out=first[:, j])
             # each round takes the row's first remaining member, so the k-th
             # finds one exactly when the row has k of them; the other rows'
             # picks are clipped into the table and replaced from the points
@@ -699,11 +691,12 @@ class _CrossMap:
     """A view of one manifold's neighbor table, ready to score.
 
     :func:`cross_estimates` returns the build, at shift 0; :meth:`shifted`
-    gives the view under any shift, and :meth:`sweep` scores several
-    shifts at once. A view's targets are the table rows ``rows`` and its
-    library the table columns ``cols``. ``values`` fixes which times are
-    observed under the shift; any series sharing its time range can be
-    scored on the same neighbors.
+    gives the view under any shift. :meth:`sweep` scores whole-library
+    views, several shifts at once, and :meth:`skills` scores draws. A
+    view's targets are the table rows ``rows`` and its library the table
+    columns ``cols``. ``values`` fixes which times are observed under the
+    shift; any series sharing its time range can be scored on the same
+    neighbors.
     """
 
     table: _NeighborTable
@@ -721,37 +714,33 @@ class _CrossMap:
     def target_times(self) -> np.ndarray:
         return self.table.target_times[self.rows]
 
-    def neighbors(self, draws: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
+    def neighbors(self, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each target's k nearest library times and their distances, its
         own time excluded and ties to the earliest time, among each draw's
         library, as :meth:`_NeighborTable.nearest` finds them: ``draws``
         is a (D, L) group of ascending positions into ``lib_times``, one
-        row per draw, and None is the whole library, a group of one."""
-        start = self.cols.start
-        draws = (np.arange(start, self.cols.stop)[None] if draws is None
-                 else start + np.asarray(draws, dtype=int))
+        row per draw."""
+        draws = self.cols.start + np.asarray(draws, dtype=int)
         return self.table.nearest(self.rows, draws, self.k)
 
-    def skills(self, series: Sequence[TimeSeries],
-               draws: Iterable[np.ndarray] | None = None
+    def skills(self, series: Sequence[TimeSeries], draws: Iterable[np.ndarray]
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Skill of each series with each draw's library: rho, MAE, RMSE
         and degeneracy, each a (series, draws) array holding the bits
         :func:`skill_stats` gives one draw alone.
 
         ``draws`` yields ascending positions into ``lib_times``, one array
-        per draw, and None is the whole library, one draw. They are pulled
-        in groups whose (draws, targets, k) neighbors hold at most
-        ``_BLOCK_CELLS`` numbers, each when it is scored, so memory does
-        not grow with the draws. A group's neighbors are selected together
-        (see :meth:`neighbors`), one weighting serves every series, and
-        each series is scored over the group by one :func:`core._skill_rows`.
+        per draw. They are pulled in groups whose (draws, targets, k)
+        neighbors hold at most ``_BLOCK_CELLS`` numbers, each when it is
+        scored, so memory does not grow with the draws. A group's
+        neighbors are selected together (see :meth:`neighbors`), one
+        weighting serves every series, and each series is scored over the
+        group by one :func:`core._skill_rows`.
         A group that fails is scored again one draw at a time, so that the
         error raised is the first failing draw's: its selection's, then
         each series' in order, as :func:`skill_stats` gives it.
         """
-        draws = iter([np.arange(self.lib_times.size)] if draws is None else draws)
+        draws = iter(draws)
         step = max(1, _BLOCK_CELLS // (self.target_times.size * self.k))
         scores = []
         while group := list(islice(draws, step)):
@@ -794,8 +783,12 @@ class _CrossMap:
         return tuple(np.array(part) for part in zip(*scores))
 
     def skill(self) -> SkillStats:
-        """Skill of ``values`` with the whole library (see :meth:`skills`)."""
-        rho, mae, rmse, degenerate = (a.item() for a in self.skills((self.values,)))
+        """Skill of ``values`` with the whole library: a :meth:`sweep` of
+        this view's shift, which raises the error that sweep gives."""
+        scores, = self.sweep((self.values,), [self.shift])
+        if isinstance(scores, DataError):
+            raise scores
+        rho, mae, rmse, degenerate = (a.item() for a in scores)
         return SkillStats(rho, mae, rmse, self.target_times.size, degenerate)
 
     def shifted(self, shift: int) -> "_CrossMap":
@@ -818,9 +811,12 @@ class _CrossMap:
 
     def sweep(self, series: Sequence[TimeSeries], shifts: Sequence[int]
               ) -> list[tuple[np.ndarray, ...] | DataError]:
-        """``self.shifted(shift).skills(series)`` for each of ``shifts`` in
-        order, with the bits that call gives, or the :class:`DataError` it
-        raises; any other error is raised for the first shift that meets it.
+        """Skill of each of ``series`` with the whole library of
+        ``self.shifted(shift)``, for each of ``shifts`` in order: the bits
+        :meth:`skills` gives that view's one draw of every library column,
+        or the :class:`DataError` it raises; any other error is raised for
+        the first shift that meets it. Every whole-library view is scored
+        here.
 
         A shift changes only which library columns and targets at the two
         ends of the times are usable. A row is lag-stable when its first k
@@ -828,7 +824,8 @@ class _CrossMap:
         columns (column n, which marks an untrusted entry, lies past them
         all): it takes exactly those entries under every shift, so its
         times and weights are computed once, and each shift only gathers
-        the values at times + shift. The other rows go through
+        the values at times + shift. A table narrower than k has no
+        lag-stable row. The other rows go through
         :meth:`_NeighborTable.nearest` once per shift. Weights and
         estimates are computed row by row on C-contiguous (rows, k)
         arrays, so each row's estimate is the one the shift's own view
@@ -846,12 +843,16 @@ class _CrossMap:
         table, k = self.table, self.k
         lo = max(view.cols.start for view in scored)
         hi = min(view.cols.stop for view in scored)
-        first = table.near[:, :k]
-        stable = ((first >= lo) & (first < hi)).all(axis=1)
         # the other rows' entries are overwritten by each shift that reads them
-        times = np.take(table.lib_times, first, mode="clip")
-        w = np.empty(first.shape)
-        w[stable] = weight_rows(table.near_dist[:, :k][stable])
+        times = np.empty((table.near.shape[0], k), dtype=np.intp)
+        w = np.empty(times.shape)
+        stable = np.zeros(times.shape[0], dtype=bool)
+        # a table narrower than k (a draw build at k > _TABLE_WIDTH) has none
+        if table.near.shape[1] >= k:
+            first = table.near[:, :k]
+            stable = ((first >= lo) & (first < hi)).all(axis=1)
+            times[stable] = table.lib_times[first[stable]]
+            w[stable] = weight_rows(table.near_dist[stable, :k])
         out = []
         for view in views:
             if isinstance(view, DataError):

@@ -429,6 +429,20 @@ class TestEccm:
         assert str(info.value) == ("series 'x' too short to embed: length 3 < "
                                    "minimum 4 for E=4, tau=1")
 
+    def test_every_lag_failing_quotes_the_first_lags_note(self):
+        # two effect values at 1e300 lie at +inf from every other state (the
+        # squares overflow) and at 0 from each other, so each has one usable
+        # candidate at every lag; the error says so, not only that no lag
+        # scored
+        x, y = gen_coupled_logistic(60)
+        values = y.values.copy()
+        values[[10, 30]] = 1e300
+        with pytest.raises(DataError) as info:
+            eccm_profile(x, TimeSeries("Y", values), CcmConfig(e_dim=1), range(-2, 3))
+        assert str(info.value) == (
+            "every lag in the range left no valid targets; lag -2: need 2 "
+            "neighbors but only 1 usable candidates for the target at time 10")
+
     def test_rows_turn_into_notes_at_the_edge(self):
         # 40 steps, E=2: 39 state points; a lag leaves E+2 = 4 of them
         # usable at -36 and +35 and only 3 one step further out
@@ -666,6 +680,17 @@ class TestSharedDistances:
 
         monkeypatch.setattr(crossmap.ccm, "cross_estimates", counting)
         return calls
+
+    def test_a_draw_build_narrower_than_k_sweeps_lags_like_a_wide_one(self):
+        # at E = 64 a draw build's 64 columns are fewer than k = 65, so no
+        # row is lag-stable; causal_summary's sweeps on those builds find
+        # the best lags eccm_profile finds on builds of E + 2 columns
+        x, y = gen_coupled_logistic(700)
+        cfg = CcmConfig(e_dim=64, lib_sizes=(66, 300, 600), samples_per_size=2)
+        net = causal_summary([x, y], cfg, eccm_lags=range(-2, 3))
+        assert [edge.best_lag for edge in net.edges] == [
+            eccm_profile(cause, effect, cfg, range(-2, 3)).best_lag
+            for cause, effect in ((x, y), (y, x))]
 
     def test_lag_sweep_builds_once(self, coupled, builds):
         x, y = coupled

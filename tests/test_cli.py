@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -410,6 +411,35 @@ class TestEccmCommand:
     def test_empty_lag_range(self, coupled_csv):
         assert main(["eccm", "-i", str(coupled_csv), "--cause", "X",
                      "--effect", "Y", "--lags", "5:1"]) == 2
+
+    def test_a_closed_stdout_exits_1_quietly(self, coupled_csv, monkeypatch, capsys):
+        # the reader of the report went away, as ``crossmap eccm ... | head``
+        # leaves it: that is no data error, and nothing is printed
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["eccm", "-i", str(coupled_csv), "--cause", "X",
+                     "--effect", "Y", "--lags=-2:2"]) == 1
+        assert capsys.readouterr().err == ""
+
+    def test_a_closed_pipe_leaves_no_error_at_shutdown(self, coupled_csv):
+        # a pipe whose read end is closed before the report is written
+        read, write = os.pipe()
+        os.close(read)
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(crossmap.__file__).resolve().parents[1])}
+        try:
+            done = subprocess.run([sys.executable, "-m", "crossmap.cli", "eccm",
+                                   "-i", str(coupled_csv), "--cause", "X",
+                                   "--effect", "Y", "--lags=-2:2"],
+                                  stdout=write, stderr=subprocess.PIPE, env=env,
+                                  timeout=300)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr.decode()) == (1, "")
 
 
 class TestDemo:

@@ -552,9 +552,11 @@ def dense_neighbors(cross_map, manifold, lib, tgt, columns):
 
 def draw_neighbors(cross_map, columns=None):
     """The map's neighbor times and distances for one draw of ``columns``
-    (ascending positions; None is the whole library): the neighbors of a
-    group of one."""
-    times, dist = cross_map.neighbors(None if columns is None else columns[None])
+    (ascending positions; None is the draw of every library column): the
+    neighbors of a group of one."""
+    if columns is None:
+        columns = np.arange(cross_map.lib_times.size)
+    times, dist = cross_map.neighbors(columns[None])
     assert times.shape[0] == dist.shape[0] == 1
     return times[0], dist[0]
 
@@ -870,9 +872,10 @@ class TestCrossMapEngine:
         manifold = embed(series, EmbeddingParams(1))
         cross_map = cross_estimates(manifold.points, manifold.times, series,
                                     2).shifted(0)
-        with pytest.raises(DataError, match="^need 2 neighbors but only 1 usable "
-                                            "candidates for the target at time 0$"):
-            cross_map.neighbors()
+        for read in (lambda: draw_neighbors(cross_map), cross_map.skill):
+            with pytest.raises(DataError, match="^need 2 neighbors but only 1 usable "
+                                                "candidates for the target at time 0$"):
+                read()
 
     def test_the_failing_target_is_named_by_its_time(self):
         # targets 0-2 find their 3 neighbors among the zeros; target 3 is
@@ -882,9 +885,10 @@ class TestCrossMapEngine:
         manifold = embed(series, EmbeddingParams(1))
         cross_map = cross_estimates(manifold.points, manifold.times, series,
                                     3).shifted(0)
-        with pytest.raises(DataError, match="^need 3 neighbors but only 1 usable "
-                                            "candidates for the target at time 3$"):
-            cross_map.neighbors()
+        for read in (lambda: draw_neighbors(cross_map), cross_map.skill):
+            with pytest.raises(DataError, match="^need 3 neighbors but only 1 usable "
+                                                "candidates for the target at time 3$"):
+                read()
 
 
 def whole_library_trust(table, dense, width):
@@ -1325,7 +1329,7 @@ class TestViewWidth:
         narrow, wide = self.views(manifold, series, shift, times, times)
         with mock.patch.object(forecast, "nearest_rows",
                                wraps=nearest_rows) as fallback:
-            narrow.neighbors()
+            draw_neighbors(narrow)
         assert fallback.called
         self.assert_narrow_is_wide_and_dense(manifold, narrow, wide, times, times)
 
@@ -1482,9 +1486,9 @@ class TestDrawGroups:
 
 
 def mask_walk(table, rows, draws, k):
-    """:meth:`_NeighborTable.nearest` as k rounds over a (rows, W) boolean
-    mask, each taking a row's first remaining member by ``argmax``: the
-    reference the packed walk is compared with."""
+    """:meth:`_NeighborTable.nearest` as k rounds over a boolean mask of
+    each row's first 64 entries, each taking a row's first remaining member
+    by ``argmax``: the reference the packed walk is compared with."""
     n_draws, size = draws.shape
     near, near_dist = table.near[rows], table.near_dist[rows]
     targets = np.arange(rows.start, rows.stop)
@@ -1498,7 +1502,7 @@ def mask_walk(table, rows, draws, k):
     for d, columns in enumerate(draws):
         member = np.zeros(table.lib_times.size + 1, dtype=bool)
         member[columns] = True
-        ok = member[near]
+        ok = member[near[:, :64]]
         picked = np.empty((at.size, k), dtype=np.intp)
         for j in range(k - 1):
             picked[:, j] = ok.argmax(axis=1)
@@ -1527,8 +1531,9 @@ def with_points_calls(call):
 
 class TestPackedWalk:
     """The walk on packed membership words picks what the mask walk picks
-    and sends the same rows to the points, at every table width, one word
-    or several."""
+    and sends the same rows to the points, at every table width: one word
+    holds a row's first 64 entries, and a row short of k members among
+    them takes the points."""
 
     @pytest.mark.parametrize("width", [1, 2, 5, 8, 9, 63, 64, 65, 72])
     @settings(max_examples=50, deadline=None, database=None)
@@ -1600,35 +1605,37 @@ class TestPackedWalk:
     @pytest.mark.parametrize("width", [63, 64, 65, 72, 130])
     def test_rows_settle_across_words(self, width):
         # continuous values: every row trusts all W entries, so a whole-
-        # library draw settles every row at k = W, whatever the word count;
-        # without the last of row 0's entries, row 0 settles at k = W - 1
-        # and takes the points at k = W
+        # library draw settles every row from its word at k = min(W, 64),
+        # and at k = W > 64 every row takes the points, with the same
+        # numbers; without the last of row 0's entries in its word, row 0
+        # settles one round earlier and takes the points at min(W, 64)
         series = TimeSeries("x", np.random.default_rng(width).normal(size=400))
         manifold = embed(series, EmbeddingParams(1))
         with mock.patch.object(forecast, "_TABLE_WIDTH", width):
             table = cross_estimates(manifold.points, manifold.times, series, 2,
                                     draws=True).table
-        rows, n = slice(0, 50), table.lib_times.size
+        rows, n, head = slice(0, 50), table.lib_times.size, min(width, 64)
         assert np.all(table.near[rows] < n)
         whole = np.arange(n)[None]
-        got, calls = with_points_calls(lambda: table.nearest(rows, whole, width))
-        assert calls == []
-        assert got[0][0].tolist() == table.lib_times[table.near[rows]].tolist()
-        assert got[1][0].tobytes() == table.near_dist[rows].tobytes()
-        short = np.setdiff1d(whole, table.near[0, -1])[None]
-        for k in (width - 1, width):
+        for k in sorted({head, width}):
+            got, calls = with_points_calls(lambda: table.nearest(rows, whole, k))
+            assert (calls == []) == (k == head)
+            assert got[0][0].tolist() == table.lib_times[table.near[rows, :k]].tolist()
+            assert got[1][0].tobytes() == table.near_dist[rows, :k].tobytes()
+        short = np.setdiff1d(whole, table.near[0, head - 1])[None]
+        for k in (head - 1, head):
             got, calls = with_points_calls(lambda: table.nearest(rows, short, k))
             want, want_calls = with_points_calls(lambda: mask_walk(table, rows, short, k))
             assert calls == want_calls
-            assert any(0 in targets for targets, _ in calls) == (k == width)
+            assert any(0 in targets for targets, _ in calls) == (k == head)
             assert got[0].tolist() == want[0].tolist()
             assert got[1].tobytes() == want[1].tobytes()
 
 
 class TestWideNarrowTables:
     """A build read only through whole-library views keeps E + 2 columns,
-    so from E = 63 on a row's membership spans two words; the numbers are
-    those the mask walk gave."""
+    so from E = 63 on a row is wider than the walk's one word; the numbers
+    are those the multi-word walk gave."""
 
     SERIES = gen_coupled_logistic(1000)[0]
     # (rho, MAE, RMSE) of loo_skill, as float.hex()
@@ -1826,10 +1833,18 @@ def sweep_series(kind, n, origin, rng):
     return TimeSeries("x", values, origin_index=origin)
 
 
+def whole_library_skills(view, series):
+    """:meth:`_CrossMap.skills` of ``view`` with the one draw of every
+    library column: the walk's whole-library read, which the sweep must
+    match."""
+    return view.skills(series, [np.arange(view.lib_times.size)])
+
+
 class TestSweep:
     """:meth:`_CrossMap.sweep` scores each shift of a build with the bits,
-    the note or the error of that shift's own view, although it picks and
-    weights its lag-stable rows once."""
+    the note or the error of that shift's own view read as one draw of its
+    whole library, although it picks and weights its lag-stable rows
+    once."""
 
     @settings(max_examples=250, deadline=None, database=None)
     @given(kind=st.sampled_from(["continuous", "outliers", "two_decimals", "constant"]),
@@ -1858,14 +1873,19 @@ class TestSweep:
         reach = data.draw(st.sampled_from([3, n // 2 + 2, n + 2]))
         shifts = sorted(data.draw(st.sets(st.integers(-reach, reach), min_size=1,
                                           max_size=9)))
+        # a wide build is 64 columns, or narrower than k, as a draw build
+        # is from E = 64 on
+        width = data.draw(st.sampled_from([64, k - 1]))
         try:
-            full = cross_estimates(manifold.points, times, series, k, lib_times=lib,
-                                   target_times=tgt, draws=wide)
+            with mock.patch.object(forecast, "_TABLE_WIDTH", width):
+                full = cross_estimates(manifold.points, times, series, k,
+                                       lib_times=lib, target_times=tgt, draws=wide)
         except DataError:
             reject()
         assert full.table.near.shape[1] == min(
-            forecast._TABLE_WIDTH if wide else k + forecast._VIEW_SLACK, lib.size)
-        alone = [outcome(lambda: full.shifted(s).skills(causes)) for s in shifts]
+            width if wide else k + forecast._VIEW_SLACK, lib.size)
+        alone = [outcome(lambda: whole_library_skills(full.shifted(s), causes))
+                 for s in shifts]
         swept = outcome(lambda: full.sweep(causes, shifts))
         raised = [a for a in alone if isinstance(a, str) and not a.startswith("DataError")]
         if raised:
@@ -1891,5 +1911,19 @@ class TestSweep:
         assert (full.table.near[:, :2] == full.table.lib_times.size).any()
         shifts = list(range(-3, 4))
         for shift, got in zip(shifts, full.sweep((series,), shifts)):
-            want = full.shifted(shift).skills((series,))
+            want = whole_library_skills(full.shifted(shift), (series,))
             assert [part.tobytes() for part in got] == [part.tobytes() for part in want]
+
+    def test_a_table_narrower_than_k_has_no_lag_stable_row(self):
+        # a draw build 3 columns wide at k = 5, as a 64-wide one is at
+        # E >= 64: no row has k table entries, so every row is picked per
+        # shift, from the points, and scored with k neighbours
+        x = gen_coupled_logistic(120)[0]
+        manifold = embed(x, EmbeddingParams(4))
+        with mock.patch.object(forecast, "_TABLE_WIDTH", 3):
+            full = cross_estimates(manifold.points, manifold.times, x, 5, draws=True)
+        for shifts in ([0], [-1, 0, 1]):
+            for shift, got in zip(shifts, full.sweep((x,), shifts)):
+                want = whole_library_skills(full.shifted(shift), (x,))
+                assert [part.tobytes() for part in got] \
+                    == [part.tobytes() for part in want]
