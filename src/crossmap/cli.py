@@ -26,8 +26,7 @@ from typing import Sequence
 
 from . import __version__
 from .core import (CrossmapError, DataError, NumericalError, SkillStats,
-                   TimeSeries, read_series_csv, windowed_pearson,
-                   write_series_csv)
+                   TimeSeries, _read_columns, windowed_pearson, write_series_csv)
 from .forecast import EDimScan, select_embedding_dimension
 from .ccm import (MIN_FINAL_RHO, MIN_KENDALL_TAU, MIN_RHO_GAIN, CausalNetwork,
                   CcmConfig, CcmCurve, EccmProfile, causal_summary, ccm_curve,
@@ -128,13 +127,10 @@ def _emit(args, out: str | None, inputs: dict, config: dict, results: dict,
 
 
 def _load(path: str, *names: str) -> list[TimeSeries]:
-    """The named columns of the CSV at ``path``, in the order named."""
-    columns = {s.name: s for s in read_series_csv(path)}
-    for name in names:
-        if name not in columns:
-            raise DataError(
-                f"{path}: no column {name!r}; available: {', '.join(columns)}")
-    return [columns[name] for name in names]
+    """The named columns of the CSV at ``path``, in the order named; the
+    other columns' cells are never converted, so a date column cannot
+    fail a run that does not name it."""
+    return _read_columns(path, names)
 
 
 def _load_pair(args) -> list[TimeSeries]:
@@ -419,13 +415,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simplex)
 
-    p = sub.add_parser("ccm", help="cross-map convergence curves")
-    p.add_argument("--input", "-i", required=True)
-    p.add_argument("--cause", required=True)
-    p.add_argument("--effect", required=True)
-    p.add_argument("--e", default="auto",
-                   help="embedding dimension (integer or 'auto')")
-    p.add_argument("--tau", type=int, default=1)
+    # the flags of a cause/effect pair, which ccm and eccm share
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--input", "-i", required=True)
+    pair.add_argument("--cause", required=True)
+    pair.add_argument("--effect", required=True)
+    pair.add_argument("--e", default="auto",
+                      help="embedding dimension (integer or 'auto')")
+    pair.add_argument("--tau", type=int, default=1)
+    pair.add_argument("--out", default=None)
+
+    p = sub.add_parser("ccm", parents=[pair], help="cross-map convergence curves")
     p.add_argument("--lag", type=int, default=0)
     p.add_argument("--lib-sizes", default=None, dest="lib_sizes",
                    help="comma-separated library sizes")
@@ -437,19 +437,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also report the joint-embedding (PAI) skill")
     p.add_argument("--contiguous", action="store_true",
                    help="draw contiguous segments instead of random subsets")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_ccm)
 
-    p = sub.add_parser("eccm", help="cross-map skill versus prediction lag")
-    p.add_argument("--input", "-i", required=True)
-    p.add_argument("--cause", required=True)
-    p.add_argument("--effect", required=True)
+    p = sub.add_parser("eccm", parents=[pair],
+                       help="cross-map skill versus prediction lag")
     p.add_argument("--lags", required=True,
                    help="inclusive range A:B; write --lags=-8:8 for "
                         "negative starts")
-    p.add_argument("--e", default="auto")
-    p.add_argument("--tau", type=int, default=1)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eccm)
 
     p = sub.add_parser("demo", help="reproduce a pinned analysis end to end")

@@ -12,7 +12,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -225,10 +225,21 @@ def read_series_csv(path: str) -> list[TimeSeries]:
     decimal real. Missing cells, non-numeric cells, and NaN/Inf are
     rejected outright. A leading UTF-8 byte-order mark and blank lines
     (empty, or only whitespace in every cell) after the last data row are
-    ignored.
+    ignored. A file that is not UTF-8 text, or that the csv module cannot
+    split (a field over its 131,072-character limit, say), raises
+    :class:`DataError` naming the path, and for the latter the line the
+    reader stopped on.
     """
+    return _read_columns(path)
+
+
+def _read_columns(path: str, wanted: Sequence[str] | None = None) -> list[TimeSeries]:
+    """The columns ``wanted`` of the CSV at ``path`` in the order named, or
+    every column when None, as :func:`read_series_csv` reads them. Every
+    row is checked for its cell count and for blank lines, but only the
+    wanted columns' cells are converted."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -238,7 +249,13 @@ def read_series_csv(path: str) -> list[TimeSeries]:
             raise DataError(f"{path}: header row must name every column")
         if len(set(names)) != len(names):
             raise DataError(f"{path}: duplicate column names in header")
-        columns: list[list[float]] = [[] for _ in names]
+        for name in wanted or ():
+            if name not in names:
+                raise DataError(
+                    f"{path}: no column {name!r}; available: {', '.join(names)}")
+        picked = range(len(names)) if wanted is None else [names.index(n)
+                                                            for n in wanted]
+        columns: list[list[float]] = [[] for _ in picked]
         blank_line = None  # first blank line not yet followed by data
         for line_no, row in enumerate(reader, start=2):
             if not "".join(row).strip():
@@ -250,10 +267,10 @@ def read_series_csv(path: str) -> list[TimeSeries]:
             if len(row) != len(names):
                 raise DataError(
                     f"{path}:{line_no}: expected {len(names)} cells, got {len(row)}")
-            for col, cell in enumerate(row):
-                text = cell.strip()
+            for values, col in zip(columns, picked):
+                cell = row[col]
                 try:
-                    value = float(text)
+                    value = float(cell.strip())
                 except ValueError:
                     raise DataError(
                         f"{path}:{line_no}: column {names[col]!r} has "
@@ -262,10 +279,25 @@ def read_series_csv(path: str) -> list[TimeSeries]:
                     raise DataError(
                         f"{path}:{line_no}: column {names[col]!r} has "
                         f"non-finite value {cell!r}")
-                columns[col].append(value)
+                values.append(value)
     if not columns[0]:
         raise DataError(f"{path}: no data rows")
-    return [TimeSeries(name, np.asarray(col)) for name, col in zip(names, columns)]
+    return [TimeSeries(names[col], np.asarray(values))
+            for col, values in zip(picked, columns)]
+
+
+def _csv_rows(path: str, fh: TextIO) -> Iterator[list[str]]:
+    """The rows of the CSV file ``fh``. Text that is not UTF-8 raises a
+    :class:`DataError` naming ``path``, and text that the csv module
+    cannot split one naming the line it stopped on too."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: not UTF-8 text (byte {err.object[err.start]:#04x}: "
+                        f"{err.reason}); save it as UTF-8") from None
+    except csv.Error as err:
+        raise DataError(f"{path}:{reader.line_num}: {err}") from None
 
 
 def write_series_csv(path: str, series: Sequence[TimeSeries]) -> None:

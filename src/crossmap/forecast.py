@@ -35,14 +35,15 @@ __all__ = [
     "select_embedding_dimension",
 ]
 
-# library columns per target in a build whose readers draw libraries; a
-# draw of L of n columns with L * W < k * n skips the table altogether, and
-# larger draws walk it and take the rows it cannot settle from the points;
-# the walk packs a row's first 64 entries into one 64-bit word, so at 64 it
-# reads the whole row
+# library columns per target in a build whose readers draw libraries,
+# unless k + _VIEW_SLACK is more; a draw of L of n columns with L * W < k * n
+# skips the table altogether, and larger draws walk it and take the rows it
+# cannot settle from the points; the walk packs a row's first 64 entries
+# into one 64-bit word, so at 64 it reads the whole row
 _TABLE_WIDTH = 64
-# a build read only through whole-library views keeps k + this many
-# columns: one slot for a library column that the view's shift drops
+# every build keeps at least k + this many columns, and a build read only
+# through whole-library views that many: one slot for a library column
+# that the view's shift drops
 _VIEW_SLACK = 1
 # the most numbers one block holds at once (a dense block's differences, a
 # screen block's approximations and partition indices over its window,
@@ -557,15 +558,18 @@ class _NeighborTable:
         set bit, ``low = word & -word``, reads its position from the
         exponent of ``low`` converted to float64, exact for a power of
         two, and clears it with ``word ^= low``; the k-th round finds a
-        bit exactly when the row has k members among those entries. A
-        draw build holds at most ``_TABLE_WIDTH`` = 64 columns; a row of a
-        wider table (a whole-library build at k >= 64) short of k members
-        there takes the points. A draw of L of the n library columns puts
-        about W L / n of them in a row's W table columns, so when
-        L W < k n every row of every draw is computed from the points, the
-        group at once and without the walk: the rows that need the points
-        get the same answer either way, and so do the few that the walk
-        would have settled.
+        bit exactly when the row has k members among those entries. No
+        build asks for fewer than k + 1 columns, so a draw build at
+        k >= 64 is wider than 64 columns, and a row of a table wider than
+        64 short of k members among its first 64 entries takes the points. A draw of L
+        of the n library columns puts about W L / n of them in a row's W
+        table columns, so when L W < k n every row of every draw is
+        computed from the points, the group at once and without the walk:
+        the rows that need the points get the same answer either way, and
+        so do the few that the walk would have settled. The rule has no
+        constant: a table at least k + 1 wide meets it only in a draw of
+        fewer than k / (k + 1) of its columns, so an unshifted whole
+        library never does.
         """
         (n_draws, size), n = draws.shape, self.lib_times.size
         near, near_dist = self.near[rows], self.near_dist[rows]
@@ -686,6 +690,13 @@ class _NeighborTable:
         return cols, dist
 
 
+def _observed(times: np.ndarray, values: TimeSeries, shift: int) -> slice:
+    """The run of the ascending ``times`` whose time + ``shift`` ``values``
+    observes: the times it observes form one interval."""
+    return slice(*np.searchsorted(times, [values.origin_index - shift,
+                                          values.end_index - shift + 1]).tolist())
+
+
 @dataclass(frozen=True)
 class _CrossMap:
     """A view of one manifold's neighbor table, ready to score.
@@ -794,13 +805,12 @@ class _CrossMap:
     def shifted(self, shift: int) -> "_CrossMap":
         """The build this view came from, under ``shift``.
 
-        The times observed under a shift form one interval, so the usable
-        library and the usable targets are each one run of the build's
-        sorted times: a range of table columns and a range of table rows.
+        The usable library and the usable targets are each one run of the
+        build's sorted times (:func:`_observed`): a range of table columns
+        and a range of table rows.
         """
-        bounds = [self.values.origin_index - shift, self.values.end_index - shift + 1]
-        cols = slice(*np.searchsorted(self.table.lib_times, bounds).tolist())
-        rows = slice(*np.searchsorted(self.table.target_times, bounds).tolist())
+        cols = _observed(self.table.lib_times, self.values, shift)
+        rows = _observed(self.table.target_times, self.values, shift)
         n_usable = cols.stop - cols.start
         if n_usable < self.k + 1:
             raise DataError(f"library too small: {n_usable} usable points after "
@@ -824,8 +834,7 @@ class _CrossMap:
         columns (column n, which marks an untrusted entry, lies past them
         all): it takes exactly those entries under every shift, so its
         times and weights are computed once, and each shift only gathers
-        the values at times + shift. A table narrower than k has no
-        lag-stable row. The other rows go through
+        the values at times + shift. The other rows go through
         :meth:`_NeighborTable.nearest` once per shift. Weights and
         estimates are computed row by row on C-contiguous (rows, k)
         arrays, so each row's estimate is the one the shift's own view
@@ -843,16 +852,13 @@ class _CrossMap:
         table, k = self.table, self.k
         lo = max(view.cols.start for view in scored)
         hi = min(view.cols.stop for view in scored)
+        first = table.near[:, :k]
+        stable = ((first >= lo) & (first < hi)).all(axis=1)
         # the other rows' entries are overwritten by each shift that reads them
-        times = np.empty((table.near.shape[0], k), dtype=np.intp)
-        w = np.empty(times.shape)
-        stable = np.zeros(times.shape[0], dtype=bool)
-        # a table narrower than k (a draw build at k > _TABLE_WIDTH) has none
-        if table.near.shape[1] >= k:
-            first = table.near[:, :k]
-            stable = ((first >= lo) & (first < hi)).all(axis=1)
-            times[stable] = table.lib_times[first[stable]]
-            w[stable] = weight_rows(table.near_dist[stable, :k])
+        times = np.empty(first.shape, dtype=np.intp)
+        w = np.empty(first.shape)
+        times[stable] = table.lib_times[first[stable]]
+        w[stable] = weight_rows(table.near_dist[stable, :k])
         out = []
         for view in views:
             if isinstance(view, DataError):
@@ -890,8 +896,9 @@ def cross_estimates(points: np.ndarray,
 
     ``draws`` says whether the readers draw libraries (column subsets):
     then the table keeps ``_TABLE_WIDTH`` columns (read at each call),
-    else k + ``_VIEW_SLACK`` for views of the whole library. The width
-    moves work between the table and the points, never a number.
+    else k + ``_VIEW_SLACK`` for views of the whole library; no table is
+    narrower than k + ``_VIEW_SLACK``. The width moves work between the
+    table and the points, never a number.
     """
     lib = np.sort(np.asarray(lib_times, dtype=int)) if lib_times is not None else times
     if not np.all(np.isin(lib, times)):
@@ -902,9 +909,9 @@ def cross_estimates(points: np.ndarray,
         if (repeated := chosen[:-1][np.diff(chosen) == 0]).size:
             raise DataError(f"{what} times must not repeat: time {repeated[0]} "
                             f"appears more than once")
-    table = _NeighborTable.build(lib, tgt, points[tgt - times[0]],
-                                 points[lib - times[0]],
-                                 width=_TABLE_WIDTH if draws else k + _VIEW_SLACK)
+    table = _NeighborTable.build(
+        lib, tgt, points[tgt - times[0]], points[lib - times[0]],
+        width=max(_TABLE_WIDTH if draws else 0, k + _VIEW_SLACK))
     return _CrossMap(table=table, rows=slice(0, tgt.size), cols=slice(0, lib.size),
                      values=values, shift=0, k=k)
 
@@ -933,17 +940,16 @@ def simplex_forecast(library: ShadowManifold,
     if not np.all(np.isfinite(query)):
         raise DataError(f"fewer than E+1={k} usable neighbors: the query state "
                         f"is not finite")
-    times = library.times
-    usable = (times + tp >= future.origin_index) & (times + tp <= future.end_index)
-    lib_times = times[usable]
-    query_time = (times[-1:] + 1 if target_time is None
+    cols = _observed(library.times, future, tp)
+    lib_times = library.times[cols]
+    query_time = (library.times[-1:] + 1 if target_time is None
                   else np.array(integer_values("target_time", [target_time])))
     if (n_usable := lib_times.size - int(query_time[0] in lib_times)) < k:
         raise DataError(f"fewer than E+1={k} usable neighbors: need {k} neighbors "
                         f"but only {n_usable} admissible points remain after "
                         f"exclusions")
     table = _NeighborTable.build(lib_times, query_time, query[None],
-                                 library.points[usable], width=k + _VIEW_SLACK)
+                                 library.points[cols], width=k + _VIEW_SLACK)
     try:
         neighbor_times, dist = table.nearest(slice(0, 1),
                                              np.arange(lib_times.size)[None], k)

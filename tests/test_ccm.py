@@ -681,10 +681,10 @@ class TestSharedDistances:
         monkeypatch.setattr(crossmap.ccm, "cross_estimates", counting)
         return calls
 
-    def test_a_draw_build_narrower_than_k_sweeps_lags_like_a_wide_one(self):
-        # at E = 64 a draw build's 64 columns are fewer than k = 65, so no
-        # row is lag-stable; causal_summary's sweeps on those builds find
-        # the best lags eccm_profile finds on builds of E + 2 columns
+    def test_a_draw_build_past_the_table_width_sweeps_lags_like_a_view_build(self):
+        # at E = 64, k = 65 passes _TABLE_WIDTH, so a draw build is E + 2
+        # columns wide, as eccm_profile's view builds are; causal_summary's
+        # sweeps on those builds find the best lags eccm_profile finds
         x, y = gen_coupled_logistic(700)
         cfg = CcmConfig(e_dim=64, lib_sizes=(66, 300, 600), samples_per_size=2)
         net = causal_summary([x, y], cfg, eccm_lags=range(-2, 3))

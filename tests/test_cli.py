@@ -510,6 +510,72 @@ class TestDemo:
         capsys.readouterr()
 
 
+class TestCsvInput:
+    """The CSVs users have: a column the run does not name is never
+    converted, and a file the reader cannot decode or split is a data
+    error, not a crash."""
+
+    COMMANDS = {
+        "simplex": ["--col", "Y", "--e-range", "1:3"],
+        "ccm": ["--cause", "X", "--effect", "Y", "--e", "2", "--samples", "5"],
+        "eccm": ["--cause", "X", "--effect", "Y", "--e", "2", "--lags=-2:2"],
+    }
+
+    @staticmethod
+    def dated(path, lines):
+        """``lines`` of a CSV with a date column put before its first."""
+        path.write_text("".join(
+            f"{'date' if i == 0 else f'2020-01-{i:02d}'},{line}\n"
+            for i, line in enumerate(lines)))
+        return path
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_a_dated_csv_reports_as_the_plain_one(self, coupled_csv, tmp_path,
+                                                  capsys, command):
+        dated = self.dated(tmp_path / "dated.csv",
+                           coupled_csv.read_text().splitlines())
+        reports = []
+        for path in (coupled_csv, dated):
+            assert main([command, "-i", str(path), *self.COMMANDS[command]]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[1]["results"] == reports[0]["results"]
+        assert reports[1]["warnings"] == reports[0]["warnings"]
+
+    def test_a_bad_cell_in_a_named_column_keeps_its_text(self, tmp_path, capsys):
+        path = self.dated(tmp_path / "dated.csv", ["X,Y", "0.1,0.2", "0.3,oops"])
+        assert main(["ccm", "-i", str(path), *self.COMMANDS["ccm"]]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}:3: column 'Y' has non-numeric cell 'oops'\n")
+
+    def test_an_unnamed_column_still_has_every_cell(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("date,X,Y\n2020-01-01,0.1,0.2\n0.3,0.4\n")
+        assert main(["simplex", "-i", str(path), "--col", "X"]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}:3: expected 3 cells, got 2\n")
+
+    @pytest.mark.parametrize("content, error", [
+        # an Excel "Unicode Text" export: UTF-16 LE with a byte-order mark
+        ("\ufeffX\tY\n1\t2\n".encode("utf-16-le"),
+         "not UTF-8 text (byte 0xff: invalid start byte); save it as UTF-8"),
+        (b"Temp\xe9rature,Y\n1,2\n",
+         "not UTF-8 text (byte 0xe9: invalid continuation byte); save it as UTF-8"),
+    ])
+    def test_a_file_that_is_not_utf8_is_a_data_error(self, tmp_path, capsys,
+                                                     content, error):
+        path = tmp_path / "enc.csv"
+        path.write_bytes(content)
+        assert main(["simplex", "-i", str(path), "--col", "Y"]) == 3
+        assert capsys.readouterr().err == f"data error: {path}: {error}\n"
+
+    def test_a_field_over_the_csv_limit_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text('X,Y\n1,2\n3,"' + "4" * 200_000 + '"\n')
+        assert main(["simplex", "-i", str(path), "--col", "Y"]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}:3: field larger than field limit (131072)\n")
+
+
 @pytest.mark.parametrize("command", [
     ["ccm", "--cause", "X", "--effect", "Y", "--e", "2", "--samples", "10",
      "--both-directions"],

@@ -405,6 +405,28 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match=r"gap\.csv:3: expected 2 cells, got 0"):
             read_series_csv(p)
 
+    @pytest.mark.parametrize("content, error", [
+        # an Excel "Unicode Text" export: UTF-16 LE with a byte-order mark
+        ("\ufeffX\tY\n1\t2\n".encode("utf-16-le"),
+         "not UTF-8 text (byte 0xff: invalid start byte); save it as UTF-8"),
+        # a cp1252 header
+        (b"Temp\xe9rature,Y\n1,2\n",
+         "not UTF-8 text (byte 0xe9: invalid continuation byte); save it as UTF-8"),
+    ])
+    def test_a_file_that_is_not_utf8_is_named(self, tmp_path, content, error):
+        p = tmp_path / "enc.csv"
+        p.write_bytes(content)
+        with pytest.raises(DataError) as info:
+            read_series_csv(p)
+        assert str(info.value) == f"{p}: {error}"
+
+    def test_a_field_over_the_csv_limit_is_named_with_its_line(self, tmp_path):
+        p = tmp_path / "long.csv"
+        p.write_text('X,Y\n1,2\n3,"' + "4" * 200_000 + '"\n')
+        with pytest.raises(DataError) as info:
+            read_series_csv(p)
+        assert str(info.value) == f"{p}:3: field larger than field limit (131072)"
+
     def test_rejects_duplicate_headers(self, tmp_path):
         p = tmp_path / "dup.csv"
         p.write_text("a,a\n1.0,2.0\n")

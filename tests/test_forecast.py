@@ -263,6 +263,29 @@ class TestSimplexForecast:
         without = simplex_forecast(lib, [1.0], series, tp=1, target_time=1)
         assert with_self != without
 
+    @pytest.mark.parametrize("tp", [-7, 1, 130])
+    def test_usable_columns_are_the_shifted_views(self, tp, monkeypatch):
+        # a future observed over times 40..159, against a library of times
+        # 1..119: each tp, a negative one and one past the series included,
+        # leaves part of the library usable
+        x = gen_coupled_logistic(120)[0]
+        manifold = embed(x, EmbeddingParams(2))
+        future = TimeSeries("f", x.values, origin_index=40)
+        built = []
+        build = forecast._NeighborTable.build
+
+        def recording(cls, *args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(forecast._NeighborTable, "build", classmethod(recording))
+        view = cross_estimates(manifold.points, manifold.times, future, 3).shifted(tp)
+        simplex_forecast(manifold, manifold.points[0], future, tp=tp)
+        assert 0 < view.lib_times.size < manifold.n_points
+        assert built[-1].lib_times.tolist() == view.lib_times.tolist()
+        assert built[-1].lib_points.tobytes() \
+            == view.table.lib_points[view.cols].tobytes()
+
     def test_too_few_usable_neighbors(self):
         series = TimeSeries("s", [0.1, 0.2, 0.3])
         lib = embed(series, EmbeddingParams(2))
@@ -597,7 +620,7 @@ def assert_trusted_prefix(table, width):
     """The table's trusted entries are a prefix of each row's dense
     (distance, column) order, with the same distances; a library of at
     most W + _SCREEN_SLACK columns is not screened, so there every finite
-    entry is trusted."""
+    entry is trusted. ``width`` is the width the build was asked for."""
     n = table.lib_times.size
     dist = _pairwise_distances(table.target_points, table.lib_points)
     dist[table.lib_times == table.target_times[:, None]] = np.inf
@@ -626,9 +649,10 @@ class TestCrossMapEngine:
         cut = data.draw(st.one_of(st.none(), st.integers(1, times.size - 1)))
         lib, tgt = (times, times) if cut is None else (times[:cut], times[cut:])
         with mock.patch.object(forecast, "_TABLE_WIDTH", width):
-            assert_trusted_prefix(cross_estimates(
-                manifold.points, times, series, e_dim + 1,
-                lib_times=lib, target_times=tgt, draws=True).table, width)
+            table = cross_estimates(manifold.points, times, series, e_dim + 1,
+                                    lib_times=lib, target_times=tgt, draws=True).table
+        # no build is narrower than k + _VIEW_SLACK
+        assert_trusted_prefix(table, max(width, e_dim + 1 + forecast._VIEW_SLACK))
 
     @pytest.mark.parametrize("e_dim", [1, 2, 3])
     def test_an_outlier_loosens_the_bound_but_keeps_the_prefix(self, e_dim):
@@ -1873,8 +1897,8 @@ class TestSweep:
         reach = data.draw(st.sampled_from([3, n // 2 + 2, n + 2]))
         shifts = sorted(data.draw(st.sets(st.integers(-reach, reach), min_size=1,
                                           max_size=9)))
-        # a wide build is 64 columns, or narrower than k, as a draw build
-        # is from E = 64 on
+        # a wide build is 64 columns, or k + _VIEW_SLACK where _TABLE_WIDTH
+        # is narrower than k, as a draw build is from E = 64 on
         width = data.draw(st.sampled_from([64, k - 1]))
         try:
             with mock.patch.object(forecast, "_TABLE_WIDTH", width):
@@ -1883,7 +1907,7 @@ class TestSweep:
         except DataError:
             reject()
         assert full.table.near.shape[1] == min(
-            width if wide else k + forecast._VIEW_SLACK, lib.size)
+            max(width if wide else 0, k + forecast._VIEW_SLACK), lib.size)
         alone = [outcome(lambda: whole_library_skills(full.shifted(s), causes))
                  for s in shifts]
         swept = outcome(lambda: full.sweep(causes, shifts))
@@ -1914,15 +1938,21 @@ class TestSweep:
             want = whole_library_skills(full.shifted(shift), (series,))
             assert [part.tobytes() for part in got] == [part.tobytes() for part in want]
 
-    def test_a_table_narrower_than_k_has_no_lag_stable_row(self):
-        # a draw build 3 columns wide at k = 5, as a 64-wide one is at
-        # E >= 64: no row has k table entries, so every row is picked per
-        # shift, from the points, and scored with k neighbours
+    def test_a_draw_build_is_never_narrower_than_k_plus_slack(self):
+        # _TABLE_WIDTH = 3 at k = 5, as 64 is at E >= 64: the draw build is
+        # k + 1 wide, so rows whose first k entries lie inside every view
+        # are lag-stable, and each shift still scores the whole-library
+        # draw's bits
         x = gen_coupled_logistic(120)[0]
         manifold = embed(x, EmbeddingParams(4))
         with mock.patch.object(forecast, "_TABLE_WIDTH", 3):
             full = cross_estimates(manifold.points, manifold.times, x, 5, draws=True)
+        assert full.table.near.shape[1] == 5 + forecast._VIEW_SLACK
         for shifts in ([0], [-1, 0, 1]):
+            views = [full.shifted(shift) for shift in shifts]
+            first = full.table.near[:, :5]
+            assert ((first >= max(v.cols.start for v in views))
+                    & (first < min(v.cols.stop for v in views))).all(axis=1).any()
             for shift, got in zip(shifts, full.sweep((x,), shifts)):
                 want = whole_library_skills(full.shifted(shift), (x,))
                 assert [part.tobytes() for part in got] \
