@@ -22,11 +22,11 @@ import os
 import sys
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import __version__
-from .core import (CrossmapError, DataError, NumericalError, SkillStats,
-                   TimeSeries, _read_columns, windowed_pearson, write_series_csv)
+from .core import (CrossmapError, DataError, NumericalError, TimeSeries,
+                   _read_columns, windowed_pearson, write_series_csv)
 from .forecast import EDimScan, select_embedding_dimension
 from .ccm import (MIN_FINAL_RHO, MIN_KENDALL_TAU, MIN_RHO_GAIN, CausalNetwork,
                   CcmConfig, CcmCurve, EccmProfile, causal_summary, ccm_curve,
@@ -68,49 +68,28 @@ class RunReport:
         return cls(**raw)
 
 
-def stats_dict(stats: SkillStats) -> dict:
-    return {"rho": stats.rho, "mae": stats.mae, "rmse": stats.rmse,
-            "n_pairs": stats.n_pairs, "degenerate": stats.degenerate}
-
+# A report row is a copy of its result row's fields. ``asdict`` copies the
+# SkillStats that the scan's rows nest; the helpers that every benchmark
+# workload times take ``dict(vars(row))``, since ``asdict`` deep-copies
+# every field at over ten times the cost.
 
 def scan_dict(scan: EDimScan) -> dict:
-    return {
-        "best_e": scan.best_e,
-        "rows": [{"e_dim": r.e_dim,
-                  "stats": stats_dict(r.stats) if r.stats else None,
-                  "note": r.note} for r in scan.rows],
-    }
+    return {"best_e": scan.best_e, "rows": [asdict(r) for r in scan.rows]}
 
 
 def curve_dict(curve: CcmCurve) -> dict:
-    return {
-        "direction": curve.direction,
-        "convergent": curve.convergent,
-        "final_rho": curve.final_rho,
-        "rho_gain": curve.decision.rho_gain,
-        "trend": curve.decision.trend,
-        "rows": [{"lib_size": r.lib_size, "mean_rho": r.mean_rho,
-                  "sd_rho": r.sd_rho, "samples_used": r.samples_used,
-                  "degenerate_draws": r.degenerate_draws} for r in curve.rows],
-    }
+    return {"direction": curve.direction, **vars(curve.decision),
+            "rows": [dict(vars(r)) for r in curve.rows]}
 
 
 def profile_dict(profile: EccmProfile) -> dict:
-    return {
-        "direction": profile.direction,
-        "best_lag": profile.best_lag,
-        "rows": [{"lag": r.lag, "rho": r.rho, "note": r.note}
-                 for r in profile.rows],
-    }
+    return {"direction": profile.direction, "best_lag": profile.best_lag,
+            "rows": [dict(vars(r)) for r in profile.rows]}
 
 
 def network_dict(net: CausalNetwork) -> dict:
-    return {
-        "series": list(net.series_names),
-        "edges": [{"cause": e.cause, "effect": e.effect,
-                   "final_rho": e.final_rho, "convergent": e.convergent,
-                   "best_lag": e.best_lag} for e in net.edges],
-    }
+    return {"series": list(net.series_names),
+            "edges": [dict(vars(e)) for e in net.edges]}
 
 
 def _emit(args, out: str | None, inputs: dict, config: dict, results: dict,
@@ -126,19 +105,12 @@ def _emit(args, out: str | None, inputs: dict, config: dict, results: dict,
         print(text)
 
 
-def _load(path: str, *names: str) -> list[TimeSeries]:
-    """The named columns of the CSV at ``path``, in the order named; the
-    other columns' cells are never converted, so a date column cannot
-    fail a run that does not name it."""
-    return _read_columns(path, names)
-
-
 def _load_pair(args) -> list[TimeSeries]:
     """The --cause and --effect columns of --input, which must differ."""
     if args.cause == args.effect:
         raise UsageError(f"--cause and --effect must differ, got "
                          f"{args.cause!r} for both")
-    return _load(args.input, args.cause, args.effect)
+    return _read_columns(args.input, [args.cause, args.effect])
 
 
 def _parse_int_range(text: str, what: str) -> list[int]:
@@ -241,7 +213,7 @@ def cmd_simplex(args) -> int:
     if args.split_fraction is not None and not 0.0 < args.split_fraction < 1.0:
         raise UsageError(
             f"--split-fraction must be in (0,1), got {args.split_fraction}")
-    [series] = _load(args.input, args.col)
+    [series] = _read_columns(args.input, [args.col])
     scan = select_embedding_dimension(series, e_range, tau=args.tau,
                                       tp=args.tp,
                                       split_fraction=args.split_fraction)
@@ -271,7 +243,7 @@ def cmd_ccm(args) -> int:
     if args.pai:
         results["pai"] = [
             {"direction": f"{c.name}=>{e.name}",
-             "stats": stats_dict(pai_cross_map(c, e, config))}
+             "stats": asdict(pai_cross_map(c, e, config))}
             for c, e in pairs]
     _emit(args, args.out,
           inputs={"file": args.input, "columns": [args.cause, args.effect]},
@@ -296,13 +268,6 @@ def cmd_eccm(args) -> int:
     return 0
 
 
-def _write_rows_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def cmd_demo(args) -> int:
     _check_at_least(args, seed=0)
     out_dir = Path(args.out_dir)
@@ -312,77 +277,81 @@ def cmd_demo(args) -> int:
     return demos[args.figure](args, out_dir)
 
 
-def _demo_fig3(args, out_dir: Path) -> int:
-    spec = GeneratorSpec(kind="coupled_logistic", steps=1000,
-                         burn_in=FIG3_BURN_IN)
-    x, y = generate(spec)
-    csv_path = out_dir / "fig3.csv"
-    _write_rows_csv(csv_path, ["t", "X", "Y"],
-                    [[t, repr(float(a)), repr(float(b))]
-                     for t, (a, b) in enumerate(zip(x.values, y.values))])
-    windows = [{"window": [a, b], "r": windowed_pearson(x, y, a, b)}
-               for a, b in FIG3_WINDOWS]
-    _emit(args, str(out_dir / "fig3_report.json"),
-          inputs={"generated": "coupled_logistic", "csv": str(csv_path)},
-          config={"steps": 1000, "burn_in": FIG3_BURN_IN, "x0": 0.2, "y0": 0.5,
-                  "rx": 3.8, "ry": 3.8, "bxy": 0.02, "byx": 0.08},
-          results={"windows": windows})
-    print(f"wrote {csv_path} and fig3_report.json", file=sys.stderr)
-    return 0
-
-
-def _demo_curves(args, out_dir: Path, name: str, x: TimeSeries, y: TimeSeries,
-                 generated: str, gen_config: dict, config: CcmConfig) -> int:
-    curves = [ccm_curve(x, y, config), ccm_curve(y, x, config)]
+def _write_demo(args, out_dir: Path, name: str, spec: GeneratorSpec,
+                header: list[str], rows: Iterable[list], config: dict,
+                results: dict, warnings: Sequence[str] = ()) -> int:
+    """Write demo ``name``'s CSV and report into ``out_dir``. The report
+    names the system ``spec`` generated and echoes ``config``, then the
+    spec's steps, burn-in (when there is one) and parameters."""
     csv_path = out_dir / f"{name}.csv"
-    _write_rows_csv(csv_path,
-                    ["direction", "lib_size", "mean_rho", "sd_rho",
-                     "samples_used"],
-                    [[c.direction, r.lib_size, repr(r.mean_rho),
-                      repr(r.sd_rho), r.samples_used]
-                     for c in curves for r in c.rows])
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    burn_in = {"burn_in": spec.burn_in} if spec.burn_in else {}
     _emit(args, str(out_dir / f"{name}_report.json"),
-          inputs={"generated": generated, "csv": str(csv_path)},
-          config=_config_echo(config, gen_config),
-          results={"curves": [curve_dict(c) for c in curves]},
-          warnings=[w for c in curves for w in c.warnings])
+          inputs={"generated": spec.kind, "csv": str(csv_path)},
+          config={**config, "steps": spec.steps, **burn_in, **spec.params},
+          results=results, warnings=warnings)
     print(f"wrote {csv_path} and {name}_report.json", file=sys.stderr)
     return 0
 
 
+def _demo_fig3(args, out_dir: Path) -> int:
+    spec = GeneratorSpec("coupled_logistic", 1000, burn_in=FIG3_BURN_IN,
+                         params={"x0": 0.2, "y0": 0.5, "rx": 3.8, "ry": 3.8,
+                                 "bxy": 0.02, "byx": 0.08})
+    x, y = generate(spec)
+    windows = [{"window": [a, b], "r": windowed_pearson(x, y, a, b)}
+               for a, b in FIG3_WINDOWS]
+    return _write_demo(args, out_dir, "fig3", spec, ["t", "X", "Y"],
+                       [[t, repr(float(a)), repr(float(b))]
+                        for t, (a, b) in enumerate(zip(x.values, y.values))],
+                       {}, {"windows": windows})
+
+
+def _demo_curves(args, out_dir: Path, name: str, spec: GeneratorSpec,
+                 x: TimeSeries, y: TimeSeries, config: CcmConfig) -> int:
+    curves = [ccm_curve(x, y, config), ccm_curve(y, x, config)]
+    return _write_demo(args, out_dir, name, spec,
+                       ["direction", "lib_size", "mean_rho", "sd_rho",
+                        "samples_used"],
+                       [[c.direction, r.lib_size, repr(r.mean_rho),
+                         repr(r.sd_rho), r.samples_used]
+                        for c in curves for r in c.rows],
+                       _config_echo(config),
+                       {"curves": [curve_dict(c) for c in curves]},
+                       [w for c in curves for w in c.warnings])
+
+
 def _demo_fig7(args, out_dir: Path) -> int:
-    x, y = generate(GeneratorSpec(kind="coupled_logistic", steps=1000,
-                                  burn_in=FIG3_BURN_IN))
+    spec = GeneratorSpec("coupled_logistic", 1000, burn_in=FIG3_BURN_IN)
+    x, y = generate(spec)
     config = CcmConfig(e_dim=shared_embedding_dimension(x, y), seed=args.seed)
-    return _demo_curves(args, out_dir, "fig7", x, y, "coupled_logistic",
-                        {"steps": 1000, "burn_in": FIG3_BURN_IN}, config)
+    return _demo_curves(args, out_dir, "fig7", spec, x, y, config)
 
 
 def _demo_fig8(args, out_dir: Path) -> int:
-    x, y = generate(GeneratorSpec(kind="unidirectional_logistic", steps=1000))
+    spec = GeneratorSpec("unidirectional_logistic", 1000)
+    x, y = generate(spec)
     # univariate scans pick E=1 for these nearly autonomous maps, which
     # cannot cross-map; pin the two-variable dimension instead
     config = CcmConfig(e_dim=2, seed=args.seed)
-    return _demo_curves(args, out_dir, "fig8", x, y,
-                        "unidirectional_logistic", {"steps": 1000}, config)
+    return _demo_curves(args, out_dir, "fig8", spec, x, y, config)
 
 
 def _demo_fork(args, out_dir: Path) -> int:
-    z, a, b = generate(GeneratorSpec(kind="moran_fork", steps=1000))
-    e_dim = shared_embedding_dimension(z, a, b)
-    config = CcmConfig(e_dim=e_dim, seed=args.seed)
+    spec = GeneratorSpec("moran_fork", 1000, params={"coupling": 0.1})
+    z, a, b = generate(spec)
+    config = CcmConfig(e_dim=shared_embedding_dimension(z, a, b),
+                       seed=args.seed)
     net = causal_summary([z, a, b], config)
-    csv_path = out_dir / "fork.csv"
-    _write_rows_csv(csv_path, ["cause", "effect", "final_rho", "convergent"],
-                    [[e.cause, e.effect, repr(e.final_rho), e.convergent]
-                     for e in net.edges])
-    _emit(args, str(out_dir / "fork_report.json"),
-          inputs={"generated": "moran_fork", "csv": str(csv_path)},
-          config=_config_echo(config, {"steps": 1000, "coupling": 0.1}),
-          results={"network": network_dict(net)},
-          warnings=net.warnings)
-    print(f"wrote {csv_path} and fork_report.json", file=sys.stderr)
-    return 0
+    return _write_demo(args, out_dir, "fork", spec,
+                       ["cause", "effect", "final_rho", "convergent"],
+                       [[e.cause, e.effect, repr(e.final_rho), e.convergent]
+                        for e in net.edges],
+                       _config_echo(config), {"network": network_dict(net)},
+                       net.warnings)
 
 
 def build_parser() -> argparse.ArgumentParser:

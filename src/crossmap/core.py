@@ -12,7 +12,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -227,8 +227,9 @@ def read_series_csv(path: str) -> list[TimeSeries]:
     (empty, or only whitespace in every cell) after the last data row are
     ignored. A file that is not UTF-8 text, or that the csv module cannot
     split (a field over its 131,072-character limit, say), raises
-    :class:`DataError` naming the path, and for the latter the line the
-    reader stopped on.
+    :class:`DataError` naming the path. A quoted cell may span lines, and
+    every error that names a line names the physical line the reader
+    stopped on, counting each line of such a cell.
     """
     return _read_columns(path)
 
@@ -239,65 +240,57 @@ def _read_columns(path: str, wanted: Sequence[str] | None = None) -> list[TimeSe
     row is checked for its cell count and for blank lines, but only the
     wanted columns' cells are converted."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = _csv_rows(path, fh)
+        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        names = [h.strip() for h in header]
-        if not names or any(not n for n in names):
-            raise DataError(f"{path}: header row must name every column")
-        if len(set(names)) != len(names):
-            raise DataError(f"{path}: duplicate column names in header")
-        for name in wanted or ():
-            if name not in names:
-                raise DataError(
-                    f"{path}: no column {name!r}; available: {', '.join(names)}")
-        picked = range(len(names)) if wanted is None else [names.index(n)
-                                                            for n in wanted]
-        columns: list[list[float]] = [[] for _ in picked]
-        blank_line = None  # first blank line not yet followed by data
-        for line_no, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                blank_line = blank_line or line_no
-                continue
-            if blank_line is not None:
-                raise DataError(
-                    f"{path}:{blank_line}: expected {len(names)} cells, got 0")
-            if len(row) != len(names):
-                raise DataError(
-                    f"{path}:{line_no}: expected {len(names)} cells, got {len(row)}")
-            for values, col in zip(columns, picked):
-                cell = row[col]
-                try:
-                    value = float(cell.strip())
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{line_no}: column {names[col]!r} has "
-                        f"non-numeric cell {cell!r}") from None
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"{path}:{line_no}: column {names[col]!r} has "
-                        f"non-finite value {cell!r}")
-                values.append(value)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            names = [h.strip() for h in header]
+            if not names or any(not n for n in names):
+                raise DataError(f"{path}: header row must name every column")
+            if len(set(names)) != len(names):
+                raise DataError(f"{path}: duplicate column names in header")
+            for name in wanted or ():
+                if name not in names:
+                    raise DataError(f"{path}: no column {name!r}; "
+                                    f"available: {', '.join(names)}")
+            picked = range(len(names)) if wanted is None else [names.index(n)
+                                                                for n in wanted]
+            columns: list[list[float]] = [[] for _ in picked]
+            blank_line = None  # first blank line not yet followed by data
+            for row in reader:
+                if not "".join(row).strip():
+                    blank_line = blank_line or reader.line_num
+                    continue
+                if blank_line is not None:
+                    raise DataError(f"{path}:{blank_line}: expected "
+                                    f"{len(names)} cells, got 0")
+                if len(row) != len(names):
+                    raise DataError(f"{path}:{reader.line_num}: expected "
+                                    f"{len(names)} cells, got {len(row)}")
+                for values, col in zip(columns, picked):
+                    cell = row[col]
+                    try:
+                        value = float(cell.strip())
+                    except ValueError:
+                        raise DataError(
+                            f"{path}:{reader.line_num}: column {names[col]!r} "
+                            f"has non-numeric cell {cell!r}") from None
+                    if not math.isfinite(value):
+                        raise DataError(
+                            f"{path}:{reader.line_num}: column {names[col]!r} "
+                            f"has non-finite value {cell!r}")
+                    values.append(value)
+        except UnicodeDecodeError as err:
+            raise DataError(f"{path}: not UTF-8 text (byte "
+                            f"{err.object[err.start]:#04x}: {err.reason}); "
+                            f"save it as UTF-8") from None
+        except csv.Error as err:
+            raise DataError(f"{path}:{reader.line_num}: {err}") from None
     if not columns[0]:
         raise DataError(f"{path}: no data rows")
     return [TimeSeries(names[col], np.asarray(values))
             for col, values in zip(picked, columns)]
-
-
-def _csv_rows(path: str, fh: TextIO) -> Iterator[list[str]]:
-    """The rows of the CSV file ``fh``. Text that is not UTF-8 raises a
-    :class:`DataError` naming ``path``, and text that the csv module
-    cannot split one naming the line it stopped on too."""
-    reader = csv.reader(fh)
-    try:
-        yield from reader
-    except UnicodeDecodeError as err:
-        raise DataError(f"{path}: not UTF-8 text (byte {err.object[err.start]:#04x}: "
-                        f"{err.reason}); save it as UTF-8") from None
-    except csv.Error as err:
-        raise DataError(f"{path}:{reader.line_num}: {err}") from None
 
 
 def write_series_csv(path: str, series: Sequence[TimeSeries]) -> None:

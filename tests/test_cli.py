@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -10,8 +11,10 @@ import numpy as np
 import pytest
 
 import crossmap
-from crossmap import CcmConfig, ccm_curve, read_series_csv
-from crossmap.cli import RunReport, main
+from crossmap import (CcmConfig, causal_summary, ccm_curve, eccm_profile,
+                      read_series_csv, select_embedding_dimension)
+from crossmap.cli import (RunReport, curve_dict, main, network_dict,
+                          profile_dict, scan_dict)
 from crossmap.systems import gen_coupled_logistic
 
 
@@ -476,22 +479,26 @@ class TestDemo:
         assert verdict[("Z", "A")] and verdict[("Z", "B")]
         assert not verdict[("A", "B")] and not verdict[("B", "A")]
 
-    # sha256 of each report's results and warnings (sorted-key JSON) and of
-    # its CSV, at seed 0. These demos draw 100 libraries per size, so each
-    # size is scored in several groups of draws, which no benchmark
-    # workload does; the output paths are left out
+    # sha256 of each report's config, inputs, results and warnings
+    # (sorted-key JSON) and of its CSV, at seed 0. The curve demos draw 100
+    # libraries per size, so each size is scored in several groups of
+    # draws, which no benchmark workload does; of the output paths only
+    # the CSV's file name is kept
     DEMO_DIGESTS = {
-        "fig7": "e8c8074c2a6aa0a6790852dc1c358cd1fcbe3e5d7652d7ddf40e479d2d3e7fa1",
-        "fig8": "e12047f49ebc829b14849f092a56a73c1b9a114ac8683111414a7200de04e705",
-        "fork": "d5428acf8c91e44660160a3def29c7862b4a948e9fa2a55c37ef9f6db3520286",
+        "fig3": "045e0853897e7dbeb4e8ce9aae0b43d2149f38f53a2b19ef64eee831646ef222",
+        "fig7": "d52864b6ac518078db65abdb1dbbaea2c6d4a38bff91209d4d5eff63569ac745",
+        "fig8": "3204622098e4ea2dbc7ddeef6237ab4d188f45d041ce6cd3ebc90a22b1a44df3",
+        "fork": "d93f12fbbff2f1620058852ae048a78e6ec081d1e60e00a09c8010956fef2870",
     }
 
     @pytest.mark.parametrize("figure", sorted(DEMO_DIGESTS))
     def test_default_sample_runs_match_their_recorded_digests(self, tmp_path, figure):
         assert main(["demo", figure, "--out-dir", str(tmp_path), "--seed", "0"]) == 0
         report = json.loads((tmp_path / f"{figure}_report.json").read_text())
+        inputs = {**report["inputs"], "csv": Path(report["inputs"]["csv"]).name}
         digest = hashlib.sha256(json.dumps(
-            {"results": report["results"], "warnings": report["warnings"]},
+            {"config": report["config"], "inputs": inputs,
+             "results": report["results"], "warnings": report["warnings"]},
             sort_keys=True).encode())
         digest.update((tmp_path / f"{figure}.csv").read_bytes())
         assert digest.hexdigest() == self.DEMO_DIGESTS[figure]
@@ -508,6 +515,27 @@ class TestDemo:
         assert main(["eccm", "-i", str(src), "--cause", "Y", "--effect", "X",
                      "--lags=-2:2", "--e", "2"]) == 0
         capsys.readouterr()
+
+
+class TestReportRows:
+    """Each report row is a copy of its result row's fields: equal to
+    ``dataclasses.asdict`` of the row, and free to change without
+    touching the frozen result it was read from."""
+
+    def test_rows_are_copies_of_the_dataclass_fields(self):
+        x, y = gen_coupled_logistic(150)
+        config = CcmConfig(e_dim=2, lib_sizes=(20, 60), samples_per_size=3)
+        for to_dict, result, key in [
+                (scan_dict, select_embedding_dimension(y, range(1, 4)), "rows"),
+                (curve_dict, ccm_curve(x, y, config), "rows"),
+                (profile_dict, eccm_profile(x, y, config, range(-2, 3)), "rows"),
+                (network_dict, causal_summary([x, y], config, [-1, 0]), "edges")]:
+            rows = to_dict(result)[key]
+            want = [dataclasses.asdict(r) for r in getattr(result, key)]
+            assert rows == want and rows
+            for row in rows:
+                row.clear()
+            assert [dataclasses.asdict(r) for r in getattr(result, key)] == want
 
 
 class TestCsvInput:
@@ -546,6 +574,14 @@ class TestCsvInput:
         assert main(["ccm", "-i", str(path), *self.COMMANDS["ccm"]]) == 3
         assert capsys.readouterr().err == (
             f"data error: {path}:3: column 'Y' has non-numeric cell 'oops'\n")
+
+    def test_an_error_after_a_multi_line_header_names_its_physical_line(
+            self, tmp_path, capsys):
+        path = tmp_path / "ml.csv"
+        path.write_text('"X\nA",Y\n1,2\n3,oops\n')
+        assert main(["simplex", "-i", str(path), "--col", "Y"]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}:4: column 'Y' has non-numeric cell 'oops'\n")
 
     def test_an_unnamed_column_still_has_every_cell(self, tmp_path, capsys):
         path = tmp_path / "short.csv"

@@ -427,6 +427,20 @@ class TestCsvRoundTrip:
             read_series_csv(p)
         assert str(info.value) == f"{p}:3: field larger than field limit (131072)"
 
+    @pytest.mark.parametrize("content, error", [
+        ('"X\nA",Y\n1,2\n3,oops\n', "4: column 'Y' has non-numeric cell 'oops'"),
+        ('X,Y\n"1\n\n",2\n3\n', "5: expected 2 cells, got 1"),
+        ('X,Y\n1,"2\n"\n\n3,4\n', "4: expected 2 cells, got 0"),
+        ('X,Y\n1,2\n3,"in\nf"\n', "4: column 'Y' has non-numeric cell 'in\\nf'"),
+    ], ids=["header", "cell-count", "blank-line", "cell"])
+    def test_a_quoted_cell_that_spans_lines_counts_each_line(self, tmp_path,
+                                                              content, error):
+        p = tmp_path / "ml.csv"
+        p.write_text(content)
+        with pytest.raises(DataError) as info:
+            read_series_csv(p)
+        assert str(info.value) == f"{p}:{error}"
+
     def test_rejects_duplicate_headers(self, tmp_path):
         p = tmp_path / "dup.csv"
         p.write_text("a,a\n1.0,2.0\n")
