@@ -2,77 +2,19 @@
 
 Delay-coordinate embedding, simplex-projection forecasting, convergent
 cross mapping (plain, lagged, and joint-embedding variants), and the
-deterministic synthetic systems used to exercise them.
+deterministic synthetic systems used to exercise them. The package
+exports each module's ``__all__``, which is the one list of its public
+names.
 """
 
-from .core import (
-    CrossmapError,
-    DataError,
-    NumericalError,
-    SkillStats,
-    TimeSeries,
-    pearson,
-    read_series_csv,
-    skill_stats,
-    windowed_pearson,
-    write_series_csv,
-)
-from .embedding import EmbeddingParams, NeighborSet, ShadowManifold, embed, knn
-from .forecast import (
-    EDimScan,
-    SimplexWeights,
-    loo_skill,
-    select_embedding_dimension,
-    simplex_forecast,
-    simplex_weights,
-    train_test_skill,
-)
-from .ccm import (
-    CausalEdge,
-    CausalNetwork,
-    CcmConfig,
-    CcmCurve,
-    ConvergenceDecision,
-    CurveRow,
-    EccmProfile,
-    EccmRow,
-    causal_summary,
-    ccm_curve,
-    convergence_test,
-    cross_map_skill,
-    default_library_sizes,
-    eccm_profile,
-    pai_cross_map,
-    shared_embedding_dimension,
-)
-from .systems import (
-    GeneratorSpec,
-    gen_coupled_logistic,
-    gen_lagged_logistic,
-    gen_lorenz,
-    gen_moran_fork,
-    gen_unidirectional_logistic,
-    generate,
-)
+from . import core, embedding, forecast, ccm, systems
+from .core import *  # noqa: F401,F403
+from .embedding import *  # noqa: F401,F403
+from .forecast import *  # noqa: F401,F403
+from .ccm import *  # noqa: F401,F403
+from .systems import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CrossmapError", "DataError", "NumericalError",
-    "TimeSeries", "SkillStats",
-    "pearson", "skill_stats", "windowed_pearson",
-    "read_series_csv", "write_series_csv",
-    "EmbeddingParams", "ShadowManifold", "NeighborSet", "embed", "knn",
-    "SimplexWeights", "EDimScan",
-    "simplex_weights", "simplex_forecast", "loo_skill", "train_test_skill",
-    "select_embedding_dimension",
-    "CcmConfig", "CcmCurve", "CurveRow", "ConvergenceDecision",
-    "EccmProfile", "EccmRow", "CausalEdge", "CausalNetwork",
-    "cross_map_skill", "ccm_curve", "convergence_test", "pai_cross_map",
-    "eccm_profile", "causal_summary", "default_library_sizes",
-    "shared_embedding_dimension",
-    "GeneratorSpec", "generate",
-    "gen_coupled_logistic", "gen_unidirectional_logistic",
-    "gen_lagged_logistic", "gen_moran_fork", "gen_lorenz",
-    "__version__",
-]
+__all__ = [*core.__all__, *embedding.__all__, *forecast.__all__, *ccm.__all__,
+           *systems.__all__, "__version__"]

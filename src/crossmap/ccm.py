@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (DataError, SkillStats, TimeSeries, integer_values,
-                   require_integers)
+from .core import (DataError, SkillStats, TimeSeries, _check_axis, _check_seed,
+                   integer_values, require_integers)
 from .embedding import EmbeddingParams, embed
 from .forecast import cross_estimates, select_embedding_dimension
 
@@ -70,11 +70,10 @@ class CcmConfig:
 
     def __post_init__(self) -> None:
         EmbeddingParams(e_dim=self.e_dim, tau=self.tau)
-        require_integers(self, "lag", "samples_per_size", "seed")
+        require_integers(self, "lag", "samples_per_size")
+        _check_seed(self.seed)
         if self.samples_per_size < 1:
             raise DataError(f"samples_per_size must be >= 1, got {self.samples_per_size}")
-        if self.seed < 0:
-            raise DataError(f"seed must be non-negative, got {self.seed}")
         if self.lib_sizes is not None:
             sizes = tuple(integer_values("lib_sizes", self.lib_sizes))
             if len(sizes) == 0:
@@ -196,15 +195,6 @@ def shared_embedding_dimension(*series: TimeSeries, e_range=range(1, 11),
     return max(MIN_SHARED_E_DIM, best)
 
 
-def _check_pair(a: TimeSeries, b: TimeSeries) -> None:
-    if len(a) != len(b):
-        raise DataError(
-            f"series lengths differ: {a.name!r} has {len(a)}, "
-            f"{b.name!r} has {len(b)}")
-    if a.origin_index != b.origin_index:
-        raise DataError("series must share a time origin")
-
-
 def _effect_warnings(cause: TimeSeries, effect: TimeSeries, n_degenerate: int,
                      unit: str) -> list[str]:
     """Warnings for a constant effect, then for ``n_degenerate`` degenerate ``unit``."""
@@ -226,7 +216,7 @@ def _effect_cross_map(cause: TimeSeries, effect: TimeSeries, config: CcmConfig,
     cause at lag 0; every lag is a view of it, ``full.shifted(lag)``.
     ``draws`` says whether library draws will read it (see
     :func:`cross_estimates`)."""
-    _check_pair(cause, effect)
+    _check_axis((cause, effect))
     manifold = embed(effect, EmbeddingParams(e_dim=config.e_dim, tau=config.tau))
     lib = (np.asarray(integer_values("library_times", library_times), dtype=int)
            if library_times is not None else None)
@@ -356,7 +346,7 @@ def pai_cross_map(x: TimeSeries, y: TimeSeries, config: CcmConfig) -> SkillStats
     count and estimation match :func:`cross_map_skill`, so a zero-spread
     y coordinate reproduces the plain embedding of x exactly.
     """
-    _check_pair(x, y)
+    _check_axis((x, y))
     manifold = embed(x, EmbeddingParams(e_dim=config.e_dim, tau=config.tau))
     y_at_times = y.values[manifold.times - y.origin_index]
     joint = np.hstack([manifold.points, y_at_times[:, None]])
@@ -396,27 +386,24 @@ def _eccm_profiles(full, causes: Sequence[TimeSeries], effect: TimeSeries,
     :meth:`_CrossMap.sweep`, whose neighbors serve every cause, on the
     effect's axis as both callers check. A lag with too few usable points
     gets a note; when every lag has one, the error quotes the first."""
-    rows = []  # one list per lag, one (row, degenerate) pair per cause
-    for ell, scores in zip(lags, full.sweep(causes, lags)):
-        if isinstance(scores, DataError):
-            rows.append([(EccmRow(lag=ell, rho=None, note=str(scores)), False)]
-                        * len(causes))
-        else:
-            rho, _, _, degenerate = scores
-            rows.append([(EccmRow(lag=ell, rho=r), g) for r, g in
-                         zip(rho[:, 0].tolist(), degenerate[:, 0].tolist())])
+    scores = full.sweep(causes, lags)
+    if all(isinstance(s, DataError) for s in scores):
+        raise DataError(f"every lag in the range left no valid targets; "
+                        f"lag {lags[0]}: {scores[0]}")
     profiles = []
-    for cause, pairs in zip(causes, zip(*rows)):
-        cause_rows, degenerate = zip(*pairs)
-        scored = [r for r in cause_rows if r.rho is not None]
-        if not scored:
-            first = cause_rows[0]
-            raise DataError(f"every lag in the range left no valid targets; "
-                            f"lag {first.lag}: {first.note}")
-        best = max(scored, key=lambda r: (r.rho, -abs(r.lag), -r.lag))
+    for i, cause in enumerate(causes):
+        rows, degenerate = [], 0
+        for ell, s in zip(lags, scores):
+            if isinstance(s, DataError):
+                rows.append(EccmRow(lag=ell, rho=None, note=str(s)))
+            else:
+                rows.append(EccmRow(lag=ell, rho=s[0][i, 0].item()))
+                degenerate += int(s[3][i, 0])
+        best = max((r for r in rows if r.rho is not None),
+                   key=lambda r: (r.rho, -abs(r.lag), -r.lag))
         profiles.append(EccmProfile(
-            direction=f"{cause.name}=>{effect.name}", rows=cause_rows, best_lag=best.lag,
-            warnings=tuple(_effect_warnings(cause, effect, sum(degenerate), "lags"))))
+            direction=f"{cause.name}=>{effect.name}", rows=tuple(rows), best_lag=best.lag,
+            warnings=tuple(_effect_warnings(cause, effect, degenerate, "lags"))))
     return profiles
 
 
@@ -436,8 +423,7 @@ def causal_summary(series: Sequence[TimeSeries], config: CcmConfig,
     names = [s.name for s in series]
     if len(set(names)) != len(names):
         raise DataError(f"series names must be unique, got {names}")
-    for other in series[1:]:
-        _check_pair(series[0], other)
+    _check_axis(series)
     lags = None if eccm_lags is None else _sweep_lags("eccm_lags", eccm_lags)
     # on one shared axis every effect fails alike or not at all; effects
     # outer, so that one effect manifold's distances are alive at a time

@@ -62,6 +62,14 @@ def require_integers(owner: object, *names: str) -> None:
             raise DataError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_seed(seed: int) -> None:
+    """Raise :class:`DataError` unless ``seed`` is a non-negative integer."""
+    if not isinstance(seed, Integral):
+        raise DataError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise DataError(f"seed must be non-negative, got {seed}")
+
+
 def integer_values(name: str, values: Iterable) -> list[int]:
     """``values`` as ints; :class:`DataError` names the first that is not
     an integer (numpy integers are), where ``int()`` would truncate or
@@ -121,6 +129,18 @@ class TimeSeries:
 
     def __hash__(self) -> int:
         return hash((self.name, self.origin_index, self.values.tobytes()))
+
+
+def _check_axis(series: Sequence[TimeSeries]) -> None:
+    """Raise :class:`DataError` for the first series that is off the first
+    one's length or time origin, naming both series for a length."""
+    for other in series[1:]:
+        first = series[0]
+        if len(other) != len(first):
+            raise DataError(f"series lengths differ: {first.name!r} has {len(first)}, "
+                            f"{other.name!r} has {len(other)}")
+        if other.origin_index != first.origin_index:
+            raise DataError("series must share a time origin")
 
 
 @dataclass(frozen=True)
@@ -300,11 +320,7 @@ def write_series_csv(path: str, series: Sequence[TimeSeries]) -> None:
     each series' value at its origin + i."""
     if not series:
         raise DataError("nothing to write: no series given")
-    lengths = {len(s) for s in series}
-    if len(lengths) != 1:
-        raise DataError(f"series lengths differ: {sorted(lengths)}")
-    if len({s.origin_index for s in series}) != 1:
-        raise DataError("series must share a time origin")
+    _check_axis(series)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([s.name for s in series])

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DataError, NumericalError, TimeSeries, require_integers
+from .core import DataError, NumericalError, TimeSeries, _check_seed
 
 __all__ = [
     "GeneratorSpec",
@@ -58,9 +58,7 @@ class GeneratorSpec:
             raise DataError(
                 f"unknown system {self.kind!r}; choose from {', '.join(GENERATOR_KINDS)}")
         _check_args(self.steps, self.burn_in)
-        require_integers(self, "seed")
-        if self.seed < 0:
-            raise DataError(f"seed must be non-negative, got {self.seed}")
+        _check_seed(self.seed)
 
 
 def _check_unit(value: float, step: int, label: str) -> float:
@@ -177,10 +175,7 @@ def gen_moran_fork(steps: int, coupling: float = 0.1,
     with either driver, although only the noise driver reads it.
     """
     _check_args(steps, burn_in, coupling=coupling)
-    if not isinstance(seed, Integral):
-        raise DataError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise DataError(f"seed must be non-negative, got {seed}")
+    _check_seed(seed)
     total = steps + burn_in
     if driver_kind == "logistic":
         (zs,) = _iterate_logistic(total, 0, [0.4],

@@ -96,6 +96,16 @@ class TestConfig:
                            match=f"^lib_sizes must hold integers, got {bad}$"):
             CcmConfig(e_dim=2, lib_sizes=sizes)
 
+    def test_empty_library_sizes(self):
+        with pytest.raises(DataError) as info:
+            CcmConfig(e_dim=2, lib_sizes=())
+        assert str(info.value) == "lib_sizes must not be empty"
+
+    def test_the_seed_is_checked_before_the_sample_count(self):
+        with pytest.raises(DataError) as info:
+            CcmConfig(e_dim=2, samples_per_size=0, seed=-1)
+        assert str(info.value) == "seed must be non-negative, got -1"
+
     def test_default_library_sizes(self):
         sizes = default_library_sizes(4, 996)
         assert sizes[0] == 4 and sizes[-1] == 996

@@ -166,6 +166,12 @@ class TestSimplex:
         assert best["stats"]["rho"] > 0.99
         assert report["config"]["tau"] == 1 and report["config"]["tp"] == 1
 
+    def test_a_single_integer_e_range(self, coupled_csv, capsys):
+        rc = main(["simplex", "-i", str(coupled_csv), "--col", "Y", "--e-range", "4"])
+        assert rc == 0
+        scan = json.loads(capsys.readouterr().out)["results"]["e_scan"]
+        assert [r["e_dim"] for r in scan["rows"]] == [4] and scan["best_e"] == 4
+
     def test_missing_column_lists_available(self, coupled_csv, capsys):
         rc = main(["simplex", "-i", str(coupled_csv), "--col", "Q"])
         assert rc == 3
@@ -232,6 +238,12 @@ class TestCcmCommand:
         assert dirs == ["X=>Y", "Y=>X"]
         assert report.config["seed"] == 0
         assert report.config["lib_sizes"] is None
+
+    def test_e_below_one_is_a_usage_error(self, coupled_csv, capsys):
+        rc = main(["ccm", "-i", str(coupled_csv), "--cause", "X", "--effect", "Y",
+                   "--e", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --e must be >= 1, got 0\n"
 
     def test_config_echo_states_every_field(self, coupled_csv, tmp_path):
         out = tmp_path / "r.json"
@@ -410,6 +422,20 @@ class TestEccmCommand:
         # every Y=>X estimate is the constant Y
         assert warnings == {"Y": [CONSTANT_Y], "X": [
             "Y=>X: 5 degenerate lags (zero-variance estimates) across the sweep"]}
+
+    def test_a_single_integer_lag(self, coupled_csv, capsys):
+        rc = main(["eccm", "-i", str(coupled_csv), "--cause", "X", "--effect", "Y",
+                   "--lags", "3"])
+        assert rc == 0
+        eccm = json.loads(capsys.readouterr().out)["results"]["eccm"]
+        assert [r["lag"] for r in eccm["rows"]] == [3] and eccm["best_lag"] == 3
+
+    def test_an_unparseable_lag_range(self, coupled_csv, capsys):
+        rc = main(["eccm", "-i", str(coupled_csv), "--cause", "X", "--effect", "Y",
+                   "--lags", "a:b"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: cannot parse --lags 'a:b'; use A:B or a single integer\n")
 
     def test_empty_lag_range(self, coupled_csv):
         assert main(["eccm", "-i", str(coupled_csv), "--cause", "X",

@@ -50,6 +50,36 @@ class TestTimeSeries:
         src[0] = 42.0
         assert ts.values[0] == 1.0
 
+    def test_rejects_two_dimensional_values(self):
+        with pytest.raises(DataError) as info:
+            TimeSeries("x", [[1.0, 2.0]])
+        assert str(info.value) == "series 'x' must be one-dimensional, got shape (1, 2)"
+
+
+class TestTimeSeriesEquality:
+    def test_equal_fields_are_equal_and_hash_alike(self):
+        a = TimeSeries("x", [1.0, 2.5, -3.0], origin_index=4)
+        b = TimeSeries("x", np.array([1.0, 2.5, -3.0]), origin_index=4)
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("other", [
+        TimeSeries("y", [1.0, 2.5, -3.0], origin_index=4),
+        TimeSeries("x", [1.0, 2.5, -3.0], origin_index=5),
+        TimeSeries("x", [1.0, 2.5, -3.5], origin_index=4),
+        TimeSeries("x", [9.0, 2.5, -3.0], origin_index=4),
+        TimeSeries("x", [1.0, 2.5], origin_index=4),
+    ])
+    def test_a_different_name_origin_or_value_is_unequal(self, other):
+        a = TimeSeries("x", [1.0, 2.5, -3.0], origin_index=4)
+        assert a != other and not a == other
+
+    @pytest.mark.parametrize("other", [None, "x", [1.0, 2.0], (1.0, 2.0)])
+    def test_a_non_series_is_unequal(self, other):
+        a = TimeSeries("x", [1.0, 2.0])
+        assert (a == other) is False
+
 
 class TestPearson:
     def test_perfect_linear(self):
@@ -106,6 +136,16 @@ class TestSkillStats:
     def test_anticorrelated_unit_errors(self):
         st = skill_stats([0, 1], [1, 0])
         assert st.rho == -1.0 and st.mae == 1.0 and st.rmse == 1.0
+
+    def test_length_mismatch_is_named(self):
+        with pytest.raises(DataError) as info:
+            skill_stats([1, 2, 3], [1, 2])
+        assert str(info.value) == "length mismatch: 3 observed vs 2 predicted"
+
+    def test_one_pair_is_too_few(self):
+        with pytest.raises(DataError) as info:
+            skill_stats([1], [1])
+        assert str(info.value) == "skill statistics need at least 2 pairs"
 
     def test_degenerate_observed(self):
         st = skill_stats([0, 0, 0], [1, 2, 3])
@@ -451,6 +491,26 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError):
             write_series_csv(tmp_path / "x.csv",
                              [TimeSeries("a", [1.0]), TimeSeries("b", [1, 2])])
+
+    def test_write_length_mismatch_names_both_series(self, tmp_path):
+        path = tmp_path / "x.csv"
+        with pytest.raises(DataError) as info:
+            write_series_csv(path, [TimeSeries("X", [1.0, 2.0, 3.0]),
+                                    TimeSeries("Y", [1.0, 2.0])])
+        assert str(info.value) == "series lengths differ: 'X' has 3, 'Y' has 2"
+        assert not path.exists()
+
+    def test_write_with_no_series(self, tmp_path):
+        with pytest.raises(DataError) as info:
+            write_series_csv(tmp_path / "x.csv", [])
+        assert str(info.value) == "nothing to write: no series given"
+
+    def test_rejects_an_unnamed_header_column(self, tmp_path):
+        p = tmp_path / "unnamed.csv"
+        p.write_text("X,,Y\n1.0,2.0,3.0\n")
+        with pytest.raises(DataError) as info:
+            read_series_csv(p)
+        assert str(info.value) == f"{p}: header row must name every column"
 
     def test_write_origin_mismatch(self, tmp_path):
         path = tmp_path / "x.csv"

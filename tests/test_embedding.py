@@ -82,6 +82,12 @@ class TestKnn:
         assert ns.indices.tolist() == [1, 0, 2]
         assert np.allclose(ns.distances, [0.1, 0.9, 1.1])
 
+    def test_k_below_one(self):
+        m = embed(TimeSeries("s", [0.0, 1.0, 2.0]), EmbeddingParams(1))
+        with pytest.raises(DataError) as info:
+            knn(m, [0.9], 0)
+        assert str(info.value) == "k must be >= 1, got 0"
+
     def test_exclusion_contract(self):
         m = embed(TimeSeries("s", [0.0, 1.0, 2.0]), EmbeddingParams(1))
         ns = knn(m, [1.0], 1, excluded_times={1})

@@ -354,6 +354,12 @@ class TestTrainTestSkill:
         st = train_test_skill(logistic_series(400), EmbeddingParams(2), 0.75)
         assert st.rho > 0.99
 
+    def test_a_split_with_no_targets(self):
+        # 11 values at E=2 give 10 states, and a 0.95 split leaves no target
+        with pytest.raises(DataError) as info:
+            train_test_skill(logistic_series(11), EmbeddingParams(2), 0.95)
+        assert str(info.value) == "split leaves no prediction targets"
+
     @pytest.mark.parametrize("frac", [0.0, 1.0, -0.5, 2.0])
     def test_bad_fraction(self, frac):
         with pytest.raises(DataError):
